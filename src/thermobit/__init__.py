@@ -35,7 +35,6 @@ from .engine import (
 from .errors import (
     ContractError,
     DomainError,
-    NoStationaryError,
     ShapeError,
     ThermobitError,
 )

@@ -59,6 +59,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _int_at_least(minimum: int):
+    """argparse type for a count: a value below `minimum` is a usage error."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return integer
+
+
 def _resolve_seed(flag_value: int | None) -> int:
     if flag_value is not None:
         return flag_value
@@ -201,7 +213,7 @@ def _cmd_audit(args) -> int:
     except ThermobitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.trajectory_csv and verdict.stationary_found:
+    if args.trajectory_csv:
         trajectory = evolve(
             p0_decl.dist, channel_decl.channel, args.steps,
             verdict.stationary if reference is None else reference,
@@ -213,9 +225,7 @@ def _cmd_audit(args) -> int:
         sys.stdout.write(_dump_json(payload))
     else:
         sys.stdout.write(_print_pairs([
-            ("stationary found", verdict.stationary_found),
-            ("stationary", None if verdict.stationary is None
-             else list(map(float, verdict.stationary.probs))),
+            ("stationary", list(map(float, verdict.stationary.probs))),
             ("detailed balance", verdict.detailed_balance),
             ("monotone", verdict.monotone),
             ("max violation", verdict.max_violation),
@@ -405,14 +415,14 @@ def _build_parser() -> argparse.ArgumentParser:
     szilard.add_argument("--temperature", type=float, default=1.0)
     szilard.add_argument("--kB", type=float, default=None)
     szilard.add_argument("--units", choices=("natural", "si"), default="natural")
-    szilard.add_argument("--levels", type=int, default=6,
+    szilard.add_argument("--levels", type=_int_at_least(1), default=6,
                          help="number of N-halving rows in the table")
     szilard.add_argument("--format", choices=dsl.REPORT_FORMATS, default="table")
 
     sweep = sub.add_parser("sweep", help="randomized property sweeps")
-    sweep.add_argument("--instances", type=int, default=1000)
-    sweep.add_argument("--max-states", type=int, default=64)
-    sweep.add_argument("--steps", type=int, default=100,
+    sweep.add_argument("--instances", type=_int_at_least(1), default=1000)
+    sweep.add_argument("--max-states", type=_int_at_least(2), default=64)
+    sweep.add_argument("--steps", type=_int_at_least(1), default=100,
                        help="audit steps per second-law instance")
     sweep.add_argument("--seed", type=lambda s: int(s, 0), default=None,
                        help=f"sweep seed (default {SEED_ENV_VAR} or 0xC0FFEE)")

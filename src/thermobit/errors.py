@@ -15,7 +15,3 @@ class ShapeError(ThermobitError, ValueError):
 
 class ContractError(ThermobitError, ValueError):
     """A strict-mode bit operation received an input of the wrong type."""
-
-
-class NoStationaryError(ThermobitError, RuntimeError):
-    """No stationary distribution could be found and verified."""

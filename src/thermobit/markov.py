@@ -1,35 +1,30 @@
 """Discrete-time Markov chains and the Second-Law audit.
 
 The audit machinery exists to falsify demon proposals: if the dynamics
-are Markovian and a stationary distribution exists, relative entropy to
-that stationary distribution cannot increase, detailed balance or not.
+are Markovian, relative entropy to a stationary distribution (every finite
+chain has one) cannot increase, detailed balance or not.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NoStationaryError, ShapeError
+from .errors import DomainError, ShapeError
 from .info import LOG2, Distribution, relative_entropy
 
 _ROW_TOLERANCE = 1e-9
 _ROW_RENORM_SKIP = 1e-12
-_CONVERGENCE_TOL = 1e-13
-_MAX_ITERATIONS = 10**6
 _VERIFY_TOL = 1e-10
-_MULTIPLICITY_TOL = 1e-8
-_PROBE_STARTS = 8
-_PROBE_SEED = 0xC0FFEE
 _MONOTONE_TOL = 1e-10
 
 
 class StationaryMultiplicityWarning(UserWarning):
-    """Perturbed starting points converged to different stationary points."""
+    """The chain has more than one closed class, so more than one stationary
+    distribution."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,8 +105,7 @@ class DetailedBalanceCheck(NamedTuple):
 class AuditVerdict:
     """Outcome of a Second-Law audit run."""
 
-    stationary_found: bool
-    stationary: Distribution | None
+    stationary: Distribution
     detailed_balance: bool
     monotone: bool
     max_violation: float
@@ -119,8 +113,7 @@ class AuditVerdict:
 
     def to_json_dict(self) -> dict:
         return {
-            "stationary_found": self.stationary_found,
-            "stationary": None if self.stationary is None else self.stationary.probs.tolist(),
+            "stationary": self.stationary.probs.tolist(),
             "detailed_balance": self.detailed_balance,
             "monotone": self.monotone,
             "max_violation": self.max_violation,
@@ -144,56 +137,70 @@ def apply_channel(p: Distribution, channel: Channel) -> Distribution:
     return Distribution(p.probs @ channel.matrix, labels=channel.labels)
 
 
-def stationary_distribution(
-    channel: Channel,
-    *,
-    max_iterations: int = _MAX_ITERATIONS,
-    check_multiplicity: bool = True,
-) -> Distribution:
-    """Find pi with pi K = pi by power iteration on the lazy chain (I + K)/2.
+def _closed_classes(matrix: np.ndarray) -> list[np.ndarray]:
+    """The closed communicating classes of the support graph, as index arrays.
 
-    The lazy chain removes periodicity without changing the stationary set,
-    so iteration from the uniform start always settles. The result is
-    verified against the original channel at 1e-10 in max norm; failure
-    raises NoStationaryError. Eight perturbed starts are also iterated
-    (as extra rows of the same matrix product, so nearly free) and a
-    StationaryMultiplicityWarning fires if they disagree beyond 1e-8 --
-    monotonicity holds against any stationary distribution, so the audit
-    proceeds with the uniform-start limit.
+    reach[i, j] says j is reachable from i; squaring (K > 0) | I a fixed
+    ceil(log2 n) times covers every path of length < n. State i is recurrent
+    iff everything it reaches reaches it back, and then its class is reach[i].
     """
-    n = len(channel)
-    lazy = 0.5 * (np.eye(n) + channel.matrix)
-    rows = 1 + (_PROBE_STARTS if check_multiplicity else 0)
-    starts = np.full((rows, n), 1.0 / n)
-    if check_multiplicity:
-        rng = np.random.default_rng(_PROBE_SEED)
-        perturbed = rng.random((_PROBE_STARTS, n)) + 0.05
-        starts[1:] = perturbed / perturbed.sum(axis=1, keepdims=True)
-    current = starts
-    for _ in range(max_iterations):
-        nxt = current @ lazy
-        if float(np.max(np.abs(nxt - current))) < _CONVERGENCE_TOL:
-            current = nxt
-            break
-        current = nxt
-    pi = current[0] / current[0].sum()
-    residual = float(np.max(np.abs(pi @ channel.matrix - pi)))
-    if residual >= _VERIFY_TOL:
-        raise NoStationaryError(
-            f"power iteration did not verify a stationary distribution "
-            f"(residual {residual:.3e} >= {_VERIFY_TOL:g})"
+    n = matrix.shape[0]
+    reach = (matrix > 0.0) | np.eye(n, dtype=bool)
+    for _ in range((n - 1).bit_length()):
+        reach = reach @ reach  # boolean product: or of ands
+    unassigned = ~np.any(reach & ~reach.T, axis=1)
+    classes = []
+    while unassigned.any():
+        members = reach[int(np.argmax(unassigned))]
+        classes.append(np.flatnonzero(members))
+        unassigned &= ~members
+    return classes
+
+
+def _gth_solve(matrix: np.ndarray) -> np.ndarray:
+    """Stationary vector of an irreducible stochastic matrix by
+    Grassmann-Taksar-Heyman elimination.
+
+    Each step censors the chain to its leading states; the divisor is the
+    probability of leaving state k for a lower state, a sum of non-negative
+    entries, so no subtraction ever happens and the result keeps high
+    relative accuracy however slowly the chain mixes.
+    """
+    a = matrix.copy()
+    for k in range(len(a) - 1, 0, -1):
+        a[:k, k] /= a[k, :k].sum()
+        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
+    x = np.ones(len(a))
+    for k in range(1, len(a)):
+        x[k] = x[:k] @ a[:k, k]
+    return x / x.sum()
+
+
+def stationary_distribution(channel: Channel) -> Distribution:
+    """The stationary pi of the chain, solved directly (no iteration).
+
+    Each closed class of the support graph has one stationary vector, found
+    by GTH elimination on its sub-matrix. Classes are weighted by their
+    share of the recurrent states (so the identity channel gives uniform
+    pi); transient states get exactly 0. With more than one closed class the
+    stationary set is their convex hull and a StationaryMultiplicityWarning
+    fires -- monotonicity holds against any stationary distribution, so the
+    audit proceeds with this one.
+    """
+    matrix = channel.matrix
+    classes = _closed_classes(matrix)
+    recurrent = sum(len(members) for members in classes)
+    pi = np.zeros(len(channel))
+    for members in classes:
+        block = _gth_solve(matrix[np.ix_(members, members)])
+        pi[members] = block * (len(members) / recurrent)
+    if len(classes) > 1:
+        warnings.warn(
+            f"chain has {len(classes)} closed classes, so multiple stationary "
+            f"distributions; auditing against their recurrent-share mixture",
+            StationaryMultiplicityWarning,
+            stacklevel=2,
         )
-    if check_multiplicity and rows > 1:
-        others = current[1:] / current[1:].sum(axis=1, keepdims=True)
-        spread = float(np.max(np.abs(others - pi)))
-        if spread > _MULTIPLICITY_TOL:
-            warnings.warn(
-                f"chain has multiple stationary distributions (perturbed "
-                f"starts disagree by {spread:.3e}); auditing against the "
-                f"uniform-start limit",
-                StationaryMultiplicityWarning,
-                stacklevel=2,
-            )
     return Distribution(pi, labels=channel.labels)
 
 
@@ -216,8 +223,7 @@ def evolve(
 ) -> Trajectory:
     """Run the chain for `steps` steps, recording D(p_t‖pi_ref) along the way.
 
-    pi_ref="auto" resolves the reference via stationary_distribution,
-    propagating its no-stationary error.
+    pi_ref="auto" resolves the reference via stationary_distribution.
     """
     if steps < 0:
         raise DomainError(f"steps must be non-negative, got {steps}")
@@ -256,29 +262,17 @@ def second_law_audit(
 ) -> AuditVerdict:
     """Audit D(p_t‖pi) for non-increase over `steps` chain steps.
 
-    With reference=None the found stationary distribution is used; an
-    explicit reference lets callers demonstrate that monotonicity can fail
-    against non-stationary references. A failed stationary search is
-    reported in the verdict rather than raised.
+    With reference=None the stationary distribution is used; an explicit
+    reference lets callers demonstrate that monotonicity can fail against
+    non-stationary references.
     """
     if steps < 1:
         raise DomainError(f"audit needs at least one step, got {steps}")
-    try:
-        pi = stationary_distribution(channel)
-    except NoStationaryError:
-        return AuditVerdict(
-            stationary_found=False,
-            stationary=None,
-            detailed_balance=False,
-            monotone=False,
-            max_violation=math.inf,
-            steps_checked=0,
-        )
+    pi = stationary_distribution(channel)
     balance = check_detailed_balance(channel, pi)
     trajectory = evolve(p0, channel, steps, pi if reference is None else reference)
     max_violation = _max_positive_jump(trajectory.d_nats)
     return AuditVerdict(
-        stationary_found=True,
         stationary=pi,
         detailed_balance=balance.holds,
         monotone=max_violation <= _MONOTONE_TOL,

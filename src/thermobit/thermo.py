@@ -61,7 +61,8 @@ class ThermoReport:
     """Everything the correspondence check computes, plus its residual.
 
     ``residual`` is |available − kT·D(p‖π)|; callers decide pass/fail
-    against a tolerance scaled by ``scale`` = max(1, |F(p)|).
+    against a tolerance scaled by ``scale`` = max(1, |F(p)|, |F(π)|), since
+    the rounding in F(p) − F(π) grows with the larger of the two terms.
     """
 
     partition_value: float
@@ -149,7 +150,7 @@ def check_szilard_landauer(landscape: EnergyLandscape, p: Distribution) -> Therm
     mask = p.probs > 0.0
     kl = float(np.sum(p.probs[mask] * (np.log(p.probs[mask]) - log_pi[mask]))) + 0.0
 
-    scale = max(1.0, abs(f_p))
+    scale = max(1.0, abs(f_p), abs(f_gibbs))
     with np.errstate(over="ignore"):
         # Z itself can exceed float range for extreme landscapes; log Z is
         # the robust field and inf/0 here is honest saturation.

@@ -91,6 +91,22 @@ def test_usage_error_exits_one():
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("args", [
+    ["sweep", "--max-states", "1"],
+    ["sweep", "--instances", "0"],
+    ["sweep", "--instances", "-2"],
+    ["sweep", "--steps", "0"],
+    ["szilard", "--levels", "-1"],
+])
+def test_degenerate_counts_are_usage_errors(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "must be at least" in err.strip().splitlines()[-1]
+
+
 # -- audit -------------------------------------------------------------------------
 
 def test_audit_mixing_chain_passes(capsys):

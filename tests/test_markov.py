@@ -1,15 +1,18 @@
 """Tests for the Markov-chain engine and the Second-Law auditor."""
 
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermobit import (
     Channel,
     Distribution,
     DomainError,
-    NoStationaryError,
     ShapeError,
     StationaryMultiplicityWarning,
     apply_channel,
@@ -20,8 +23,9 @@ from thermobit import (
     second_law_audit,
     stationary_distribution,
 )
-from thermobit import markov
+from thermobit import dsl
 
+DATA = Path(__file__).parent / "data" / "demo.tbit"
 LOG2 = math.log(2.0)
 
 
@@ -31,6 +35,12 @@ def _random_channel(rng, n):
 
 def _random_dist(rng, n):
     return Distribution(rng.dirichlet(np.ones(n)))
+
+
+def _stationary_without_warning(channel):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", StationaryMultiplicityWarning)
+        return stationary_distribution(channel)
 
 
 # -- apply_channel ---------------------------------------------------------------
@@ -73,11 +83,13 @@ def test_apply_preserves_simplex_before_renormalization():
 
 def test_stationary_two_state_closed_form():
     rng = np.random.default_rng(5)
-    for _ in range(50):
-        a, b = rng.uniform(0.05, 0.95, 2)
-        channel = Channel([[1 - a, a], [b, 1 - b]])
-        pi = stationary_distribution(channel)
-        assert np.max(np.abs(pi.probs - [b / (a + b), a / (a + b)])) < 1e-10
+    pairs = [tuple(rng.uniform(0.05, 0.95, 2)) for _ in range(50)]
+    # slow mixing: the spectral gap a + b is too small for any residual test
+    # on pi K - pi to tell pi = (2/3, 1/3) from the uniform vector
+    pairs += [(a, 2 * a) for a in (1e-9, 1e-11, 1e-13)]
+    for a, b in pairs:
+        pi = _stationary_without_warning(Channel([[1 - a, a], [b, 1 - b]]))
+        assert np.max(np.abs(pi.probs - [b / (a + b), a / (a + b)])) <= 1e-15
 
 
 def test_stationary_doubly_stochastic_is_uniform():
@@ -96,14 +108,51 @@ def test_stationary_identity_channel_warns_about_multiplicity():
 
 def test_stationary_periodic_chain_converges_via_lazy_iteration():
     swap = Channel([[0.0, 1.0], [1.0, 0.0]])
-    pi = stationary_distribution(swap)
-    assert np.allclose(pi.probs, [0.5, 0.5], atol=1e-10)
+    assert _stationary_without_warning(swap).probs.tolist() == [0.5, 0.5]
+    rotation = Channel(np.roll(np.eye(4), 1, axis=1))
+    assert _stationary_without_warning(rotation).probs.tolist() == [0.25] * 4
+    # period 2 with a non-uniform pi: 0 -> {1, 2} -> 0
+    bipartite = Channel([[0.0, 0.25, 0.75], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    assert _stationary_without_warning(bipartite).probs.tolist() == [0.5, 0.125, 0.375]
 
 
-def test_stationary_gives_up_on_too_few_iterations():
-    slow = Channel([[1 - 1e-8, 1e-8], [2e-8, 1 - 2e-8]])
-    with pytest.raises(NoStationaryError):
-        stationary_distribution(slow, max_iterations=500)
+def test_stationary_transient_states_get_exactly_zero():
+    # 0 and 3 leak into the closed class {1, 2}, whose pi is (4/11, 7/11)
+    channel = Channel([
+        [0.5, 0.5, 0.0, 0.0],
+        [0.0, 0.3, 0.7, 0.0],
+        [0.0, 0.4, 0.6, 0.0],
+        [0.2, 0.0, 0.0, 0.8],
+    ])
+    pi = _stationary_without_warning(channel)
+    assert pi[0] == 0.0 and pi[3] == 0.0
+    assert np.max(np.abs(pi.probs[1:3] - [4 / 11, 7 / 11])) <= 1e-15
+
+
+def test_stationary_two_closed_classes_warn_and_weight_by_size():
+    # closed classes {0} and {2, 3}; state 1 is transient
+    channel = Channel([
+        [1.0, 0.0, 0.0, 0.0],
+        [0.3, 0.4, 0.3, 0.0],
+        [0.0, 0.0, 0.9, 0.1],
+        [0.0, 0.0, 0.2, 0.8],
+    ])
+    with pytest.warns(StationaryMultiplicityWarning, match="2 closed classes"):
+        pi = stationary_distribution(channel)
+    assert np.max(np.abs(pi.probs @ channel.matrix - pi.probs)) <= 1e-15
+    assert np.max(np.abs(pi.probs - [1 / 3, 0.0, 4 / 9, 2 / 9])) <= 1e-15
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 10).flatmap(lambda n: st.lists(
+    st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=n, max_size=n),
+    min_size=n, max_size=n,
+)))
+def test_stationary_is_fixed_by_random_positive_chains(rows):
+    matrix = np.array(rows)
+    channel = Channel(matrix / matrix.sum(axis=1, keepdims=True))
+    pi = _stationary_without_warning(channel)
+    assert np.max(np.abs(pi.probs @ channel.matrix - pi.probs)) <= 1e-15
 
 
 # -- detailed balance ------------------------------------------------------------------
@@ -166,15 +215,6 @@ def test_evolve_rejects_negative_steps():
         evolve(Distribution.uniform(2), Channel(np.eye(2)), -1)
 
 
-def test_evolve_auto_propagates_missing_stationary(monkeypatch):
-    def refuse(channel, **kwargs):
-        raise NoStationaryError("forced for test")
-
-    monkeypatch.setattr(markov, "stationary_distribution", refuse)
-    with pytest.raises(NoStationaryError):
-        evolve(Distribution.uniform(2), Channel(np.eye(2)), 3, "auto")
-
-
 def test_trajectory_csv_layout():
     channel = Channel([[0.75, 0.25], [0.25, 0.75]])
     trajectory = evolve(Distribution([1.0, 0.0]), channel, 2)
@@ -197,7 +237,6 @@ def test_audit_random_chains_are_monotone():
     for _ in range(50):
         n = int(rng.integers(2, 16))
         verdict = second_law_audit(_random_dist(rng, n), _random_channel(rng, n), 50)
-        assert verdict.stationary_found
         assert verdict.monotone
         assert verdict.max_violation <= 1e-12
 
@@ -239,17 +278,12 @@ def test_audit_against_nonstationary_reference_can_fail():
     assert second_law_audit(p0, channel, 10).monotone
 
 
-def test_audit_reports_missing_stationary_in_verdict(monkeypatch):
-    def refuse(channel, **kwargs):
-        raise NoStationaryError("forced for test")
-
-    monkeypatch.setattr(markov, "stationary_distribution", refuse)
-    verdict = second_law_audit(Distribution.uniform(2), Channel(np.eye(2)), 5)
-    assert not verdict.stationary_found
-    assert verdict.stationary is None
-    assert not verdict.monotone
-    assert verdict.max_violation == math.inf
-    assert verdict.steps_checked == 0
+def test_audit_of_demo_drift_chain_uses_exact_stationary():
+    doc = dsl.parse(DATA.read_text()).document
+    verdict = second_law_audit(doc.dists["tilted"].dist, doc.channels["drift"].channel, 50)
+    assert verdict.stationary.probs.tolist() == [2 / 3, 1 / 3]
+    assert verdict.detailed_balance
+    assert verdict.monotone
 
 
 def test_audit_requires_at_least_one_step():

@@ -143,6 +143,16 @@ def test_check_random_large_landscape():
     assert report.residual < 1e-12 * report.scale
 
 
+def test_check_scale_covers_a_large_gibbs_free_energy():
+    # F(p) is about -0.09 but F(gibbs) = -1e6: F(p) - F(gibbs) rounds at the
+    # 1e6 scale (one ulp is 1.2e-10), which a scale of max(1, |F(p)|) alone
+    # would call a violation
+    landscape = EnergyLandscape([-1e6, 0.5, 0.7])
+    report = check_szilard_landauer(landscape, Distribution([0.0, 0.5, 0.5]))
+    assert report.scale == 1e6
+    assert report.passes()
+
+
 def test_identity_holds_for_both_boltzmann_choices():
     rng = np.random.default_rng(67)
     for kb in (1.0, SI_KB):
