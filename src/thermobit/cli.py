@@ -13,11 +13,10 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from . import bitops, dsl, engine, sweeps
 from .errors import ThermobitError
-from .markov import evolve, second_law_audit
+from .markov import second_law_audit
 from .thermo import SI_BOLTZMANN, check_szilard_landauer
 
 DEFAULT_SEED = sweeps.DEFAULT_SEED  # 0xC0FFEE
@@ -26,29 +25,6 @@ SEED_ENV_VAR = "THERMOBIT_SEED"
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATION = 2
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved per-invocation options shared by the subcommands."""
-
-    output_format: str = "table"
-    tolerance: float = 1e-12
-    seed: int = DEFAULT_SEED
-    units: str = "natural"
-
-    @property
-    def boltzmann_default(self) -> float:
-        return SI_BOLTZMANN if self.units == "si" else 1.0
-
-
-def _run_config(args, *, resolve_seed: bool = False) -> RunConfig:
-    return RunConfig(
-        output_format=getattr(args, "format", "table"),
-        tolerance=getattr(args, "tolerance", 1e-12),
-        seed=_resolve_seed(getattr(args, "seed", None)) if resolve_seed else DEFAULT_SEED,
-        units=getattr(args, "units", "natural"),
-    )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,6 +59,13 @@ def _resolve_seed(flag_value: int | None) -> int:
                 f"{SEED_ENV_VAR} must be an integer, got {env!r}"
             ) from None
     return DEFAULT_SEED
+
+
+def _boltzmann(args) -> float:
+    """--kB if given, else the Boltzmann constant of --units."""
+    if args.kB is not None:
+        return args.kB
+    return SI_BOLTZMANN if args.units == "si" else 1.0
 
 
 def _jsonify(value):
@@ -140,7 +123,6 @@ def _load_document(path: str):
 
 
 def _cmd_check(args) -> int:
-    cfg = _run_config(args)
     doc = _load_document(args.file)
     if doc is None:
         return EXIT_USAGE
@@ -150,13 +132,13 @@ def _cmd_check(args) -> int:
         return EXIT_USAGE
     landscape = doc.systems[decl.system].to_landscape()
     report = check_szilard_landauer(landscape, decl.dist)
-    passed = report.passes(cfg.tolerance)
-    if cfg.output_format == "json":
+    passed = report.passes(args.tolerance)
+    if args.format == "json":
         payload = report.to_json_dict()
-        payload["tolerance"] = cfg.tolerance
+        payload["tolerance"] = args.tolerance
         payload["passed"] = passed
         sys.stdout.write(_dump_json(payload))
-    elif cfg.output_format == "csv":
+    elif args.format == "csv":
         header = [
             "partition_value", "log_partition", "average_energy", "free_energy_p",
             "free_energy_gibbs", "available", "kl_nats", "kl_bits", "residual",
@@ -181,14 +163,13 @@ def _cmd_check(args) -> int:
             ("D(p||gibbs) nats", report.kl_nats.nats),
             ("D(p||gibbs) bits", report.kl_nats.bits),
             ("residual", report.residual),
-            ("tolerance", cfg.tolerance * report.scale),
+            ("tolerance", args.tolerance * report.scale),
             ("passed", passed),
         ]))
     return EXIT_OK if passed else EXIT_VIOLATION
 
 
 def _cmd_audit(args) -> int:
-    cfg = _run_config(args)
     doc = _load_document(args.file)
     if doc is None:
         return EXIT_USAGE
@@ -214,13 +195,9 @@ def _cmd_audit(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.trajectory_csv:
-        trajectory = evolve(
-            p0_decl.dist, channel_decl.channel, args.steps,
-            verdict.stationary if reference is None else reference,
-        )
         with open(args.trajectory_csv, "w", encoding="utf-8") as handle:
-            handle.write(trajectory.to_csv())
-    if cfg.output_format == "json":
+            handle.write(verdict.trajectory.to_csv())
+    if args.format == "json":
         payload = verdict.to_json_dict()
         sys.stdout.write(_dump_json(payload))
     else:
@@ -255,9 +232,8 @@ def _bit_input(op: str, flag: str | None) -> bitops.BitState:
 
 
 def _cmd_bitop(args) -> int:
-    cfg = _run_config(args)
-    boltzmann = args.kB if args.kB is not None else cfg.boltzmann_default
-    kwargs = {"temperature": args.temperature, "boltzmann": boltzmann, "mode": args.mode}
+    kwargs = {"temperature": args.temperature, "boltzmann": _boltzmann(args),
+              "mode": args.mode}
     try:
         if args.op == "erase":
             _, ledger = bitops.erase(_bit_input(args.op, args.input), **kwargs)
@@ -285,24 +261,22 @@ def _cmd_bitop(args) -> int:
 
 
 def _cmd_szilard(args) -> int:
-    run_cfg = _run_config(args)
-    boltzmann = args.kB if args.kB is not None else run_cfg.boltzmann_default
     try:
-        cfg = engine.EngineConfig(temperature=args.temperature, boltzmann=boltzmann,
+        cfg = engine.EngineConfig(temperature=args.temperature, boltzmann=_boltzmann(args),
                                   steps=args.steps)
         rows = engine.convergence_table(cfg, args.ratio, levels=args.levels)
         exact = engine.exact_isothermal_work(cfg, cfg.volume, cfg.volume / args.ratio)
     except ThermobitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if run_cfg.output_format == "json":
+    if args.format == "json":
         payload = {
             "ratio": args.ratio,
             "exact_work": exact,
             "rows": [{"steps": n, "work": w, "abs_error": e} for n, w, e in rows],
         }
         sys.stdout.write(_dump_json(payload))
-    elif run_cfg.output_format == "csv":
+    elif args.format == "csv":
         sys.stdout.write(_csv_line(["N", "work", "abs_error"]) + "\n")
         for n, work, err in rows:
             sys.stdout.write(_csv_line([n, work, err]) + "\n")
@@ -316,11 +290,10 @@ def _cmd_szilard(args) -> int:
 
 def _cmd_sweep(args) -> int:
     try:
-        cfg = _run_config(args, resolve_seed=True)
+        seed = _resolve_seed(args.seed)
     except ThermobitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    seed = cfg.seed
     identity = sweeps.identity_sweep(args.instances, args.max_states, seed)
     dpi = sweeps.dpi_sweep(args.instances, min(args.max_states, 8), seed)
     monotone = sweeps.monotonicity_sweep(
@@ -328,7 +301,7 @@ def _cmd_sweep(args) -> int:
         inject_violation=args.inject_violation,
     )
     all_passed = identity.all_passed and dpi.all_passed and monotone.all_passed
-    if cfg.output_format == "json":
+    if args.format == "json":
         payload = {
             "seed": seed,
             "identity": identity.to_json_dict(),
@@ -391,7 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
     audit.add_argument("file", help="protocol file (.tbit)")
     audit.add_argument("--channel", required=True)
     audit.add_argument("--p0", required=True, help="name of the starting dist")
-    audit.add_argument("--steps", type=int, default=100)
+    audit.add_argument("--steps", type=_int_at_least(1), default=100)
     audit.add_argument("--reference",
                        help="audit against this dist instead of the stationary one")
     audit.add_argument("--trajectory-csv", help="write the trajectory to this CSV file")

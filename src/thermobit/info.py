@@ -28,6 +28,14 @@ SUM_TOLERANCE = 1e-9
 _RENORM_SKIP = 1e-12
 
 
+def _renormalised(arr: np.ndarray, total: float) -> np.ndarray:
+    """arr divided by its sum `total`, or arr itself when total is within
+    _RENORM_SKIP of 1."""
+    if abs(total - 1.0) > _RENORM_SKIP:
+        return arr / total
+    return arr
+
+
 def _as_prob_array(values, what: str, ndim: int) -> np.ndarray:
     arr = np.array(values, dtype=float)
     if arr.ndim != ndim:
@@ -43,8 +51,7 @@ def _as_prob_array(values, what: str, ndim: int) -> np.ndarray:
         raise DomainError(
             f"{what} must sum to 1 within {SUM_TOLERANCE:g}, got {total!r}"
         )
-    if abs(total - 1.0) > _RENORM_SKIP:
-        arr = arr / total
+    arr = _renormalised(arr, total)
     arr.setflags(write=False)
     return arr
 
@@ -203,12 +210,18 @@ def relative_entropy(p: Distribution, q: Distribution) -> InfoQuantity:
     """D(p‖q) in nats; +inf when some p_i > 0 has q_i = 0."""
     if len(p) != len(q):
         raise ShapeError(f"distributions differ in length: {len(p)} vs {len(q)}")
-    mask = p.probs > 0.0
-    ps = p.probs[mask]
-    qs = q.probs[mask]
+    return InfoQuantity(_kl_nats(p.probs, q.probs))
+
+
+def _kl_nats(p: np.ndarray, q: np.ndarray) -> float:
+    """D(p‖q) in nats of two probability arrays of one length; +inf when
+    some p_i > 0 has q_i = 0."""
+    mask = p > 0.0
+    ps = p[mask]
+    qs = q[mask]
     if np.any(qs == 0.0):
-        return InfoQuantity(math.inf)
-    return InfoQuantity(float(np.sum(ps * (np.log(ps) - np.log(qs)))) + 0.0)
+        return math.inf
+    return float(np.sum(ps * (np.log(ps) - np.log(qs)))) + 0.0
 
 
 def mutual_information(j: JointDistribution) -> InfoQuantity:

@@ -14,10 +14,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .info import LOG2, Distribution, relative_entropy
+from .info import LOG2, SUM_TOLERANCE, Distribution, relative_entropy
+from .info import _RENORM_SKIP, _kl_nats, _renormalised
 
-_ROW_TOLERANCE = 1e-9
-_ROW_RENORM_SKIP = 1e-12
 _VERIFY_TOL = 1e-10
 _MONOTONE_TOL = 1e-10
 
@@ -43,14 +42,14 @@ class Channel:
         if np.any(arr < 0.0):
             raise DomainError("channel entries must be non-negative")
         sums = arr.sum(axis=1)
-        bad = np.abs(sums - 1.0) > _ROW_TOLERANCE
+        bad = np.abs(sums - 1.0) > SUM_TOLERANCE
         if np.any(bad):
             i = int(np.argmax(bad))
             raise DomainError(
-                f"channel row {i} must sum to 1 within {_ROW_TOLERANCE:g}, "
+                f"channel row {i} must sum to 1 within {SUM_TOLERANCE:g}, "
                 f"got {float(sums[i])!r}"
             )
-        fix = np.abs(sums - 1.0) > _ROW_RENORM_SKIP
+        fix = np.abs(sums - 1.0) > _RENORM_SKIP
         if np.any(fix):
             arr = arr.copy()
             arr[fix] = arr[fix] / sums[fix, None]
@@ -74,24 +73,27 @@ class Channel:
         return f"Channel({self.matrix.tolist()!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Distributions p_0..p_T under repeated channel application, with
-    D(p_t‖reference) recorded at every step."""
+    """Distributions p_0..p_T under repeated channel application.
 
-    distributions: tuple[Distribution, ...]
-    d_nats: tuple[float, ...]
+    Row t of `probs`, a read-only (T+1, n) array, is p_t; `d_nats[t]` is
+    D(p_t‖reference) in nats.
+    """
+
+    probs: np.ndarray
+    d_nats: np.ndarray
     reference: Distribution
 
     def __len__(self) -> int:
-        return len(self.distributions)
+        return len(self.d_nats)
 
     def to_csv(self) -> str:
         """Columns: step, p_1..p_n, D_nats, D_bits."""
-        n = len(self.distributions[0])
+        n = self.probs.shape[1]
         lines = ["step," + ",".join(f"p_{i + 1}" for i in range(n)) + ",D_nats,D_bits"]
-        for t, (dist, d) in enumerate(zip(self.distributions, self.d_nats)):
-            probs = ",".join(repr(float(x)) for x in dist.probs)
+        for t, (row, d) in enumerate(zip(self.probs.tolist(), self.d_nats.tolist())):
+            probs = ",".join(map(repr, row))
             lines.append(f"{t},{probs},{d!r},{d / LOG2!r}")
         return "\n".join(lines) + "\n"
 
@@ -110,6 +112,7 @@ class AuditVerdict:
     monotone: bool
     max_violation: float
     steps_checked: int
+    trajectory: Trajectory
 
     def to_json_dict(self) -> dict:
         return {
@@ -223,7 +226,9 @@ def evolve(
 ) -> Trajectory:
     """Run the chain for `steps` steps, recording D(p_t‖pi_ref) along the way.
 
-    pi_ref="auto" resolves the reference via stationary_distribution.
+    pi_ref="auto" resolves the reference via stationary_distribution. The
+    inputs are checked once; the steps run on plain arrays, renormalised by
+    Distribution's rule, so row t is bit for bit what apply_channel builds.
     """
     if steps < 0:
         raise DomainError(f"steps must be non-negative, got {steps}")
@@ -233,20 +238,24 @@ def evolve(
         reference = stationary_distribution(channel)
     else:
         reference = pi_ref
-    if len(reference) != len(channel):
-        raise ShapeError("reference distribution does not match channel size")
-    dists = [p0]
-    d_values = [relative_entropy(p0, reference).nats]
-    current = p0
-    for _ in range(steps):
-        current = apply_channel(current, channel)
-        dists.append(current)
-        d_values.append(relative_entropy(current, reference).nats)
-    return Trajectory(tuple(dists), tuple(d_values), reference)
+    if not len(p0) == len(reference) == len(channel):
+        raise ShapeError(f"p0 and reference of lengths {len(p0)}, {len(reference)} "
+                         f"against a {len(channel)}-state channel")
+    matrix, ref = channel.matrix, reference.probs
+    probs = np.empty((steps + 1, len(channel)))
+    d_nats = np.empty(steps + 1)
+    probs[0] = row = p0.probs
+    d_nats[0] = _kl_nats(row, ref)
+    for t in range(1, steps + 1):
+        row = row @ matrix
+        probs[t] = row = _renormalised(row, float(row.sum()))
+        d_nats[t] = _kl_nats(row, ref)
+    probs.setflags(write=False)
+    d_nats.setflags(write=False)
+    return Trajectory(probs, d_nats, reference)
 
 
-def _max_positive_jump(d_values: tuple[float, ...]) -> float:
-    d = np.asarray(d_values)
+def _max_positive_jump(d: np.ndarray) -> float:
     jumps = d[1:] - d[:-1]
     jumps[np.isnan(jumps)] = 0.0  # inf to inf: no change
     if jumps.size == 0:
@@ -278,6 +287,7 @@ def second_law_audit(
         monotone=max_violation <= _MONOTONE_TOL,
         max_violation=max_violation,
         steps_checked=steps,
+        trajectory=trajectory,
     )
 
 

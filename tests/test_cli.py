@@ -97,6 +97,7 @@ def test_usage_error_exits_one():
     ["sweep", "--instances", "-2"],
     ["sweep", "--steps", "0"],
     ["szilard", "--levels", "-1"],
+    ["audit", str(DATA), "--channel", "mix", "--p0", "sharp", "--steps", "0"],
 ])
 def test_degenerate_counts_are_usage_errors(args, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -141,6 +142,29 @@ def test_audit_writes_trajectory_csv(tmp_path, capsys):
     lines = target.read_text().strip().split("\n")
     assert lines[0] == "step,p_1,p_2,D_nats,D_bits"
     assert len(lines) == 7
+
+
+def test_audit_trajectory_csv_runs_the_chain_once(tmp_path, capsys, monkeypatch):
+    from thermobit import markov
+
+    calls = []
+    original = markov.evolve
+
+    def counting_evolve(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    # replace evolve wherever a thermobit module has bound it by name
+    for module in [m for name, m in sys.modules.items() if name.startswith("thermobit")]:
+        if vars(module).get("evolve") is original:
+            monkeypatch.setattr(module, "evolve", counting_evolve)
+    code, _, _ = run_cli(
+        ["audit", str(DATA), "--channel", "drift", "--p0", "tilted",
+         "--steps", "30", "--trajectory-csv", str(tmp_path / "trajectory.csv")],
+        capsys,
+    )
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_audit_unknown_channel_exits_one(capsys):

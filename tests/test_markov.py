@@ -184,7 +184,7 @@ def test_evolve_from_the_reference_stays_at_zero():
     pi = stationary_distribution(channel)
     trajectory = evolve(pi, channel, 20)
     assert all(d < 1e-10 for d in trajectory.d_nats)
-    assert np.max(np.abs(trajectory.distributions[-1].probs - pi.probs)) < 1e-10
+    assert np.max(np.abs(trajectory.probs[-1] - pi.probs)) < 1e-10
 
 
 def test_evolve_strictly_decreasing_divergence():
@@ -213,6 +213,70 @@ def test_evolve_auto_reference_resolves_stationary():
 def test_evolve_rejects_negative_steps():
     with pytest.raises(DomainError):
         evolve(Distribution.uniform(2), Channel(np.eye(2)), -1)
+
+
+def _step_by_step(p0, channel, steps, reference):
+    """evolve as a chain of validated Distributions, one relative_entropy each."""
+    dists = [p0]
+    for _ in range(steps):
+        dists.append(apply_channel(dists[-1], channel))
+    d_nats = [relative_entropy(p, reference).nats for p in dists]
+    return np.array([p.probs for p in dists]), np.array(d_nats)
+
+
+def _reducible_chain_with_transients(rng):
+    # states 0-1 are transient; {2, 3} and {4} are closed classes
+    matrix = np.zeros((5, 5))
+    matrix[:2] = rng.dirichlet(np.ones(5), size=2)
+    matrix[2:4, 2:4] = rng.dirichlet(np.ones(2), size=2)
+    matrix[4, 4] = 1.0
+    return Channel(matrix)
+
+
+def _sparse(rng, n, support):
+    probs = np.zeros(n)
+    probs[rng.choice(n, size=support, replace=False)] = rng.dirichlet(np.ones(support))
+    return Distribution(probs)
+
+
+@pytest.mark.parametrize("case", ["reducible", "rotation"])
+def test_evolve_matches_step_by_step_reference_bitwise(case):
+    rng = np.random.default_rng(23)
+    if case == "reducible":
+        channel = _reducible_chain_with_transients(rng)
+        p0 = _random_dist(rng, 5)
+    else:
+        channel = Channel(np.roll(np.eye(11), 1, axis=1))
+        p0 = _sparse(rng, 11, 4)
+    reference = _random_dist(rng, len(channel))
+    trajectory = evolve(p0, channel, 300, reference)
+    probs, d_nats = _step_by_step(p0, channel, 300, reference)
+    assert np.array_equal(trajectory.probs, probs)
+    assert np.array_equal(trajectory.d_nats, d_nats)
+    assert trajectory.reference is reference
+    assert len(trajectory) == 301
+
+
+def test_evolve_keeps_renormalising_rows_that_drift():
+    rows = np.full((4, 4), 0.25)
+    rows[:, 0] += 5e-13  # every row sums to 1 + 5e-13, below the renormalisation threshold
+    channel = Channel(rows)
+    assert np.array_equal(channel.matrix, rows)
+    trajectory = evolve(Distribution([0.4, 0.3, 0.2, 0.1]), channel, 10_000)
+    assert np.all(np.abs(trajectory.probs.sum(axis=1) - 1.0) <= 1e-12)
+
+
+def test_evolve_rejects_mismatched_lengths():
+    with pytest.raises(ShapeError):
+        evolve(Distribution.uniform(3), Channel(np.eye(2)), 0, Distribution.uniform(2))
+
+
+def test_trajectory_arrays_are_read_only():
+    trajectory = evolve(Distribution([1.0, 0.0]), Channel([[0.5, 0.5], [0.5, 0.5]]), 3)
+    with pytest.raises(ValueError):
+        trajectory.probs[0, 0] = 0.5
+    with pytest.raises(ValueError):
+        trajectory.d_nats[0] = 0.0
 
 
 def test_trajectory_csv_layout():
@@ -284,6 +348,19 @@ def test_audit_of_demo_drift_chain_uses_exact_stationary():
     assert verdict.stationary.probs.tolist() == [2 / 3, 1 / 3]
     assert verdict.detailed_balance
     assert verdict.monotone
+
+
+def test_audit_returns_the_trajectory_it_checked():
+    doc = dsl.parse(DATA.read_text()).document
+    p0, channel = doc.dists["tilted"].dist, doc.channels["drift"].channel
+    for reference in (None, doc.dists["fair"].dist):
+        verdict = second_law_audit(p0, channel, 40, reference=reference)
+        expected_reference = verdict.stationary if reference is None else reference
+        expected = evolve(p0, channel, 40, expected_reference)
+        assert verdict.trajectory.reference == expected_reference
+        assert np.array_equal(verdict.trajectory.probs, expected.probs)
+        assert np.array_equal(verdict.trajectory.d_nats, expected.d_nats)
+    assert "trajectory" not in verdict.to_json_dict()
 
 
 def test_audit_requires_at_least_one_step():
