@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import ContractError, DomainError, ShapeError
 from .info import LOG2, Distribution, JointDistribution, shannon_entropy
+from .thermo import _check_kT
 
 _CLASSIFY_TOL = 1e-9
 
@@ -197,6 +198,7 @@ def _build_ledger(
     temperature: float,
     boltzmann: float,
 ) -> OpLedger:
+    _check_kT(temperature, boltzmann)
     delta_h = shannon_entropy(dist_out).nats - shannon_entropy(dist_in).nats
     delta_d = -delta_h + 0.0  # vs uniform equilibrium, ΔD = −ΔH identically
     if delta_d > 0.0:

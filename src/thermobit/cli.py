@@ -117,6 +117,20 @@ def _load_document(path: str):
     return result.document
 
 
+def _lookup(decls: dict, kind: str, name: str, path: str, system: str | None = None):
+    """The declaration of `kind` called `name` in `decls` (over `system`, if
+    given), or None once the reason is printed."""
+    decl = decls.get(name)
+    if decl is None:
+        problem = f"no {kind} named {name!r} in {path}"
+    elif system is not None and decl.system != system:
+        problem = f"{kind} {name!r} is over system {decl.system!r}, not {system!r}"
+    else:
+        return decl
+    print(f"error: {problem}", file=sys.stderr)
+    return None
+
+
 # --------------------------------------------------------------------------
 # subcommands
 # --------------------------------------------------------------------------
@@ -126,12 +140,14 @@ def _cmd_check(args) -> int:
     doc = _load_document(args.file)
     if doc is None:
         return EXIT_USAGE
-    decl = doc.dists.get(args.dist)
+    decl = _lookup(doc.dists, "dist", args.dist, args.file)
     if decl is None:
-        print(f"error: no dist named {args.dist!r} in {args.file}", file=sys.stderr)
         return EXIT_USAGE
-    landscape = doc.systems[decl.system].to_landscape()
-    report = check_szilard_landauer(landscape, decl.dist)
+    try:
+        report = check_szilard_landauer(doc.systems[decl.system].to_landscape(), decl.dist)
+    except ThermobitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     passed = report.passes(args.tolerance)
     if args.format == "json":
         payload = report.to_json_dict()
@@ -173,30 +189,30 @@ def _cmd_audit(args) -> int:
     doc = _load_document(args.file)
     if doc is None:
         return EXIT_USAGE
-    channel_decl = doc.channels.get(args.channel)
-    if channel_decl is None:
-        print(f"error: no channel named {args.channel!r} in {args.file}", file=sys.stderr)
+    channel = _lookup(doc.channels, "channel", args.channel, args.file)
+    if channel is None:
         return EXIT_USAGE
-    p0_decl = doc.dists.get(args.p0)
-    if p0_decl is None:
-        print(f"error: no dist named {args.p0!r} in {args.file}", file=sys.stderr)
+    p0 = _lookup(doc.dists, "dist", args.p0, args.file, channel.system)
+    if p0 is None:
         return EXIT_USAGE
     reference = None
     if args.reference is not None:
-        ref_decl = doc.dists.get(args.reference)
-        if ref_decl is None:
-            print(f"error: no dist named {args.reference!r} in {args.file}", file=sys.stderr)
+        reference = _lookup(doc.dists, "dist", args.reference, args.file, channel.system)
+        if reference is None:
             return EXIT_USAGE
-        reference = ref_decl.dist
     try:
-        verdict = second_law_audit(p0_decl.dist, channel_decl.channel, args.steps,
-                                   reference=reference)
+        verdict = second_law_audit(p0.dist, channel.channel, args.steps,
+                                   reference=None if reference is None else reference.dist)
     except ThermobitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.trajectory_csv:
-        with open(args.trajectory_csv, "w", encoding="utf-8") as handle:
-            handle.write(verdict.trajectory.to_csv())
+        try:
+            with open(args.trajectory_csv, "w", encoding="utf-8") as handle:
+                handle.write(verdict.trajectory.to_csv())
+        except OSError as exc:
+            print(f"error: cannot write {args.trajectory_csv}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     if args.format == "json":
         payload = verdict.to_json_dict()
         sys.stdout.write(_dump_json(payload))

@@ -26,18 +26,20 @@ header line and contains indented `key value...` lines:
         bitop <name>
         report table|json|csv
 
-Numbers are decimal with an optional exponent. Names must be unique
-within their kind, every reference must resolve, and dimensions must be
-consistent; probability vectors and channel rows obey the core modules'
-1e-9 normalization tolerance. The parser recovers at block granularity
-and reports every diagnostic in one pass; it never raises on malformed
-input.
+Numbers are finite decimals with an optional exponent. Names must be
+unique within their kind, every reference must resolve, and dimensions
+must be consistent; probability vectors and channel rows obey the core
+modules' 1e-9 normalization tolerance. The parser recovers at block
+granularity and reports every diagnostic in one pass; it never raises on
+malformed input.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,26 +48,63 @@ from .info import SUM_TOLERANCE, Distribution
 from .markov import Channel
 from .thermo import EnergyLandscape
 
-_BLOCK_KEYWORDS = ("system", "dist", "channel", "protocol")
 _NUMBER_RE = re.compile(r"^[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
 _COUNT_RE = re.compile(r"^\d+$")
 _TOKEN_RE = re.compile(r"\S+")
 
 BITOP_NAMES = ("erase", "copy-szilard", "copy-landauer", "not", "switch", "randomize")
 REPORT_FORMATS = ("table", "json", "csv")
-SUGGESTED_EXTENSION = ".tbit"
+
+
+class _Key(NamedTuple):
+    """How `_Parser.lines` checks one key of a block kind."""
+
+    fewest: int  # arguments
+    most: float  # arguments (math.inf: no limit)
+    once: bool  # may appear at most once per block
+    takes: str  # ends the arity message "'<key>' <takes>"
+    words: tuple[str, ...] | None = None  # the words its argument may be, if fixed
+
+
+# Each block kind's keys; the builders below see only lines that fit them.
+_GRAMMAR = {
+    "system": {
+        "states": _Key(1, math.inf, True, "needs at least one label"),
+        "temperature": _Key(1, 1, True, "takes exactly one number"),
+        "boltzmann": _Key(1, 1, True, "takes exactly one number"),
+        "energy": _Key(2, 2, False, "takes a state label and a value"),
+    },
+    "dist": {
+        "over": _Key(1, 1, True, "takes exactly one system name"),
+        "probs": _Key(1, math.inf, True, "needs at least one value"),
+    },
+    "channel": {
+        "over": _Key(1, 1, True, "takes exactly one system name"),
+        "from": _Key(0, math.inf, False, ""),  # build_channel parses the row
+    },
+    "protocol": {
+        "apply": _Key(1, 1, False, "takes exactly one channel name"),
+        "evolve": _Key(1, 1, False, "takes exactly one step count"),
+        "check-correspondence": _Key(0, 0, False, "takes no arguments", ()),
+        "audit": _Key(1, 1, False, "takes exactly one step count"),
+        "bitop": _Key(1, 1, False, "takes one of: " + ", ".join(BITOP_NAMES), BITOP_NAMES),
+        "report": _Key(1, 1, False, "takes one of: " + ", ".join(REPORT_FORMATS),
+                       REPORT_FORMATS),
+    },
+}
+_REQUIRED = {"system": ("states", "temperature"), "dist": ("over", "probs"),
+             "channel": ("over",), "protocol": ()}
+_BLOCK_KEYWORDS = tuple(_GRAMMAR)
 
 
 @dataclass(frozen=True)
 class ParseDiagnostic:
-    severity: str  # "error" | "warning"
     line: int  # 1-based
     column: int  # 1-based
     message: str
-    excerpt: str
 
     def render(self) -> str:
-        return f"{self.severity}: line {self.line}, col {self.column}: {self.message}"
+        return f"error: line {self.line}, col {self.column}: {self.message}"
 
 
 @dataclass(frozen=True)
@@ -135,16 +174,14 @@ class ParseResult:
         return self.document is not None
 
     def errors(self) -> list[ParseDiagnostic]:
-        return [d for d in self.diagnostics if d.severity == "error"]
+        return list(self.diagnostics)
 
 
+@dataclass(slots=True)
 class _Token:
-    __slots__ = ("text", "line", "column")
-
-    def __init__(self, text: str, line: int, column: int):
-        self.text = text
-        self.line = line
-        self.column = column
+    text: str
+    line: int
+    column: int
 
 
 @dataclass
@@ -161,26 +198,14 @@ class _Parser:
         self.source = source
         self.diagnostics: list[ParseDiagnostic] = []
 
-    def error(self, token: _Token | None, message: str, line: int = 0, column: int = 1):
-        if token is not None:
-            line, column, excerpt = token.line, token.column, token.text
-        else:
-            excerpt = ""
-        self.diagnostics.append(
-            ParseDiagnostic("error", max(line, 1), max(column, 1), message, excerpt)
-        )
-
-    def warning(self, token: _Token, message: str):
-        self.diagnostics.append(
-            ParseDiagnostic("warning", token.line, token.column, message, token.text)
-        )
+    def error(self, at: _Token | _RawBlock, message: str):
+        self.diagnostics.append(ParseDiagnostic(at.line, at.column, message))
 
     # -- stage 1: group lines into raw blocks ------------------------------
 
     def collect_blocks(self) -> list[_RawBlock]:
         blocks: list[_RawBlock] = []
-        current: _RawBlock | None = None
-        skipping = False  # after a bad header, ignore lines until the next header
+        current: _RawBlock | None = None  # None only before the first header
         for line_no, raw in enumerate(self.source.splitlines(), start=1):
             code = raw.split("#", 1)[0]
             tokens = [
@@ -189,51 +214,83 @@ class _Parser:
             ]
             if not tokens:
                 continue
-            indented = tokens[0].column > 1
-            if not indented:
-                head = tokens[0]
-                if head.text not in _BLOCK_KEYWORDS:
-                    self.error(
-                        head,
-                        f"unknown block keyword {head.text!r}; expected one of "
-                        + ", ".join(_BLOCK_KEYWORDS),
-                    )
-                    current = None
-                    skipping = True
-                    continue
-                if len(tokens) < 2:
-                    self.error(head, f"{head.text!r} block needs a name")
-                    current = None
-                    skipping = True
-                    continue
-                name = tokens[1]
-                if ":" in name.text:
-                    self.error(name, f"invalid block name {name.text!r}")
-                    current = None
-                    skipping = True
-                    continue
+            head = tokens[0]
+            if head.column > 1:
+                if current is None:
+                    self.error(head, "indented line outside any block")
+                else:
+                    current.items.append(tokens)
+                continue
+            # A bad header still opens a block, left out of `blocks`, so that
+            # its lines are ignored up to the next header.
+            name = tokens[1].text if len(tokens) > 1 else ""
+            current = _RawBlock(head.text, name, head.line, head.column)
+            if head.text not in _BLOCK_KEYWORDS:
+                self.error(head, f"unknown block keyword {head.text!r}; expected one of "
+                                 + ", ".join(_BLOCK_KEYWORDS))
+            elif not name:
+                self.error(head, f"{head.text!r} block needs a name")
+            elif ":" in name:
+                self.error(tokens[1], f"invalid block name {name!r}")
+            else:
                 if len(tokens) > 2:
                     self.error(tokens[2], "unexpected text after block name")
-                current = _RawBlock(head.text, name.text, head.line, head.column)
                 blocks.append(current)
-                skipping = False
-            else:
-                if current is None:
-                    if not skipping:
-                        self.error(tokens[0], "indented line outside any block")
-                    continue
-                current.items.append(tokens)
         return blocks
+
+    # -- stage 2: check each line against the grammar ------------------------
+
+    def lines(self, block: _RawBlock):
+        """Yield (key, args) for each line of `block` that fits the grammar.
+
+        The other lines -- an unknown key, a second once-only key, a wrong
+        argument count or word -- are reported as they come; a required key
+        that no line supplied is reported once the block is exhausted.
+        """
+        grammar = _GRAMMAR[block.kind]
+        seen: set[str] = set()
+        for key, *args in block.items:
+            rule = grammar.get(key.text)
+            if rule is None:
+                noun = "directive" if block.kind == "protocol" else "key"
+                self.error(key, f"unknown {block.kind} {noun} {key.text!r}")
+            elif rule.once and key.text in seen:
+                self.error(key, f"duplicate '{key.text}' line")
+            elif not rule.fewest <= len(args) <= rule.most or (
+                rule.words and args[0].text not in rule.words
+            ):
+                # a fixed word, or an argument to a key that takes none, is
+                # faulted where it stands
+                at = args[0] if rule.words is not None and args else key
+                self.error(at, f"'{key.text}' {rule.takes}")
+            else:
+                seen.add(key.text)
+                yield key, args
+        for name in _REQUIRED[block.kind]:
+            if name not in seen:
+                article = "an" if name[0] in "aeiou" else "a"
+                self.error(block, f"{block.kind} {block.name!r} is missing "
+                                  f"{article} '{name}' line")
 
     # -- token helpers ------------------------------------------------------
 
-    def parse_number(self, token: _Token, what: str) -> float | None:
-        if not _NUMBER_RE.match(token.text):
-            self.error(token, f"{what} must be a number, got {token.text!r}")
-            return None
-        return float(token.text)
+    def number(self, token: _Token, what: str, sign: str | None = None) -> float | None:
+        """The finite value `token` spells, or None once the reason is reported.
 
-    def parse_count(self, token: _Token, what: str) -> int | None:
+        `sign` ("positive" or "non-negative") narrows the accepted values.
+        """
+        if not _NUMBER_RE.match(token.text):
+            problem = f"a number, got {token.text!r}"
+        elif not math.isfinite(value := float(token.text)):
+            problem = f"finite, got {token.text!r}"
+        elif sign and (value < 0.0 or value == 0.0 and sign == "positive"):
+            problem = sign
+        else:
+            return value
+        self.error(token, f"{what} must be {problem}")
+        return None
+
+    def count(self, token: _Token, what: str) -> int | None:
         if not _COUNT_RE.match(token.text):
             self.error(token, f"{what} must be a non-negative integer, got {token.text!r}")
             return None
@@ -245,171 +302,72 @@ class _Parser:
             return False
         return True
 
-    # -- stage 2: per-block builders ----------------------------------------
+    def system_of(self, block: _RawBlock, over: _Token, decls: dict) -> SystemDecl | None:
+        system = decls["system"].get(over.text)
+        if system is None:
+            self.error(over, f"{block.kind} {block.name!r} refers to unknown system "
+                             f"{over.text!r}")
+        return system
 
-    def build_system(self, block: _RawBlock) -> SystemDecl | None:
-        states: list[str] | None = None
-        temperature: float | None = None
-        boltzmann: float | None = None
-        energy_items: list[tuple[_Token, _Token]] = []
-        ok = True
-        for tokens in block.items:
-            key = tokens[0]
-            args = tokens[1:]
+    # -- stage 3: per-block builders ----------------------------------------
+    # Each returns None where a reported problem leaves nothing more to check;
+    # build_document drops the declaration of any block that reported one.
+    # `decls` holds the declarations built so far, by kind and name.
+
+    def build_system(self, block: _RawBlock, decls: dict) -> SystemDecl | None:
+        mark = len(self.diagnostics)
+        states: dict[str, float] = {}  # label -> energy
+        values = {"boltzmann": 1.0}
+        energies: list[tuple[_Token, float | None]] = []
+        for key, args in self.lines(block):
             if key.text == "states":
-                if states is not None:
-                    self.error(key, "duplicate 'states' line")
-                    ok = False
-                    continue
-                if not args:
-                    self.error(key, "'states' needs at least one label")
-                    ok = False
-                    continue
-                labels = []
                 for tok in args:
                     if not self.check_label(tok):
-                        ok = False
-                    elif tok.text in labels:
+                        continue
+                    if tok.text in states:
                         self.error(tok, f"duplicate state label {tok.text!r}")
-                        ok = False
                     else:
-                        labels.append(tok.text)
-                states = labels
-            elif key.text in ("temperature", "boltzmann"):
-                if len(args) != 1:
-                    self.error(key, f"'{key.text}' takes exactly one number")
-                    ok = False
-                    continue
-                value = self.parse_number(args[0], key.text)
-                if value is None:
-                    ok = False
-                    continue
-                if value <= 0.0:
-                    self.error(args[0], f"{key.text} must be positive")
-                    ok = False
-                    continue
-                if key.text == "temperature":
-                    if temperature is not None:
-                        self.error(key, "duplicate 'temperature' line")
-                        ok = False
-                    temperature = value
-                else:
-                    if boltzmann is not None:
-                        self.error(key, "duplicate 'boltzmann' line")
-                        ok = False
-                    boltzmann = value
+                        states[tok.text] = 0.0
             elif key.text == "energy":
-                if len(args) != 2:
-                    self.error(key, "'energy' takes a state label and a value")
-                    ok = False
-                    continue
-                if self.parse_number(args[1], "energy value") is None:
-                    ok = False
-                    continue
-                energy_items.append((args[0], args[1]))
+                energies.append((args[0], self.number(args[1], "energy value")))
             else:
-                self.error(key, f"unknown system key {key.text!r}")
-                ok = False
-        if states is None:
-            self.error(None, f"system {block.name!r} is missing a 'states' line",
-                       block.line, block.column)
-            ok = False
-        if temperature is None:
-            self.error(None, f"system {block.name!r} is missing a 'temperature' line",
-                       block.line, block.column)
-            ok = False
-        if not ok:
+                values[key.text] = self.number(args[0], key.text, "positive")
+        if len(self.diagnostics) > mark:
             return None
-        energies = {label: 0.0 for label in states}
-        seen: set[str] = set()
-        for label_tok, value_tok in energy_items:
-            if label_tok.text not in energies:
-                self.error(label_tok, f"energy for unknown state {label_tok.text!r}")
-                ok = False
-            elif label_tok.text in seen:
-                self.error(label_tok, f"duplicate energy for state {label_tok.text!r}")
-                ok = False
+        assigned: set[str] = set()
+        for label, value in energies:
+            if label.text not in states:
+                self.error(label, f"energy for unknown state {label.text!r}")
+            elif label.text in assigned:
+                self.error(label, f"duplicate energy for state {label.text!r}")
             else:
-                seen.add(label_tok.text)
-                energies[label_tok.text] = float(value_tok.text)
-        if not ok:
-            return None
-        return SystemDecl(
-            name=block.name,
-            states=tuple(states),
-            temperature=temperature,
-            boltzmann=1.0 if boltzmann is None else boltzmann,
-            energies=tuple(energies[label] for label in states),
-        )
+                assigned.add(label.text)
+                states[label.text] = value
+        return SystemDecl(name=block.name, states=tuple(states),
+                          temperature=values["temperature"], boltzmann=values["boltzmann"],
+                          energies=tuple(states.values()))
 
-    def build_dist(
-        self, block: _RawBlock, systems: dict[str, SystemDecl]
-    ) -> DistDecl | None:
-        over: _Token | None = None
-        probs_key: _Token | None = None
-        probs: list[float] | None = None
-        ok = True
-        for tokens in block.items:
-            key = tokens[0]
-            args = tokens[1:]
+    def build_dist(self, block: _RawBlock, decls: dict) -> DistDecl | None:
+        mark = len(self.diagnostics)
+        for key, args in self.lines(block):
             if key.text == "over":
-                if over is not None:
-                    self.error(key, "duplicate 'over' line")
-                    ok = False
-                    continue
-                if len(args) != 1:
-                    self.error(key, "'over' takes exactly one system name")
-                    ok = False
-                    continue
                 over = args[0]
-            elif key.text == "probs":
-                if probs is not None:
-                    self.error(key, "duplicate 'probs' line")
-                    ok = False
-                    continue
-                if not args:
-                    self.error(key, "'probs' needs at least one value")
-                    ok = False
-                    continue
-                values = [self.parse_number(tok, "probability") for tok in args]
-                if any(v is None for v in values):
-                    ok = False
-                    continue
-                probs_key = key
-                probs = values
             else:
-                self.error(key, f"unknown dist key {key.text!r}")
-                ok = False
-        if over is None:
-            self.error(None, f"dist {block.name!r} is missing an 'over' line",
-                       block.line, block.column)
-            ok = False
-        if probs is None:
-            self.error(None, f"dist {block.name!r} is missing a 'probs' line",
-                       block.line, block.column)
-            ok = False
-        if not ok:
+                probs_key = key
+                probs = [self.number(tok, "probability", "non-negative") for tok in args]
+        if len(self.diagnostics) > mark:
             return None
-        if any(v < 0.0 for v in probs):
-            self.error(probs_key, "probabilities must be non-negative")
-            ok = False
-        else:
-            total = float(np.sum(probs))
-            if abs(total - 1.0) > SUM_TOLERANCE:
-                self.error(probs_key, f"probabilities sum to {total:g}")
-                ok = False
-        system = systems.get(over.text)
+        total = float(np.sum(probs))
+        if abs(total - 1.0) > SUM_TOLERANCE:
+            self.error(probs_key, f"probabilities sum to {total:g}")
+        system = self.system_of(block, over, decls)
         if system is None:
-            self.error(over, f"dist {block.name!r} refers to unknown system {over.text!r}")
             return None
         if len(probs) != len(system.states):
-            self.error(
-                probs_key,
-                f"dist {block.name!r} has {len(probs)} probabilities but system "
-                f"{system.name!r} has {len(system.states)} states",
-            )
+            self.error(probs_key, f"dist {block.name!r} has {len(probs)} probabilities "
+                                  f"but system {system.name!r} has {len(system.states)} states")
             return None
-        if not ok:
+        if len(self.diagnostics) > mark:
             return None
         try:
             dist = Distribution(np.array(probs), labels=system.states)
@@ -418,225 +376,110 @@ class _Parser:
             return None
         return DistDecl(name=block.name, system=system.name, dist=dist)
 
-    def build_channel(
-        self, block: _RawBlock, systems: dict[str, SystemDecl]
-    ) -> ChannelDecl | None:
-        over: _Token | None = None
+    def build_channel(self, block: _RawBlock, decls: dict) -> ChannelDecl | None:
+        mark = len(self.diagnostics)
         rows: list[tuple[_Token, list[tuple[_Token, float]]]] = []
-        ok = True
-        for tokens in block.items:
-            key = tokens[0]
-            args = tokens[1:]
+        for key, args in self.lines(block):
             if key.text == "over":
-                if over is not None:
-                    self.error(key, "duplicate 'over' line")
-                    ok = False
-                    continue
-                if len(args) != 1:
-                    self.error(key, "'over' takes exactly one system name")
-                    ok = False
-                    continue
                 over = args[0]
-            elif key.text == "from":
-                if not args or not args[0].text.endswith(":"):
-                    self.error(key, "'from' needs a source label followed by ':'")
-                    ok = False
-                    continue
-                source = _Token(args[0].text[:-1], args[0].line, args[0].column)
-                if not source.text:
-                    self.error(args[0], "'from' needs a source label before ':'")
-                    ok = False
-                    continue
-                pairs = args[1:]
-                if not pairs or len(pairs) % 2 != 0:
-                    self.error(key, "'from' row needs (target, value) pairs")
-                    ok = False
-                    continue
-                row: list[tuple[_Token, float]] = []
-                row_ok = True
-                for target, value_tok in zip(pairs[0::2], pairs[1::2]):
-                    value = self.parse_number(value_tok, "transition probability")
-                    if value is None or not self.check_label(target):
-                        row_ok = False
-                        continue
-                    if value < 0.0:
-                        self.error(value_tok, "transition probability must be non-negative")
-                        row_ok = False
-                        continue
+                continue
+            if not args or not args[0].text.endswith(":"):
+                self.error(key, "'from' needs a source label followed by ':'")
+                continue
+            source = _Token(args[0].text[:-1], args[0].line, args[0].column)
+            if not source.text:
+                self.error(args[0], "'from' needs a source label before ':'")
+                continue
+            pairs = args[1:]
+            if not pairs or len(pairs) % 2 != 0:
+                self.error(key, "'from' row needs (target, value) pairs")
+                continue
+            row = []
+            for target, value_tok in zip(pairs[0::2], pairs[1::2]):
+                value = self.number(value_tok, "transition probability", "non-negative")
+                if value is not None and self.check_label(target):
                     row.append((target, value))
-                if not row_ok:
-                    ok = False
-                    continue
-                rows.append((source, row))
-            else:
-                self.error(key, f"unknown channel key {key.text!r}")
-                ok = False
-        if over is None:
-            self.error(None, f"channel {block.name!r} is missing an 'over' line",
-                       block.line, block.column)
-            ok = False
-        if not ok:
+            rows.append((source, row))
+        if len(self.diagnostics) > mark:
             return None
-        system = systems.get(over.text)
+        system = self.system_of(block, over, decls)
         if system is None:
-            self.error(over, f"channel {block.name!r} refers to unknown system {over.text!r}")
             return None
         index = {label: i for i, label in enumerate(system.states)}
-        n = len(system.states)
-        matrix = np.zeros((n, n))
+        matrix = np.zeros((len(index), len(index)))
         seen_rows: set[str] = set()
         for source, row in rows:
-            if source.text not in index:
+            i = index.get(source.text)
+            if i is None:
                 self.error(source, f"'from' row for unknown state {source.text!r}")
-                ok = False
                 continue
             if source.text in seen_rows:
                 self.error(source, f"duplicate 'from' row for state {source.text!r}")
-                ok = False
                 continue
             seen_rows.add(source.text)
             seen_targets: set[str] = set()
             for target, value in row:
                 if target.text not in index:
                     self.error(target, f"transition to unknown state {target.text!r}")
-                    ok = False
-                    continue
-                if target.text in seen_targets:
+                elif target.text in seen_targets:
                     self.error(target, f"duplicate target {target.text!r} in row")
-                    ok = False
-                    continue
-                seen_targets.add(target.text)
-                matrix[index[source.text], index[target.text]] = value
-            row_sum = float(matrix[index[source.text]].sum())
+                else:
+                    seen_targets.add(target.text)
+                    matrix[i, index[target.text]] = value
+            row_sum = float(matrix[i].sum())
             if abs(row_sum - 1.0) > SUM_TOLERANCE:
                 self.error(source, f"row for state {source.text!r} sums to {row_sum:g}")
-                ok = False
         for label in system.states:
             if label not in seen_rows:
-                self.error(
-                    None,
-                    f"channel {block.name!r} is missing a 'from' row for state {label!r}",
-                    block.line, block.column,
-                )
-                ok = False
-        if not ok:
+                self.error(block, f"channel {block.name!r} is missing a 'from' row "
+                                  f"for state {label!r}")
+        if len(self.diagnostics) > mark:
             return None
         try:
             channel = Channel(matrix, labels=system.states)
         except (DomainError, ShapeError) as exc:
-            self.error(None, str(exc), block.line, block.column)
+            self.error(block, str(exc))
             return None
         return ChannelDecl(name=block.name, system=system.name, channel=channel)
 
-    def build_protocol(
-        self, block: _RawBlock, channels: dict[str, ChannelDecl]
-    ) -> ProtocolDecl | None:
+    def build_protocol(self, block: _RawBlock, decls: dict) -> ProtocolDecl:
         directives: list[Directive] = []
-        ok = True
-        for tokens in block.items:
-            key = tokens[0]
-            args = tokens[1:]
-            if key.text == "apply":
-                if len(args) != 1:
-                    self.error(key, "'apply' takes exactly one channel name")
-                    ok = False
-                    continue
-                if args[0].text not in channels:
-                    self.error(args[0], f"'apply' refers to unknown channel {args[0].text!r}")
-                    ok = False
-                    continue
-                directives.append(Directive("apply", args[0].text))
-            elif key.text in ("evolve", "audit"):
-                if len(args) != 1:
-                    self.error(key, f"'{key.text}' takes exactly one step count")
-                    ok = False
-                    continue
-                count = self.parse_count(args[0], f"'{key.text}' step count")
-                if count is None:
-                    ok = False
-                    continue
-                if key.text == "audit" and count < 1:
+        for key, args in self.lines(block):
+            op = key.text
+            arg = args[0].text if args else None
+            if op == "apply" and arg not in decls["channel"]:
+                self.error(args[0], f"'apply' refers to unknown channel {arg!r}")
+            elif op in ("evolve", "audit"):
+                arg = self.count(args[0], f"'{op}' step count")
+                if op == "audit" and arg == 0:
                     self.error(args[0], "'audit' needs at least one step")
-                    ok = False
-                    continue
-                directives.append(Directive(key.text, count))
-            elif key.text == "check-correspondence":
-                if args:
-                    self.error(args[0], "'check-correspondence' takes no arguments")
-                    ok = False
-                    continue
-                directives.append(Directive("check-correspondence"))
-            elif key.text == "bitop":
-                if len(args) != 1 or args[0].text not in BITOP_NAMES:
-                    self.error(
-                        args[0] if args else key,
-                        "'bitop' takes one of: " + ", ".join(BITOP_NAMES),
-                    )
-                    ok = False
-                    continue
-                directives.append(Directive("bitop", args[0].text))
-            elif key.text == "report":
-                if len(args) != 1 or args[0].text not in REPORT_FORMATS:
-                    self.error(
-                        args[0] if args else key,
-                        "'report' takes one of: " + ", ".join(REPORT_FORMATS),
-                    )
-                    ok = False
-                    continue
-                directives.append(Directive("report", args[0].text))
-            else:
-                self.error(key, f"unknown protocol directive {key.text!r}")
-                ok = False
-        if not ok:
-            return None
+            directives.append(Directive(op, arg))
         return ProtocolDecl(name=block.name, directives=tuple(directives))
 
-    # -- stage 3: document assembly ------------------------------------------
+    # -- stage 4: document assembly ------------------------------------------
 
     def build_document(self, blocks: list[_RawBlock]) -> ProtocolSpec | None:
-        seen: dict[tuple[str, str], _RawBlock] = {}
-        deduped: list[_RawBlock] = []
+        first: dict[tuple[str, str], _RawBlock] = {}
         for block in blocks:
             key = (block.kind, block.name)
-            if key in seen:
-                self.error(
-                    None,
-                    f"duplicate {block.kind} name {block.name!r} "
-                    f"(first declared on line {seen[key].line})",
-                    block.line, block.column,
-                )
-                continue
-            seen[key] = block
-            deduped.append(block)
-
-        systems: dict[str, SystemDecl] = {}
-        for block in deduped:
-            if block.kind == "system":
-                decl = self.build_system(block)
-                if decl is not None:
-                    systems[decl.name] = decl
-        dists: dict[str, DistDecl] = {}
-        channels: dict[str, ChannelDecl] = {}
-        for block in deduped:
-            if block.kind == "dist":
-                decl = self.build_dist(block, systems)
-                if decl is not None:
-                    dists[decl.name] = decl
-            elif block.kind == "channel":
-                decl = self.build_channel(block, systems)
-                if decl is not None:
-                    channels[decl.name] = decl
-        protocols: dict[str, ProtocolDecl] = {}
-        for block in deduped:
-            if block.kind == "protocol":
-                decl = self.build_protocol(block, channels)
-                if decl is not None:
-                    protocols[decl.name] = decl
-
-        if any(d.severity == "error" for d in self.diagnostics):
+            if key in first:
+                self.error(block, f"duplicate {block.kind} name {block.name!r} "
+                                  f"(first declared on line {first[key].line})")
+            else:
+                first[key] = block
+        decls: dict[str, dict] = {kind: {} for kind in _GRAMMAR}
+        # systems first, then what refers to a system, then what refers to a channel
+        for stage in (("system",), ("dist", "channel"), ("protocol",)):
+            for block in first.values():
+                if block.kind in stage:
+                    mark = len(self.diagnostics)
+                    decl = getattr(self, f"build_{block.kind}")(block, decls)
+                    if len(self.diagnostics) == mark:
+                        decls[block.kind][decl.name] = decl
+        if self.diagnostics:
             return None
-        return ProtocolSpec(systems=systems, dists=dists, channels=channels,
-                            protocols=protocols)
+        return ProtocolSpec(decls["system"], decls["dist"], decls["channel"],
+                            decls["protocol"])
 
 
 def parse(source: str) -> ParseResult:
@@ -644,7 +487,7 @@ def parse(source: str) -> ParseResult:
 
     Never raises on bad input: all problems come back as diagnostics with
     1-based line/column positions, and the document is None whenever any
-    error-severity diagnostic was produced.
+    diagnostic was produced.
     """
     parser = _Parser(source)
     blocks = parser.collect_blocks()

@@ -17,6 +17,7 @@ import numpy as np
 from . import bitops
 from .errors import DomainError
 from .info import LOG2
+from .thermo import _check_kT
 
 _DEFAULT_STEPS = 100_000
 
@@ -32,9 +33,9 @@ class EngineConfig:
     steps: int = _DEFAULT_STEPS
 
     def __post_init__(self):
-        for name in ("temperature", "boltzmann", "volume"):
-            if not getattr(self, name) > 0.0:
-                raise DomainError(f"{name} must be positive, got {getattr(self, name)!r}")
+        _check_kT(self.temperature, self.boltzmann)
+        if not 0.0 < self.volume < math.inf:
+            raise DomainError(f"volume must be finite and positive, got {self.volume!r}")
         if not isinstance(self.steps, int) or self.steps < 1:
             raise DomainError(f"steps must be a positive integer, got {self.steps!r}")
 
@@ -92,6 +93,11 @@ class MeasurementKind(Enum):
     NONE = "none"
 
 
+def _check_volumes(*volumes: float) -> None:
+    if not all(0.0 < v < math.inf for v in volumes):
+        raise DomainError(f"volumes must be finite and positive, got {volumes!r}")
+
+
 def isothermal_work(cfg: EngineConfig, v_start: float, v_end: float) -> float:
     """Work done ON the gas for a quasi-static isothermal volume change.
 
@@ -100,8 +106,7 @@ def isothermal_work(cfg: EngineConfig, v_start: float, v_end: float) -> float:
     Compression is positive, expansion negative; the discretization error
     shrinks as 1/steps^2.
     """
-    if v_start <= 0.0 or v_end <= 0.0:
-        raise DomainError("volumes must be positive")
+    _check_volumes(v_start, v_end)
     n = cfg.steps
     dv = (v_end - v_start) / n
     midpoints = v_start + (np.arange(n) + 0.5) * dv
@@ -110,8 +115,7 @@ def isothermal_work(cfg: EngineConfig, v_start: float, v_end: float) -> float:
 
 def exact_isothermal_work(cfg: EngineConfig, v_start: float, v_end: float) -> float:
     """Closed form kT·log(v_start/v_end) of the isothermal work integral."""
-    if v_start <= 0.0 or v_end <= 0.0:
-        raise DomainError("volumes must be positive")
+    _check_volumes(v_start, v_end)
     return cfg.kT * math.log(v_start / v_end) + 0.0
 
 
@@ -194,8 +198,8 @@ def convergence_table(
 ) -> list[tuple[int, float, float]]:
     """Rows of (steps, work, abs error) for compressing V to V/ratio while
     halving the step count, for convergence-order inspection."""
-    if ratio <= 0.0:
-        raise DomainError("ratio must be positive")
+    if not 0.0 < ratio < math.inf:
+        raise DomainError(f"ratio must be finite and positive, got {ratio!r}")
     v_start = cfg.volume
     v_end = cfg.volume / ratio
     exact = exact_isothermal_work(cfg, v_start, v_end)

@@ -18,7 +18,9 @@ from .info import LOG2, SUM_TOLERANCE, Distribution, relative_entropy
 from .info import _RENORM_SKIP, _kl_nats, _renormalised
 
 _VERIFY_TOL = 1e-10
-_MONOTONE_TOL = 1e-10
+# How far a relative entropy may rise, in nats, by rounding alone: the slack of
+# both the Second-Law audit and the data-processing check.
+_ENTROPY_SLACK = 1e-12
 
 
 class StationaryMultiplicityWarning(UserWarning):
@@ -284,7 +286,7 @@ def second_law_audit(
     return AuditVerdict(
         stationary=pi,
         detailed_balance=balance.holds,
-        monotone=max_violation <= _MONOTONE_TOL,
+        monotone=max_violation <= _ENTROPY_SLACK,
         max_violation=max_violation,
         steps_checked=steps,
         trajectory=trajectory,
@@ -299,4 +301,5 @@ def data_processing_check(
     after = relative_entropy(
         apply_channel(p, channel), apply_channel(q, channel)
     ).nats
-    return DataProcessingResult(before=before, after=after, ok=after <= before + 1e-12)
+    return DataProcessingResult(before=before, after=after,
+                                ok=after <= before + _ENTROPY_SLACK)

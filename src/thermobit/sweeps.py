@@ -18,8 +18,6 @@ from .thermo import EnergyLandscape, check_szilard_landauer
 DEFAULT_SEED = 0xC0FFEE
 
 IDENTITY_TOLERANCE = 1e-12  # residual per unit of scale = max(1, |F(p)|, |F(gibbs)|)
-DPI_SLACK = 1e-12
-MONOTONE_SLACK = 1e-12
 
 
 def _instance_rng(seed: int, index: int) -> np.random.Generator:
@@ -127,7 +125,6 @@ def identity_sweep(
     max_states: int = 64,
     seed: int = DEFAULT_SEED,
     kb_choices: tuple[float, ...] = (1.0,),
-    tolerance: float = IDENTITY_TOLERANCE,
 ) -> IdentitySweepResult:
     identity_failures = proof_failures = optimality_failures = 0
     identity_worst = proof_worst = 0.0
@@ -144,9 +141,9 @@ def identity_sweep(
         identity_worst = max(identity_worst, identity_rel)
         proof_worst = max(proof_worst, proof_rel)
         min_available = min(min_available, report.available)
-        if identity_rel > tolerance:
+        if identity_rel > IDENTITY_TOLERANCE:
             identity_failures += 1
-        if proof_rel > tolerance:
+        if proof_rel > IDENTITY_TOLERANCE:
             proof_failures += 1
         if report.available < 0.0:
             optimality_failures += 1
@@ -165,7 +162,6 @@ def dpi_sweep(
     instances: int,
     max_states: int = 8,
     seed: int = DEFAULT_SEED,
-    slack: float = DPI_SLACK,
 ) -> DpiSweepResult:
     failures = 0
     worst = -np.inf
@@ -176,9 +172,8 @@ def dpi_sweep(
         q = Distribution(rng.dirichlet(np.ones(n)))
         channel = random_channel(rng, n)
         result = data_processing_check(p, q, channel)
-        excess = result.after - result.before
-        worst = max(worst, excess)
-        if excess > slack:
+        worst = max(worst, result.after - result.before)
+        if not result.ok:
             failures += 1
     return DpiSweepResult(instances=instances, failures=failures, worst_excess=float(worst))
 
@@ -188,7 +183,6 @@ def monotonicity_sweep(
     max_states: int = 32,
     steps: int = 100,
     seed: int = DEFAULT_SEED,
-    slack: float = MONOTONE_SLACK,
     inject_violation: bool = False,
 ) -> MonotonicitySweepResult:
     """Audit random chains, one fifth of them noisy rotations (strongly
@@ -214,7 +208,7 @@ def monotonicity_sweep(
         if not verdict.detailed_balance:
             non_db += 1
         worst = max(worst, verdict.max_violation)
-        if verdict.max_violation > slack:
+        if not verdict.monotone:
             failures += 1
     return MonotonicitySweepResult(
         instances=instances,

@@ -20,6 +20,18 @@ DEFAULT_BOLTZMANN = 1.0
 SI_BOLTZMANN = 1.380649e-23  # J/K
 
 
+def _check_kT(temperature: float, boltzmann: float) -> None:
+    """Raise DomainError unless T, k_B and their product are finite and positive.
+
+    Gibbs weights divide by kT and energy bounds scale by it; T = 0, an
+    infinite T and a kT that overflows or underflows would all give nan.
+    """
+    for name, value in (("temperature", temperature), ("boltzmann", boltzmann),
+                        ("kT", temperature * boltzmann)):
+        if not 0.0 < value < math.inf:
+            raise DomainError(f"{name} must be finite and positive, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class EnergyLandscape:
     """Per-state energies plus a temperature and a Boltzmann-constant choice."""
@@ -37,11 +49,7 @@ class EnergyLandscape:
             raise DomainError("energies must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "energies", arr)
-        if not self.temperature > 0.0:
-            # The Gibbs formula divides by T; T = 0 is rejected outright.
-            raise DomainError(f"temperature must be positive, got {self.temperature!r}")
-        if not self.boltzmann > 0.0:
-            raise DomainError(f"boltzmann must be positive, got {self.boltzmann!r}")
+        _check_kT(self.temperature, self.boltzmann)
         if self.labels is not None:
             labels = tuple(self.labels)
             if len(labels) != arr.size:

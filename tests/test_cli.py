@@ -108,6 +108,45 @@ def test_degenerate_counts_are_usage_errors(args, capsys):
     assert "must be at least" in err.strip().splitlines()[-1]
 
 
+_CHECK_FILE = """\
+system s
+  states a b
+  temperature {temperature}
+  boltzmann {boltzmann}
+  energy a {energy}
+
+dist d
+  over s
+  probs 0.5 0.5
+"""
+
+
+@pytest.mark.parametrize("args, values", [
+    (["check", "FILE", "--dist", "d"], {"energy": "1e999"}),
+    (["check", "FILE", "--dist", "d"], {"temperature": "1e999"}),
+    (["check", "FILE", "--dist", "d"], {"boltzmann": "1e999"}),
+    (["check", "FILE", "--dist", "d"], {"temperature": "1e200", "boltzmann": "1e200"}),
+    (["bitop", "erase", "--temperature", "-1"], {}),
+    (["bitop", "erase", "--kB", "nan"], {}),
+    (["bitop", "copy-szilard", "--temperature", "inf"], {}),
+    (["szilard", "--ratio", "nan"], {}),
+    (["szilard", "--ratio", "1e-320"], {}),
+    (["szilard", "--temperature", "0"], {}),
+], ids=["energy", "temperature", "boltzmann", "kT", "bitop-temperature", "bitop-kB",
+        "bitop-infinite-temperature", "szilard-ratio", "szilard-tiny-ratio",
+        "szilard-temperature"])
+def test_non_finite_or_non_positive_physical_inputs_are_usage_errors(
+    args, values, tmp_path, capsys
+):
+    path = tmp_path / "system.tbit"
+    path.write_text(_CHECK_FILE.format(
+        **{"temperature": "1", "boltzmann": "1", "energy": "0", **values}))
+    code, out, err = run_cli([str(path) if a == "FILE" else a for a in args], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
 # -- audit -------------------------------------------------------------------------
 
 def test_audit_mixing_chain_passes(capsys):
@@ -171,6 +210,60 @@ def test_audit_unknown_channel_exits_one(capsys):
     code, _, err = run_cli(["audit", str(DATA), "--channel", "ghost", "--p0", "sharp"], capsys)
     assert code == 1
     assert "no channel named" in err
+
+
+@pytest.mark.parametrize("dists", [["--p0", "ghost"], ["--p0", "sharp", "--reference", "ghost"]])
+def test_audit_unknown_dist_exits_one(dists, capsys):
+    code, out, err = run_cli(["audit", str(DATA), "--channel", "mix", *dists], capsys)
+    assert code == 1
+    assert out == ""
+    assert "no dist named 'ghost'" in err
+
+
+_TWO_SYSTEMS = """\
+system s
+  states a b
+  temperature 1
+
+system t
+  states x y
+  temperature 1
+
+dist p
+  over s
+  probs 0.5 0.5
+
+dist q
+  over t
+  probs 0.5 0.5
+
+channel k
+  over s
+  from a: a 0.5 b 0.5
+  from b: b 1
+"""
+
+
+@pytest.mark.parametrize("dists", [["--p0", "q"], ["--p0", "p", "--reference", "q"]])
+def test_audit_rejects_a_dist_over_another_system(dists, tmp_path, capsys):
+    path = tmp_path / "two.tbit"
+    path.write_text(_TWO_SYSTEMS)
+    code, out, err = run_cli(["audit", str(path), "--channel", "k", *dists], capsys)
+    assert code == 1
+    assert out == ""
+    assert "dist 'q' is over system 't', not 's'" in err
+
+
+def test_audit_unwritable_trajectory_csv_exits_one(tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "trajectory.csv"
+    code, out, err = run_cli(
+        ["audit", str(DATA), "--channel", "mix", "--p0", "sharp",
+         "--trajectory-csv", str(target)],
+        capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
 
 
 # -- bitop -------------------------------------------------------------------------

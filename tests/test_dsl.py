@@ -174,6 +174,54 @@ def test_temperature_must_be_positive():
     assert any("must be positive" in d.message for d in result.errors())
 
 
+def test_duplicate_target_is_reported_even_when_its_first_value_is_zero():
+    source = (
+        "system s\n  states a b\n  temperature 1\n\n"
+        "channel k\n  over s\n  from a: a 0 a 1\n  from b: b 1\n"
+    )
+    result = dsl.parse(source)
+    assert not result.ok
+    assert (7, 15, "duplicate target 'a' in row") in [
+        (d.line, d.column, d.message) for d in result.errors()
+    ]
+
+
+def test_duplicate_state_label_is_reported_once_at_its_column():
+    result = dsl.parse("system s\n  states a b a\n  temperature 1\n")
+    assert [(d.line, d.column, d.message) for d in result.errors()] == [
+        (2, 14, "duplicate state label 'a'")
+    ]
+
+
+@pytest.mark.parametrize("source, message", [
+    ("system s\n  states a\n  temperature hot\n",
+     "temperature must be a number, got 'hot'"),
+    ("system s\n  states a b\n  temperature 1\n\ndist d\n  over s\n  probs 0.5 x\n",
+     "probability must be a number, got 'x'"),
+], ids=["temperature", "probs"])
+def test_a_bad_value_is_not_also_reported_as_a_missing_line(source, message):
+    assert [d.message for d in dsl.parse(source).errors()] == [message]
+
+
+@pytest.mark.parametrize("source, line, column, what", [
+    ("system s\n  states a b\n  temperature 1\n  energy a 1e999\n",
+     4, 12, "energy value"),
+    ("system s\n  states a\n  temperature 1e999\n", 3, 15, "temperature"),
+    ("system s\n  states a\n  temperature 1\n  boltzmann -1e999\n", 4, 13, "boltzmann"),
+    ("system s\n  states a b\n  temperature 1\n\ndist d\n  over s\n  probs 1e999 0\n",
+     7, 9, "probability"),
+    ("system s\n  states a\n  temperature 1\n\nchannel k\n  over s\n  from a: a 1e999\n",
+     7, 13, "transition probability"),
+], ids=["energy", "temperature", "boltzmann", "probs", "from"])
+def test_non_finite_numbers_are_rejected_at_their_position(source, line, column, what):
+    result = dsl.parse(source)
+    assert not result.ok
+    ((got_line, got_column, message),) = [(d.line, d.column, d.message)
+                                          for d in result.errors()]
+    assert (got_line, got_column) == (line, column)
+    assert message.startswith(f"{what} must be finite, got ")
+
+
 # -- formatting and round trips -----------------------------------------------------
 
 def test_format_empty_document():

@@ -363,6 +363,20 @@ def test_audit_returns_the_trajectory_it_checked():
     assert "trajectory" not in verdict.to_json_dict()
 
 
+def test_audit_and_sweep_share_one_monotonicity_slack(monkeypatch):
+    # from the uniform reference, one step of this chain raises D by about
+    # 5e-11: above the 1e-12 slack, though within the 1e-10 the audit once used
+    from thermobit import sweeps
+
+    channel = Channel([[1 - 1e-5, 1e-5], [0.0, 1.0]])
+    uniform = Distribution.uniform(2)
+    verdict = second_law_audit(uniform, channel, 1, reference=uniform)
+    assert 1e-12 < verdict.max_violation <= 1e-10
+    assert not verdict.monotone
+    monkeypatch.setattr(sweeps, "second_law_audit", lambda *args, **kwargs: verdict)
+    assert sweeps.monotonicity_sweep(3, steps=1).failures == 3
+
+
 def test_audit_requires_at_least_one_step():
     with pytest.raises(DomainError):
         second_law_audit(Distribution.uniform(2), Channel(np.eye(2)), 0)
