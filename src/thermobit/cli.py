@@ -47,6 +47,16 @@ def _int_at_least(minimum: int):
     return integer
 
 
+def _tolerance(text: str) -> float:
+    """argparse type for a tolerance: a value that is not finite and
+    non-negative is a usage error (nan or -1 would fail every check, inf
+    would pass every one)."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text}")
+    return value
+
+
 def _resolve_seed(flag_value: int | None) -> int:
     if flag_value is not None:
         return flag_value
@@ -372,7 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            parents=[], add_help=True)
     check.add_argument("file", help="protocol file (.tbit)")
     check.add_argument("--dist", required=True, help="name of the dist to check")
-    check.add_argument("--tolerance", type=float, default=1e-12,
+    check.add_argument("--tolerance", type=_tolerance, default=1e-12,
                        help="residual tolerance per unit scale (default 1e-12)")
     check.add_argument("--format", choices=dsl.REPORT_FORMATS, default="table")
 

@@ -231,6 +231,14 @@ def evolve(
     pi_ref="auto" resolves the reference via stationary_distribution. The
     inputs are checked once; the steps run on plain arrays, renormalised by
     Distribution's rule, so row t is bit for bit what apply_channel builds.
+
+    The loop stops at the chain's floating-point fixed point: once a step
+    returns its input bit for bit, the remaining rows are that row and the
+    remaining D values are its D. This is exact, not a tolerance: the step
+    and the KL depend only on the bits of their inputs, so running on would
+    reproduce the same bits. A long run therefore costs the steps until p_t
+    stops changing, not `steps`; a chain that never settles (a rotation)
+    runs every step.
     """
     if steps < 0:
         raise DomainError(f"steps must be non-negative, got {steps}")
@@ -249,8 +257,13 @@ def evolve(
     probs[0] = row = p0.probs
     d_nats[0] = _kl_nats(row, ref)
     for t in range(1, steps + 1):
-        row = row @ matrix
-        probs[t] = row = _renormalised(row, float(row.sum()))
+        nxt = row @ matrix
+        nxt = _renormalised(nxt, float(nxt.sum()))
+        if nxt.tobytes() == row.tobytes():
+            probs[t:] = row
+            d_nats[t:] = d_nats[t - 1]
+            break
+        probs[t] = row = nxt
         d_nats[t] = _kl_nats(row, ref)
     probs.setflags(write=False)
     d_nats.setflags(write=False)

@@ -108,6 +108,17 @@ def test_degenerate_counts_are_usage_errors(args, capsys):
     assert "must be at least" in err.strip().splitlines()[-1]
 
 
+@pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+def test_check_rejects_a_degenerate_tolerance(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", str(DATA), "--dist", "sharp", "--tolerance", value])
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "must be finite and non-negative" in err.strip().splitlines()[-1]
+    assert "Traceback" not in err
+
+
 _CHECK_FILE = """\
 system s
   states a b
@@ -457,4 +468,10 @@ def test_cli_env_seed_reaches_subprocess():
                              env={cli.SEED_ENV_VAR: "7"})
     by_flag = _run_subprocess(["sweep", "--instances", "10", "--format", "json",
                                "--seed", "7"])
+    assert by_env.returncode == 0, by_env.stderr
+    assert by_flag.returncode == 0, by_flag.stderr
     assert by_env.stdout == by_flag.stdout
+    payload = json.loads(by_env.stdout)
+    assert payload["seed"] == 7
+    sweeps = [v["sweep"] for v in payload.values() if isinstance(v, dict)]
+    assert sweeps == ["identity", "data_processing", "second_law"]

@@ -23,7 +23,7 @@ from thermobit import (
     second_law_audit,
     stationary_distribution,
 )
-from thermobit import dsl
+from thermobit import dsl, markov
 
 DATA = Path(__file__).parent / "data" / "demo.tbit"
 LOG2 = math.log(2.0)
@@ -239,22 +239,82 @@ def _sparse(rng, n, support):
     return Distribution(probs)
 
 
-@pytest.mark.parametrize("case", ["reducible", "rotation"])
-def test_evolve_matches_step_by_step_reference_bitwise(case):
-    rng = np.random.default_rng(23)
+_TWO_STATE = Channel([[0.99, 0.01], [0.02, 0.98]])
+
+
+def _doubly_stochastic(rng, n, terms=8):
+    # a convex mix of permutation matrices; its stationary pi is uniform
+    weights = rng.dirichlet(np.ones(terms))
+    return Channel(sum(w * np.eye(n)[rng.permutation(n)] for w in weights))
+
+
+def _evolve_case(case, rng):
+    """(p0, channel, steps, reference) for one bitwise-reference case."""
     if case == "reducible":
         channel = _reducible_chain_with_transients(rng)
-        p0 = _random_dist(rng, 5)
-    else:
+        return _random_dist(rng, 5), channel, 300, _random_dist(rng, 5)
+    if case == "rotation":
         channel = Channel(np.roll(np.eye(11), 1, axis=1))
-        p0 = _sparse(rng, 11, 4)
-    reference = _random_dist(rng, len(channel))
-    trajectory = evolve(p0, channel, 300, reference)
-    probs, d_nats = _step_by_step(p0, channel, 300, reference)
+        return _sparse(rng, 11, 4), channel, 300, _random_dist(rng, 11)
+    if case == "two-state":
+        return Distribution([1.0, 0.0]), _TWO_STATE, 20_000, "auto"
+    if case == "dense-128":
+        return _random_dist(rng, 128), _doubly_stochastic(rng, 128), 1_000, "auto"
+    if case == "stationary-p0":
+        return Distribution([0.5, 0.5]), Channel([[0.75, 0.25], [0.25, 0.75]]), 50, "auto"
+    assert case == "nonstationary-reference"
+    return Distribution([1.0, 0.0]), _TWO_STATE, 5_000, Distribution([0.5, 0.5])
+
+
+def _first_repeat(probs):
+    """The first step t with p_t == p_(t-1) bit for bit, or None."""
+    for t in range(1, len(probs)):
+        if probs[t].tobytes() == probs[t - 1].tobytes():
+            return t
+    return None
+
+
+@pytest.mark.parametrize("case", ["reducible", "rotation", "two-state", "dense-128",
+                                  "stationary-p0", "nonstationary-reference"])
+def test_evolve_matches_step_by_step_reference_bitwise(case):
+    rng = np.random.default_rng(23)
+    p0, channel, steps, pi_ref = _evolve_case(case, rng)
+    trajectory = evolve(p0, channel, steps, pi_ref)
+    reference = trajectory.reference
+    if isinstance(pi_ref, str):
+        assert np.array_equal(reference.probs, stationary_distribution(channel).probs)
+    else:
+        assert reference is pi_ref
+    probs, d_nats = _step_by_step(p0, channel, steps, reference)
     assert np.array_equal(trajectory.probs, probs)
     assert np.array_equal(trajectory.d_nats, d_nats)
-    assert trajectory.reference is reference
-    assert len(trajectory) == 301
+    assert len(trajectory) == steps + 1
+    # each case covers what its name says about the fixed point
+    settled = _first_repeat(probs)
+    if case == "rotation":
+        assert settled is None
+    elif case == "stationary-p0":
+        assert settled == 1
+    elif case != "reducible":
+        assert settled is not None and settled < steps // 2
+    if case == "nonstationary-reference":
+        assert d_nats[-1] == d_nats[settled] > 0.0
+
+
+def test_evolve_stops_at_the_floating_point_fixed_point(monkeypatch):
+    calls = 0
+    renormalised = markov._renormalised
+
+    def counting(arr, total):
+        nonlocal calls
+        calls += 1
+        return renormalised(arr, total)
+
+    monkeypatch.setattr(markov, "_renormalised", counting)
+    trajectory = evolve(Distribution([1.0, 0.0]), _TWO_STATE, 50_000)
+    assert calls < 2_000
+    assert len(trajectory) == 50_001
+    assert np.array_equal(trajectory.probs[-1], trajectory.probs[calls])
 
 
 def test_evolve_keeps_renormalising_rows_that_drift():
