@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .info import LOG2, SUM_TOLERANCE, Distribution, relative_entropy
-from .info import _RENORM_SKIP, _kl_nats, _renormalised
+from .info import _RENORM_SKIP, _kl_rows, _renormalised
 
 _VERIFY_TOL = 1e-10
 # How far a relative entropy may rise, in nats, by rounding alone: the slack of
@@ -238,7 +238,8 @@ def evolve(
     and the KL depend only on the bits of their inputs, so running on would
     reproduce the same bits. A long run therefore costs the steps until p_t
     stops changing, not `steps`; a chain that never settles (a rotation)
-    runs every step.
+    runs every step. The D values are computed after the loop, in one pass
+    over the rows it produced, bit for bit what a per-step KL would give.
     """
     if steps < 0:
         raise DomainError(f"steps must be non-negative, got {steps}")
@@ -253,29 +254,28 @@ def evolve(
                          f"against a {len(channel)}-state channel")
     matrix, ref = channel.matrix, reference.probs
     probs = np.empty((steps + 1, len(channel)))
-    d_nats = np.empty(steps + 1)
     probs[0] = row = p0.probs
-    d_nats[0] = _kl_nats(row, ref)
+    end = steps + 1
     for t in range(1, steps + 1):
         nxt = row @ matrix
         nxt = _renormalised(nxt, float(nxt.sum()))
         if nxt.tobytes() == row.tobytes():
             probs[t:] = row
-            d_nats[t:] = d_nats[t - 1]
+            end = t
             break
         probs[t] = row = nxt
-        d_nats[t] = _kl_nats(row, ref)
+    d_nats = np.empty(steps + 1)
+    _kl_rows(probs[:end], ref, d_nats[:end])
+    d_nats[end:] = d_nats[end - 1]
     probs.setflags(write=False)
     d_nats.setflags(write=False)
     return Trajectory(probs, d_nats, reference)
 
 
 def _max_positive_jump(d: np.ndarray) -> float:
-    jumps = d[1:] - d[:-1]
-    jumps[np.isnan(jumps)] = 0.0  # inf to inf: no change
-    if jumps.size == 0:
-        return 0.0
-    return max(0.0, float(np.max(jumps)))
+    # equal values, inf to inf among them, are no change
+    jumps = np.subtract(d[1:], d[:-1], out=np.zeros(len(d) - 1), where=d[1:] != d[:-1])
+    return float(np.max(jumps, initial=0.0))
 
 
 def second_law_audit(

@@ -463,6 +463,19 @@ def test_cli_json_is_byte_identical_across_processes():
     assert first.stdout == second.stdout
 
 
+def test_audit_with_infinite_divergence_writes_no_warning():
+    # 'sharp' puts zero on a state 'tilted' occupies, so D is inf at every step
+    result = _run_subprocess(["audit", str(DATA), "--channel", "drift", "--p0", "tilted",
+                              "--reference", "sharp"])
+    assert result.returncode == 0
+    assert result.stderr == b""
+    assert result.stdout == (b"stationary        [0.6666666666666666, 0.3333333333333333]\n"
+                             b"detailed balance  True\n"
+                             b"monotone          True\n"
+                             b"max violation     0.0\n"
+                             b"steps checked     100\n")
+
+
 def test_cli_env_seed_reaches_subprocess():
     by_env = _run_subprocess(["sweep", "--instances", "10", "--format", "json"],
                              env={cli.SEED_ENV_VAR: "7"})

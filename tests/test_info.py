@@ -18,6 +18,7 @@ from thermobit import (
     self_information,
     shannon_entropy,
 )
+from thermobit import info
 
 LOG2 = math.log(2.0)
 
@@ -152,6 +153,56 @@ def test_kl_nonnegative_and_matches_direct_oracle():
         assert got >= 0.0
         assert got == pytest.approx(_direct_kl(p.probs, q.probs), rel=1e-12, abs=1e-13)
         assert got > 0.0  # random p == q has probability zero
+
+
+def _kl_rows_case(seed, n, rows, zero_rows, zero_ref):
+    """rows x n probability rows, zero_rows of them with zeros, and a
+    reference over n states with a zero entry when zero_ref."""
+    rng = np.random.default_rng(seed)
+    alphas = rng.choice([0.02, 1.0, 100.0], size=rows)
+    block = np.array([rng.dirichlet(np.full(n, a)) for a in alphas])
+    for i in rng.choice(rows, size=zero_rows, replace=False):
+        block[i, rng.random(n) < 0.3] = 0.0
+        if block[i].sum() == 0.0:
+            block[i, rng.integers(n)] = 1.0
+        block[i] /= block[i].sum()
+    q = rng.dirichlet(np.ones(n))
+    if zero_ref:
+        q[rng.integers(n)] = 0.0
+        q /= q.sum()
+    return block, q
+
+
+def _kl_rows_bitwise(block, q):
+    out = np.empty(len(block))
+    info._kl_rows(block, q, out)
+    expected = np.array([info._kl_nats(row, q) for row in block])
+    assert out.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 300),
+    rows=st.integers(1, 40),
+    zero_share=st.floats(0.0, 1.0),
+    zero_ref=st.booleans(),
+    block_rows=st.integers(1, 41),
+)
+def test_kl_rows_matches_kl_nats_bitwise(seed, n, rows, zero_share, zero_ref, block_rows):
+    # n spans numpy's 128-entry pairwise-summation block; block_rows below
+    # rows splits the rows over several blocks
+    block, q = _kl_rows_case(seed, n, rows, round(zero_share * rows), zero_ref)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(info, "_KL_BLOCK_ENTRIES", block_rows * n)
+        _kl_rows_bitwise(block, q)
+
+
+def test_kl_rows_spans_several_default_blocks():
+    n = 300
+    rows = 3 * (info._KL_BLOCK_ENTRIES // n) + 7
+    block, q = _kl_rows_case(11, n, rows, 50, False)
+    _kl_rows_bitwise(block, q)
 
 
 def test_kl_entropy_relation_under_uniform_reference():

@@ -1,6 +1,7 @@
 """Tests for the Markov-chain engine and the Second-Law auditor."""
 
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from thermobit import (
     second_law_audit,
     stationary_distribution,
 )
-from thermobit import dsl, markov
+from thermobit import dsl, info, markov
 
 DATA = Path(__file__).parent / "data" / "demo.tbit"
 LOG2 = math.log(2.0)
@@ -256,6 +257,11 @@ def _evolve_case(case, rng):
     if case == "rotation":
         channel = Channel(np.roll(np.eye(11), 1, axis=1))
         return _sparse(rng, 11, 4), channel, 300, _random_dist(rng, 11)
+    if case == "zero-reference":
+        # sparse rows against a reference with a zero: D alternates inf and finite
+        channel = Channel(np.roll(np.eye(11), 1, axis=1))
+        reference = Distribution(np.r_[0.0, rng.dirichlet(np.ones(10))])
+        return _sparse(rng, 11, 4), channel, 300, reference
     if case == "two-state":
         return Distribution([1.0, 0.0]), _TWO_STATE, 20_000, "auto"
     if case == "dense-128":
@@ -274,8 +280,8 @@ def _first_repeat(probs):
     return None
 
 
-@pytest.mark.parametrize("case", ["reducible", "rotation", "two-state", "dense-128",
-                                  "stationary-p0", "nonstationary-reference"])
+@pytest.mark.parametrize("case", ["reducible", "rotation", "zero-reference", "two-state",
+                                  "dense-128", "stationary-p0", "nonstationary-reference"])
 def test_evolve_matches_step_by_step_reference_bitwise(case):
     rng = np.random.default_rng(23)
     p0, channel, steps, pi_ref = _evolve_case(case, rng)
@@ -291,7 +297,7 @@ def test_evolve_matches_step_by_step_reference_bitwise(case):
     assert len(trajectory) == steps + 1
     # each case covers what its name says about the fixed point
     settled = _first_repeat(probs)
-    if case == "rotation":
+    if case in ("rotation", "zero-reference"):
         assert settled is None
     elif case == "stationary-p0":
         assert settled == 1
@@ -299,6 +305,8 @@ def test_evolve_matches_step_by_step_reference_bitwise(case):
         assert settled is not None and settled < steps // 2
     if case == "nonstationary-reference":
         assert d_nats[-1] == d_nats[settled] > 0.0
+    if case == "zero-reference":
+        assert np.isinf(d_nats).any() and np.isfinite(d_nats).any()
 
 
 def test_evolve_stops_at_the_floating_point_fixed_point(monkeypatch):
@@ -315,6 +323,45 @@ def test_evolve_stops_at_the_floating_point_fixed_point(monkeypatch):
     assert calls < 2_000
     assert len(trajectory) == 50_001
     assert np.array_equal(trajectory.probs[-1], trajectory.probs[calls])
+
+
+def _count_kl_nats(monkeypatch):
+    calls = []
+    kl_nats = info._kl_nats
+
+    def counting(p, q):
+        calls.append(None)
+        return kl_nats(p, q)
+
+    monkeypatch.setattr(info, "_kl_nats", counting)
+    return calls
+
+
+def test_audit_of_positive_rows_computes_d_in_one_pass(monkeypatch):
+    calls = _count_kl_nats(monkeypatch)
+    # a noisy rotation from a positive p0 never settles, and every row is positive
+    noisy = Channel(0.9 * np.roll(np.eye(3), 1, axis=1) + 0.1 / 3)
+    verdict = second_law_audit(Distribution([0.5, 0.3, 0.2]), noisy, 10_000)
+    probs = verdict.trajectory.probs
+    assert _first_repeat(probs) is None
+    assert len(calls) <= 1
+    # rows with a zero still go through _kl_nats, one call each
+    calls.clear()
+    rotation = Channel(np.roll(np.eye(3), 1, axis=1))
+    evolve(Distribution([0.6, 0.4, 0.0]), rotation, 1_000)
+    assert len(calls) == 1_001
+
+
+def test_evolve_memory_stays_at_its_output_arrays():
+    rotation = Channel(np.roll(np.eye(3), 1, axis=1))
+    p0, reference = Distribution([0.5, 0.3, 0.2]), Distribution.uniform(3)
+    tracemalloc.start()
+    try:
+        trajectory = evolve(p0, rotation, 100_000, reference)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= trajectory.probs.nbytes + trajectory.d_nats.nbytes + 2**20
 
 
 def test_evolve_keeps_renormalising_rows_that_drift():
