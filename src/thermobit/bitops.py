@@ -6,16 +6,18 @@ in Shannon entropy, and each ledger's minimum-energy bound is kT times
 that change. Positive min_energy is work that must at least be supplied;
 negative is an upper bound on extractable work.
 
-Every operation is represented by one fixed channel matrix. In strict
-mode the input must have the operation's nominal type; lenient mode
-applies the same channel to arbitrary inputs and books the deltas from
-the actual distributions.
+Every operation is one row of the table `OPS`: its name, one fixed
+channel matrix, the input types strict mode accepts and its nominal
+input. In strict mode the input must have one of those types; lenient
+mode applies the same channel to arbitrary inputs and books the deltas
+from the actual distributions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,11 +36,7 @@ _COPY = np.zeros((4, 4))
 for _b1 in (0, 1):
     for _b2 in (0, 1):
         _COPY[2 * _b1 + _b2, 2 * _b1 + _b1] = 1.0
-_RANDOMIZE_FIRST = np.zeros((4, 4))
-for _b1 in (0, 1):
-    for _b2 in (0, 1):
-        for _new in (0, 1):
-            _RANDOMIZE_FIRST[2 * _b1 + _b2, 2 * _new + _b2] = 0.5
+_RANDOMIZE_FIRST = np.kron(_THERMALIZE, _IDENTITY2)  # thermalize bit 1, keep bit 2
 
 
 class BitType(Enum):
@@ -130,6 +128,15 @@ class BitPairState:
     def from_bits(cls, first: BitState, second: BitState) -> "BitPairState":
         return cls(JointDistribution.from_product(first.dist, second.dist))
 
+    @classmethod
+    def from_probs(cls, p00: float, p01: float, p10: float, p11: float) -> "BitPairState":
+        return cls(JointDistribution(np.array([[p00, p01], [p10, p11]])))
+
+    @property
+    def dist(self) -> Distribution:
+        """The joint distribution over the flat states 00, 01, 10, 11."""
+        return self.joint.flatten()
+
     @property
     def first(self) -> BitState:
         return BitState(self.joint.marginal_first())
@@ -151,6 +158,10 @@ class BitPairState:
         if float(np.max(np.abs(p - product))) <= _CLASSIFY_TOL:
             return PairRelation.INDEPENDENT
         return PairRelation.OTHER
+
+    @property
+    def classification(self) -> tuple[BitType, BitType, PairRelation]:
+        return (self.first.classification, self.second.classification, self.relation)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BitPairState):
@@ -186,18 +197,70 @@ class OpLedger:
         }
 
 
-def _check_mode(mode: str) -> None:
+class BitOp(NamedTuple):
+    """One row of the operation table."""
+
+    function: str  # the public function that runs this row, called by name
+    ledger_name: str
+    matrix: np.ndarray
+    accepts: tuple | None  # the input types strict mode accepts (None: any)
+    nominal: BitState | BitPairState | None = None  # the input the op is defined on
+    values: tuple[int, ...] = ()  # switch's (from, to) arguments
+
+
+def _switch(from_value: int, to_value: int) -> BitOp:
+    if from_value not in (0, 1) or to_value not in (0, 1):
+        raise DomainError("switch values must be 0 or 1")
+    return BitOp("switch", f"switch({from_value}->{to_value})",
+                 _IDENTITY2 if from_value == to_value else _NOT,
+                 (BitType.ONE if from_value else BitType.ZERO,),
+                 BitState.one() if from_value else BitState.zero(), (from_value, to_value))
+
+
+# The operations by their CLI and `.tbit` names, in the order usage messages
+# list them. A row names its public function instead of holding it, so that
+# a wrapper put in the function's place on this module sees every call.
+OPS = {
+    "erase": BitOp("erase", "erase", _ERASE, (BitType.STAR,), BitState.star()),
+    "copy-szilard": BitOp("copy_szilard", "copy_szilard", _COPY,
+                          ((BitType.STAR, BitType.STAR, PairRelation.INDEPENDENT),),
+                          BitPairState.independent_uniform()),
+    # a (*, 0) pair is always independent: the relation adds no condition
+    "copy-landauer": BitOp("copy_landauer", "copy_landauer", _COPY,
+                           ((BitType.STAR, BitType.ZERO, PairRelation.INDEPENDENT),),
+                           BitPairState.from_bits(BitState.star(), BitState.zero())),
+    "not": BitOp("not_op", "not", _NOT, None, BitState.star()),
+    "switch": _switch(0, 1),
+    # the all-ones bit is accepted by symmetry of the uniform equilibrium
+    "randomize": BitOp("randomize", "randomize", _THERMALIZE,
+                       (BitType.ZERO, BitType.ONE), BitState.zero()),
+}
+_RANDOMIZE_FIRST_OP = BitOp("randomize_first", "randomize_first", _RANDOMIZE_FIRST, None)
+
+
+def operation(name: str, *values: int) -> BitOp:
+    """The row of `name`; given (from, to) values, switch's row for them."""
+    return _switch(*values) if values else OPS[name]
+
+
+def _type_name(t) -> str:
+    return "(" + ", ".join(x.name for x in t) + ")" if isinstance(t, tuple) else t.name
+
+
+def _run(op: BitOp, state, temperature: float, boltzmann: float, mode: str = "strict"):
+    """Apply `op`'s channel to a bit or pair state and book its ledger."""
     if mode not in ("strict", "lenient"):
         raise DomainError(f"mode must be 'strict' or 'lenient', got {mode!r}")
-
-
-def _build_ledger(
-    op_name: str,
-    dist_in: Distribution,
-    dist_out: Distribution,
-    temperature: float,
-    boltzmann: float,
-) -> OpLedger:
+    if mode == "strict" and op.accepts is not None:
+        got = state.classification
+        if got not in op.accepts:
+            kind = "pair" if isinstance(op.accepts[0], tuple) else "bit"
+            expected = " or ".join(map(_type_name, op.accepts))
+            raise ContractError(f"{op.ledger_name} expects a {kind} of type {expected} "
+                                f"in strict mode, got {_type_name(got)}")
+    dist_in = state.dist
+    out = type(state).from_probs(*(dist_in.probs @ op.matrix))
+    dist_out = out.dist
     _check_kT(temperature, boltzmann)
     delta_h = shannon_entropy(dist_out).nats - shannon_entropy(dist_in).nats
     delta_d = -delta_h + 0.0  # vs uniform equilibrium, ΔD = −ΔH identically
@@ -207,8 +270,8 @@ def _build_ledger(
         direction = Direction.YIELDS_AT_MOST
     else:
         direction = Direction.FREE
-    return OpLedger(
-        op_name=op_name,
+    return out, OpLedger(
+        op_name=op.ledger_name,
         input_state=tuple(float(x) for x in dist_in.probs),
         output_state=tuple(float(x) for x in dist_out.probs),
         delta_h_nats=delta_h,
@@ -220,24 +283,6 @@ def _build_ledger(
     )
 
 
-def _apply_bit(matrix: np.ndarray, b: BitState) -> BitState:
-    return BitState(Distribution(b.dist.probs @ matrix))
-
-
-def _apply_pair(matrix: np.ndarray, pair: BitPairState) -> BitPairState:
-    flat = pair.joint.probs.reshape(-1) @ matrix
-    return BitPairState(JointDistribution(flat.reshape(2, 2)))
-
-
-def _expect_type(op: str, b: BitState, expected: tuple[BitType, ...]) -> None:
-    if b.classification not in expected:
-        names = " or ".join(t.name for t in expected)
-        raise ContractError(
-            f"{op} expects a bit of type {names} in strict mode, "
-            f"got {b.classification.name}"
-        )
-
-
 def erase(
     b: BitState,
     *,
@@ -246,11 +291,7 @@ def erase(
     mode: str = "strict",
 ) -> tuple[BitState, OpLedger]:
     """Take a uniform bit to the all-zeros bit; costs at least kT log 2."""
-    _check_mode(mode)
-    if mode == "strict":
-        _expect_type("erase", b, (BitType.STAR,))
-    out = _apply_bit(_ERASE, b)
-    return out, _build_ledger("erase", b.dist, out.dist, temperature, boltzmann)
+    return _run(OPS["erase"], b, temperature, boltzmann, mode)
 
 
 def not_op(
@@ -261,9 +302,7 @@ def not_op(
     mode: str = "strict",
 ) -> tuple[BitState, OpLedger]:
     """Swap the two outcomes; entropy-free."""
-    _check_mode(mode)
-    out = _apply_bit(_NOT, b)
-    return out, _build_ledger("not", b.dist, out.dist, temperature, boltzmann)
+    return _run(OPS["not"], b, temperature, boltzmann, mode)
 
 
 def switch(
@@ -276,17 +315,7 @@ def switch(
     mode: str = "strict",
 ) -> tuple[BitState, OpLedger]:
     """Move the definite bit value `from_value` to `to_value`; entropy-free."""
-    _check_mode(mode)
-    if from_value not in (0, 1) or to_value not in (0, 1):
-        raise DomainError("switch values must be 0 or 1")
-    if mode == "strict":
-        expected = BitType.ZERO if from_value == 0 else BitType.ONE
-        _expect_type(f"switch({from_value}->{to_value})", b, (expected,))
-    matrix = _IDENTITY2 if from_value == to_value else _NOT
-    out = _apply_bit(matrix, b)
-    return out, _build_ledger(
-        f"switch({from_value}->{to_value})", b.dist, out.dist, temperature, boltzmann
-    )
+    return _run(_switch(from_value, to_value), b, temperature, boltzmann, mode)
 
 
 def randomize(
@@ -297,12 +326,7 @@ def randomize(
     mode: str = "strict",
 ) -> tuple[BitState, OpLedger]:
     """Thermalize a definite bit to uniform; yields at most kT log 2."""
-    _check_mode(mode)
-    if mode == "strict":
-        # The all-ones bit is accepted by symmetry of the uniform equilibrium.
-        _expect_type("randomize", b, (BitType.ZERO, BitType.ONE))
-    out = _apply_bit(_THERMALIZE, b)
-    return out, _build_ledger("randomize", b.dist, out.dist, temperature, boltzmann)
+    return _run(OPS["randomize"], b, temperature, boltzmann, mode)
 
 
 def copy_szilard(
@@ -313,22 +337,7 @@ def copy_szilard(
     mode: str = "strict",
 ) -> tuple[BitPairState, OpLedger]:
     """Copy bit 1 onto an independent uniform bit 2; costs at least kT log 2."""
-    _check_mode(mode)
-    if mode == "strict":
-        if (
-            pair.first.classification is not BitType.STAR
-            or pair.second.classification is not BitType.STAR
-            or pair.relation is not PairRelation.INDEPENDENT
-        ):
-            raise ContractError(
-                "copy_szilard expects an independent pair of type (*, *) in "
-                f"strict mode, got ({pair.first.classification.name}, "
-                f"{pair.second.classification.name}) {pair.relation.name}"
-            )
-    out = _apply_pair(_COPY, pair)
-    return out, _build_ledger(
-        "copy_szilard", pair.joint.flatten(), out.joint.flatten(), temperature, boltzmann
-    )
+    return _run(OPS["copy-szilard"], pair, temperature, boltzmann, mode)
 
 
 def copy_landauer(
@@ -339,21 +348,7 @@ def copy_landauer(
     mode: str = "strict",
 ) -> tuple[BitPairState, OpLedger]:
     """Copy bit 1 onto an initialized (all-zeros) bit 2; no lower bound."""
-    _check_mode(mode)
-    if mode == "strict":
-        if (
-            pair.first.classification is not BitType.STAR
-            or pair.second.classification is not BitType.ZERO
-        ):
-            raise ContractError(
-                "copy_landauer expects a pair of type (*, 0) in strict mode, "
-                f"got ({pair.first.classification.name}, "
-                f"{pair.second.classification.name})"
-            )
-    out = _apply_pair(_COPY, pair)
-    return out, _build_ledger(
-        "copy_landauer", pair.joint.flatten(), out.joint.flatten(), temperature, boltzmann
-    )
+    return _run(OPS["copy-landauer"], pair, temperature, boltzmann, mode)
 
 
 def randomize_first(
@@ -367,7 +362,4 @@ def randomize_first(
     This is the extraction step of the demon protocols: on a correlated
     uniform pair it produces the independent uniform pair.
     """
-    out = _apply_pair(_RANDOMIZE_FIRST, pair)
-    return out, _build_ledger(
-        "randomize_first", pair.joint.flatten(), out.joint.flatten(), temperature, boltzmann
-    )
+    return _run(_RANDOMIZE_FIRST_OP, pair, temperature, boltzmann)

@@ -17,7 +17,7 @@ import sys
 from . import bitops, dsl, engine, sweeps
 from .errors import ThermobitError
 from .markov import second_law_audit
-from .thermo import SI_BOLTZMANN, check_szilard_landauer
+from .thermo import IDENTITY_TOLERANCE, SI_BOLTZMANN, check_szilard_landauer
 
 DEFAULT_SEED = sweeps.DEFAULT_SEED  # 0xC0FFEE
 SEED_ENV_VAR = "THERMOBIT_SEED"
@@ -117,8 +117,7 @@ def _load_document(path: str):
         with open(path, "r", encoding="utf-8") as handle:
             source = handle.read()
     except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        return None
+        raise ThermobitError(f"cannot read {path}: {exc}") from None
     result = dsl.parse(source)
     for diagnostic in result.diagnostics:
         print(diagnostic.render(), file=sys.stderr)
@@ -129,16 +128,13 @@ def _load_document(path: str):
 
 def _lookup(decls: dict, kind: str, name: str, path: str, system: str | None = None):
     """The declaration of `kind` called `name` in `decls` (over `system`, if
-    given), or None once the reason is printed."""
+    given)."""
     decl = decls.get(name)
     if decl is None:
-        problem = f"no {kind} named {name!r} in {path}"
-    elif system is not None and decl.system != system:
-        problem = f"{kind} {name!r} is over system {decl.system!r}, not {system!r}"
-    else:
-        return decl
-    print(f"error: {problem}", file=sys.stderr)
-    return None
+        raise ThermobitError(f"no {kind} named {name!r} in {path}")
+    if system is not None and decl.system != system:
+        raise ThermobitError(f"{kind} {name!r} is over system {decl.system!r}, not {system!r}")
+    return decl
 
 
 # --------------------------------------------------------------------------
@@ -151,13 +147,7 @@ def _cmd_check(args) -> int:
     if doc is None:
         return EXIT_USAGE
     decl = _lookup(doc.dists, "dist", args.dist, args.file)
-    if decl is None:
-        return EXIT_USAGE
-    try:
-        report = check_szilard_landauer(doc.systems[decl.system].to_landscape(), decl.dist)
-    except ThermobitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    report = check_szilard_landauer(doc.systems[decl.system].to_landscape(), decl.dist)
     passed = report.passes(args.tolerance)
     if args.format == "json":
         payload = report.to_json_dict()
@@ -200,29 +190,18 @@ def _cmd_audit(args) -> int:
     if doc is None:
         return EXIT_USAGE
     channel = _lookup(doc.channels, "channel", args.channel, args.file)
-    if channel is None:
-        return EXIT_USAGE
     p0 = _lookup(doc.dists, "dist", args.p0, args.file, channel.system)
-    if p0 is None:
-        return EXIT_USAGE
     reference = None
     if args.reference is not None:
         reference = _lookup(doc.dists, "dist", args.reference, args.file, channel.system)
-        if reference is None:
-            return EXIT_USAGE
-    try:
-        verdict = second_law_audit(p0.dist, channel.channel, args.steps,
-                                   reference=None if reference is None else reference.dist)
-    except ThermobitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    verdict = second_law_audit(p0.dist, channel.channel, args.steps,
+                               reference=None if reference is None else reference.dist)
     if args.trajectory_csv:
         try:
             with open(args.trajectory_csv, "w", encoding="utf-8") as handle:
                 handle.write(verdict.trajectory.to_csv())
         except OSError as exc:
-            print(f"error: cannot write {args.trajectory_csv}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            raise ThermobitError(f"cannot write {args.trajectory_csv}: {exc}") from None
     if args.format == "json":
         payload = verdict.to_json_dict()
         sys.stdout.write(_dump_json(payload))
@@ -243,58 +222,28 @@ _BIT_BY_FLAG = {
     "star": bitops.BitState.star,
 }
 
-# default inputs: each op's nominal type
-_NOMINAL_BIT = {
-    "erase": bitops.BitState.star,
-    "not": bitops.BitState.star,
-    "randomize": bitops.BitState.zero,
-}
-
-
-def _bit_input(op: str, flag: str | None) -> bitops.BitState:
-    if flag is not None:
-        return _BIT_BY_FLAG[flag]()
-    return _NOMINAL_BIT[op]()
-
-
 def _cmd_bitop(args) -> int:
-    kwargs = {"temperature": args.temperature, "boltzmann": _boltzmann(args),
-              "mode": args.mode}
-    try:
-        if args.op == "erase":
-            _, ledger = bitops.erase(_bit_input(args.op, args.input), **kwargs)
-        elif args.op == "not":
-            _, ledger = bitops.not_op(_bit_input(args.op, args.input), **kwargs)
-        elif args.op == "randomize":
-            _, ledger = bitops.randomize(_bit_input(args.op, args.input), **kwargs)
-        elif args.op == "switch":
-            if args.input is not None:
-                state = _BIT_BY_FLAG[args.input]()
-            else:
-                state = bitops.BitState.zero() if args.from_value == 0 else bitops.BitState.one()
-            _, ledger = bitops.switch(state, args.from_value, args.to_value, **kwargs)
-        elif args.op == "copy-szilard":
-            pair = bitops.BitPairState.independent_uniform()
-            _, ledger = bitops.copy_szilard(pair, **kwargs)
-        else:  # copy-landauer
-            pair = bitops.BitPairState.from_bits(bitops.BitState.star(), bitops.BitState.zero())
-            _, ledger = bitops.copy_landauer(pair, **kwargs)
-    except ThermobitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    op = bitops.OPS[args.op]
+    if args.input is not None and not isinstance(op.nominal, bitops.BitState):
+        raise ThermobitError(f"{args.op} takes no --input: it acts on a pair of bits")
+    given = (args.from_value, args.to_value)
+    if not op.values and given != (None, None):
+        raise ThermobitError(f"{args.op} takes no --from or --to")
+    values = tuple(default if v is None else v for v, default in zip(given, op.values))
+    op = bitops.operation(args.op, *values)
+    state = op.nominal if args.input is None else _BIT_BY_FLAG[args.input]()
+    # looked up on the module, so that a wrapper put in its place sees the call
+    _, ledger = getattr(bitops, op.function)(state, *values, temperature=args.temperature,
+                                             boltzmann=_boltzmann(args), mode=args.mode)
     sys.stdout.write(_dump_json(ledger.to_json_dict()))
     return EXIT_OK
 
 
 def _cmd_szilard(args) -> int:
-    try:
-        cfg = engine.EngineConfig(temperature=args.temperature, boltzmann=_boltzmann(args),
-                                  steps=args.steps)
-        rows = engine.convergence_table(cfg, args.ratio, levels=args.levels)
-        exact = engine.exact_isothermal_work(cfg, cfg.volume, cfg.volume / args.ratio)
-    except ThermobitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    cfg = engine.EngineConfig(temperature=args.temperature, boltzmann=_boltzmann(args),
+                              steps=args.steps)
+    rows = engine.convergence_table(cfg, args.ratio, levels=args.levels)
+    exact = engine.exact_isothermal_work(cfg, cfg.volume, cfg.volume / args.ratio)
     if args.format == "json":
         payload = {
             "ratio": args.ratio,
@@ -315,11 +264,7 @@ def _cmd_szilard(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        seed = _resolve_seed(args.seed)
-    except ThermobitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    seed = _resolve_seed(args.seed)
     identity = sweeps.identity_sweep(args.instances, args.max_states, seed)
     dpi = sweeps.dpi_sweep(args.instances, min(args.max_states, 8), seed)
     monotone = sweeps.monotonicity_sweep(
@@ -382,8 +327,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            parents=[], add_help=True)
     check.add_argument("file", help="protocol file (.tbit)")
     check.add_argument("--dist", required=True, help="name of the dist to check")
-    check.add_argument("--tolerance", type=_tolerance, default=1e-12,
-                       help="residual tolerance per unit scale (default 1e-12)")
+    check.add_argument("--tolerance", type=_tolerance, default=IDENTITY_TOLERANCE,
+                       help=f"residual tolerance per unit scale (default {IDENTITY_TOLERANCE})")
     check.add_argument("--format", choices=dsl.REPORT_FORMATS, default="table")
 
     audit = sub.add_parser("audit", help="Second-Law audit of a channel")
@@ -397,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--format", choices=("table", "json"), default="table")
 
     bitop = sub.add_parser("bitop", help="run one bit operation and print its ledger")
-    bitop.add_argument("op", choices=dsl.BITOP_NAMES)
+    bitop.add_argument("op", choices=bitops.OPS)
     bitop.add_argument("--mode", choices=("strict", "lenient"), default="strict")
     bitop.add_argument("--temperature", type=float, default=1.0)
     bitop.add_argument("--kB", type=float, default=None,
@@ -405,8 +350,10 @@ def _build_parser() -> argparse.ArgumentParser:
     bitop.add_argument("--units", choices=("natural", "si"), default="natural")
     bitop.add_argument("--input", choices=("0", "1", "star"), default=None,
                        help="input bit for single-bit ops (default: the op's nominal type)")
-    bitop.add_argument("--from", dest="from_value", type=int, choices=(0, 1), default=0)
-    bitop.add_argument("--to", dest="to_value", type=int, choices=(0, 1), default=1)
+    bitop.add_argument("--from", dest="from_value", type=int, choices=(0, 1),
+                       help="switch only: the value switched from (default 0)")
+    bitop.add_argument("--to", dest="to_value", type=int, choices=(0, 1),
+                       help="switch only: the value switched to (default 1)")
 
     szilard = sub.add_parser("szilard", help="isothermal work table for compression by a ratio")
     szilard.add_argument("--ratio", type=float, default=2.0)
@@ -448,7 +395,11 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    return _HANDLERS[args.command](args)
+    try:
+        return _HANDLERS[args.command](args)
+    except ThermobitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -43,6 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import bitops
 from .errors import DomainError, ShapeError
 from .info import SUM_TOLERANCE, Distribution
 from .markov import Channel
@@ -52,7 +53,6 @@ _NUMBER_RE = re.compile(r"^[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
 _COUNT_RE = re.compile(r"^\d+$")
 _TOKEN_RE = re.compile(r"\S+")
 
-BITOP_NAMES = ("erase", "copy-szilard", "copy-landauer", "not", "switch", "randomize")
 REPORT_FORMATS = ("table", "json", "csv")
 
 
@@ -87,7 +87,7 @@ _GRAMMAR = {
         "evolve": _Key(1, 1, False, "takes exactly one step count"),
         "check-correspondence": _Key(0, 0, False, "takes no arguments", ()),
         "audit": _Key(1, 1, False, "takes exactly one step count"),
-        "bitop": _Key(1, 1, False, "takes one of: " + ", ".join(BITOP_NAMES), BITOP_NAMES),
+        "bitop": _Key(1, 1, False, "takes one of: " + ", ".join(bitops.OPS), tuple(bitops.OPS)),
         "report": _Key(1, 1, False, "takes one of: " + ", ".join(REPORT_FORMATS),
                        REPORT_FORMATS),
     },

@@ -145,6 +145,15 @@ def expected_yield_uninformed(cfg: EngineConfig) -> float:
     return (pulley_yield(cfg, 0, 0) + pulley_yield(cfg, 1, 0)) / 2.0
 
 
+# Each measurement is a copy of the engine bit X into the memory bit Y.
+_MEASUREMENTS = {
+    MeasurementKind.SZILARD_COPY: ("copy-szilard",
+                                   "measurement: copy X onto uniform Y (Szilard)"),
+    MeasurementKind.LANDAUER_COPY: ("copy-landauer",
+                                    "measurement: copy X onto initialized Y (Landauer)"),
+}
+
+
 def demon_cycle(cfg: EngineConfig, measurement: MeasurementKind) -> CycleLedger:
     """Book one measure-then-extract cycle at the ideal bounds.
 
@@ -156,35 +165,23 @@ def demon_cycle(cfg: EngineConfig, measurement: MeasurementKind) -> CycleLedger:
     expected yield is zero.
     """
     t, kb = cfg.temperature, cfg.boltzmann
-    entries: list[LedgerEntry] = []
-    if measurement is MeasurementKind.SZILARD_COPY:
-        pair = bitops.BitPairState.independent_uniform()
-        pair, copy_ledger = bitops.copy_szilard(pair, temperature=t, boltzmann=kb)
-        entries.append(
-            LedgerEntry("measurement: copy X onto uniform Y (Szilard)",
-                        copy_ledger.min_energy, copy_ledger.delta_d_nats)
-        )
-    elif measurement is MeasurementKind.LANDAUER_COPY:
-        pair = bitops.BitPairState.from_bits(bitops.BitState.star(), bitops.BitState.zero())
-        pair, copy_ledger = bitops.copy_landauer(pair, temperature=t, boltzmann=kb)
-        entries.append(
-            LedgerEntry("measurement: copy X onto initialized Y (Landauer)",
-                        copy_ledger.min_energy, copy_ledger.delta_d_nats)
-        )
-    elif measurement is MeasurementKind.NONE:
-        entries.append(
+    if not isinstance(measurement, MeasurementKind):
+        raise DomainError(f"unknown measurement kind {measurement!r}")
+    if measurement is MeasurementKind.NONE:
+        return CycleLedger.from_entries([
             LedgerEntry("extraction without position information (expected)",
                         expected_yield_uninformed(cfg), 0.0)
-        )
-        return CycleLedger.from_entries(entries)
-    else:
-        raise DomainError(f"unknown measurement kind {measurement!r}")
-
+        ])
+    name, label = _MEASUREMENTS[measurement]
+    op = bitops.OPS[name]
+    # the copy's nominal input is the pair (X uniform, Y as the copy requires)
+    pair, copy_ledger = getattr(bitops, op.function)(op.nominal, temperature=t, boltzmann=kb)
     pair, extract_ledger = bitops.randomize_first(pair, temperature=t, boltzmann=kb)
-    entries.append(
+    entries = [
+        LedgerEntry(label, copy_ledger.min_energy, copy_ledger.delta_d_nats),
         LedgerEntry("extraction: randomize X against the partition",
-                    extract_ledger.min_energy, extract_ledger.delta_d_nats)
-    )
+                    extract_ledger.min_energy, extract_ledger.delta_d_nats),
+    ]
     if measurement is MeasurementKind.LANDAUER_COPY:
         entries.append(
             LedgerEntry("final state: X and Y independent uniform; Y left randomized",

@@ -13,11 +13,9 @@ import numpy as np
 
 from .info import Distribution
 from .markov import Channel, data_processing_check, second_law_audit
-from .thermo import EnergyLandscape, check_szilard_landauer
+from .thermo import IDENTITY_TOLERANCE, EnergyLandscape, check_szilard_landauer
 
 DEFAULT_SEED = 0xC0FFEE
-
-IDENTITY_TOLERANCE = 1e-12  # residual per unit of scale = max(1, |F(p)|, |F(gibbs)|)
 
 
 def _instance_rng(seed: int, index: int) -> np.random.Generator:

@@ -18,6 +18,7 @@ from .info import Distribution, InfoQuantity, shannon_entropy
 
 DEFAULT_BOLTZMANN = 1.0
 SI_BOLTZMANN = 1.380649e-23  # J/K
+IDENTITY_TOLERANCE = 1e-12  # residual per unit of scale = max(1, |F(p)|, |F(gibbs)|)
 
 
 def _check_kT(temperature: float, boltzmann: float) -> None:
@@ -84,7 +85,7 @@ class ThermoReport:
     residual: float
     scale: float
 
-    def passes(self, tolerance: float = 1e-12) -> bool:
+    def passes(self, tolerance: float = IDENTITY_TOLERANCE) -> bool:
         return self.residual <= tolerance * self.scale
 
     def to_json_dict(self) -> dict:

@@ -2,11 +2,11 @@
 
 import numpy as np
 
-from thermobit import dsl
+from thermobit import bitops, dsl
 from thermobit.info import Distribution
 from thermobit.markov import Channel
 
-BITOPS = list(dsl.BITOP_NAMES)
+BITOPS = list(bitops.OPS)
 FORMATS = list(dsl.REPORT_FORMATS)
 
 

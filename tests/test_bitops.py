@@ -232,6 +232,59 @@ def test_randomize_strict_rejects_star():
         randomize(BitState.star())
 
 
+# -- strict contracts ---------------------------------------------------------------------
+
+_BIT_OF_TYPE = {BitType.ZERO: BitState.zero(), BitType.ONE: BitState.one(),
+                BitType.STAR: BitState.star(), BitType.OTHER: BitState.from_probs(0.75, 0.25)}
+
+
+@pytest.mark.parametrize("bit_type", list(BitType), ids=lambda t: t.name)
+@pytest.mark.parametrize("op, accepted", [
+    (erase, {BitType.STAR}),
+    (randomize, {BitType.ZERO, BitType.ONE}),
+    (not_op, set(BitType)),
+    (lambda b, **kw: switch(b, 0, 1, **kw), {BitType.ZERO}),
+    (lambda b, **kw: switch(b, 0, 0, **kw), {BitType.ZERO}),
+    (lambda b, **kw: switch(b, 1, 0, **kw), {BitType.ONE}),
+    (lambda b, **kw: switch(b, 1, 1, **kw), {BitType.ONE}),
+], ids=["erase", "randomize", "not", "switch-0-1", "switch-0-0", "switch-1-0", "switch-1-1"])
+def test_strict_contract_of_single_bit_ops(op, accepted, bit_type):
+    state = _BIT_OF_TYPE[bit_type]
+    if bit_type in accepted:
+        op(state)
+    else:
+        with pytest.raises(ContractError, match=rf"expects a bit of type \w+( or \w+)* in "
+                                                rf"strict mode, got {bit_type.name}$"):
+            op(state)
+    op(state, mode="lenient")
+
+
+_PAIRS = [BitPairState.from_bits(first, second)
+          for first in _BIT_OF_TYPE.values() for second in _BIT_OF_TYPE.values()] + [
+    BitPairState.correlated_uniform(),
+    BitPairState.anticorrelated_uniform(),
+    BitPairState(JointDistribution([[0.4, 0.1], [0.1, 0.4]])),
+]
+
+
+@pytest.mark.parametrize("pair", _PAIRS, ids=lambda p: "-".join(
+    (p.first.classification.name, p.second.classification.name, p.relation.name)))
+@pytest.mark.parametrize("op, accepted", [
+    (copy_szilard, (BitType.STAR, BitType.STAR, PairRelation.INDEPENDENT)),
+    (copy_landauer, (BitType.STAR, BitType.ZERO, None)),  # None: any relation
+])
+def test_strict_contract_of_copy_ops(op, accepted, pair):
+    got = (pair.first.classification, pair.second.classification, pair.relation)
+    if all(want in (None, have) for want, have in zip(accepted, got)):
+        op(pair)
+    else:
+        names = ", ".join(t.name for t in got)
+        with pytest.raises(ContractError, match=rf"expects a pair of type \(.*\) in strict "
+                                                rf"mode, got \({names}\)$"):
+            op(pair)
+    op(pair, mode="lenient")
+
+
 # -- ledger invariants ----------------------------------------------------------------------
 
 def test_every_ledger_has_delta_d_equal_minus_delta_h():

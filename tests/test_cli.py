@@ -328,6 +328,76 @@ def test_bitop_switch(capsys):
     payload = json.loads(out)
     assert payload["op"] == "switch(1->0)"
     assert payload["min_energy"] == 0.0
+    # without flags: 0 -> 1 on its nominal input; --from alone keeps --to at 1
+    for args, op, bit in [([], "switch(0->1)", [1.0, 0.0]),
+                          (["--from", "1"], "switch(1->1)", [0.0, 1.0])]:
+        code, out, _ = run_cli(["bitop", "switch", *args], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["op"], payload["input"]) == (op, bit)
+
+
+@pytest.mark.parametrize("args", [
+    ["copy-szilard", "--input", "0"],
+    ["copy-landauer", "--input", "star", "--mode", "lenient"],
+    ["erase", "--from", "1", "--to", "0"],
+    ["not", "--to", "0"],
+    ["randomize", "--from", "0", "--mode", "lenient"],
+    ["copy-szilard", "--to", "1"],
+])
+def test_bitop_flags_that_do_not_apply_are_usage_errors(args, capsys):
+    code, out, err = run_cli(["bitop", *args], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+_BITOPS_PUBLIC = ("erase", "not_op", "switch", "randomize", "copy_szilard", "copy_landauer",
+                  "randomize_first")
+
+
+def test_every_bit_operation_call_goes_through_the_module_attribute(monkeypatch, capsys):
+    # A tracer (perfbench/tracing.py) replaces each public bitops function
+    # wherever a thermobit module binds it by name; a table or call site that
+    # holds the function itself would run it without the tracer seeing it.
+    from thermobit import bitops, engine
+
+    wrapped = dict.fromkeys(_BITOPS_PUBLIC, 0)
+    ran = dict.fromkeys(_BITOPS_PUBLIC, 0)
+    code_names = {}
+    modules = [m for key, m in sys.modules.items()
+               if key == "thermobit" or key.startswith("thermobit.")]
+    for name in _BITOPS_PUBLIC:
+        original = getattr(bitops, name)
+        code_names[original.__code__] = name
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            wrapped[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counting)
+
+    def count_runs(frame, event, arg):  # sees every execution, however it was called
+        if frame.f_code in code_names:
+            ran[code_names[frame.f_code]] += 1
+
+    previous = sys.gettrace()
+    sys.settrace(count_runs)
+    try:
+        codes = [cli.main(["bitop", name]) for name in bitops.OPS]
+        for kind in engine.MeasurementKind:
+            engine.demon_cycle(engine.EngineConfig(), kind)
+    finally:
+        sys.settrace(previous)
+    capsys.readouterr()
+    assert codes == [0] * len(bitops.OPS)
+    assert wrapped == ran
+    assert wrapped == {"erase": 1, "not_op": 1, "switch": 1, "randomize": 1,
+                       "copy_szilard": 2, "copy_landauer": 2, "randomize_first": 2}
 
 
 def test_bitop_copy_variants(capsys):
