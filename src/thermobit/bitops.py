@@ -251,10 +251,12 @@ def _run(op: BitOp, state, temperature: float, boltzmann: float, mode: str = "st
     """Apply `op`'s channel to a bit or pair state and book its ledger."""
     if mode not in ("strict", "lenient"):
         raise DomainError(f"mode must be 'strict' or 'lenient', got {mode!r}")
+    kind = "bit" if len(op.matrix) == 2 else "pair"
+    if len(state.dist) != len(op.matrix):
+        raise ShapeError(f"{op.ledger_name} expects a {kind}, got a {type(state).__name__}")
     if mode == "strict" and op.accepts is not None:
         got = state.classification
         if got not in op.accepts:
-            kind = "pair" if isinstance(op.accepts[0], tuple) else "bit"
             expected = " or ".join(map(_type_name, op.accepts))
             raise ContractError(f"{op.ledger_name} expects a {kind} of type {expected} "
                                 f"in strict mode, got {_type_name(got)}")

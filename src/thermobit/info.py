@@ -229,30 +229,51 @@ def _kl_nats(p: np.ndarray, q: np.ndarray) -> float:
 _KL_BLOCK_ENTRIES = 1 << 15
 
 
+def _support_groups(support: np.ndarray):
+    """Yield (members, columns) once per distinct row of a 2-D boolean array:
+    the indices of the rows equal to it, ascending, and the row itself."""
+    packed = np.packbits(support, axis=1)
+    words = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64)
+    order = np.lexsort(words.T)
+    ordered = words[order]
+    starts = np.flatnonzero(np.any(ordered[1:] != ordered[:-1], axis=1)) + 1
+    for members in np.split(order, starts):
+        yield members, support[members[0]]
+
+
 def _kl_rows(rows: np.ndarray, q: np.ndarray, out: np.ndarray) -> None:
     """out[i] = D(rows[i]‖q) in nats for each row of a 2-D array, bit for bit
     what _kl_nats gives row by row.
 
-    When a row and q are positive everywhere, the mask in _kl_nats keeps every
-    entry, so a block of such rows gets the same elementwise terms and the same
-    per-row pairwise sum at once, with log q taken once. A row with a zero, and
-    every row when q has one, goes through _kl_nats.
+    Rows that are positive on the same columns share _kl_nats's mask, so each
+    such group of a block is done at once: +inf when q has a zero on those
+    columns, and otherwise the same elementwise terms on the kept columns, with
+    log q taken once, and the same per-row pairwise sum. That sum needs each
+    row's terms contiguous, so the kept columns are copied in C order.
     """
-    q_positive = bool(np.all(q > 0.0))
-    logq = np.log(q) if q_positive else None
+    with np.errstate(divide="ignore"):
+        logq = np.log(q)
+    q_zero = q == 0.0
     size = max(1, _KL_BLOCK_ENTRIES // rows.shape[1])
     for start in range(0, len(rows), size):
         block = rows[start:start + size]
         block_out = out[start:start + size]
-        positive = np.all(block > 0.0, axis=1) & q_positive
-        if positive.any():
-            kept = block if positive.all() else block[positive]
+        support = block > 0.0
+        if support.all():
+            groups = [(slice(None), support[0])]
+        else:
+            groups = _support_groups(support)
+        for members, columns in groups:
+            if q_zero[columns].any():
+                block_out[members] = math.inf
+                continue
+            kept = block[members]
+            if not columns.all():
+                kept = np.ascontiguousarray(kept[:, columns])
             terms = np.log(kept)
-            terms -= logq
+            terms -= logq[columns]
             terms *= kept
-            block_out[positive] = terms.sum(axis=1) + 0.0
-        for i in np.flatnonzero(~positive):
-            block_out[i] = _kl_nats(block[i], q)
+            block_out[members] = terms.sum(axis=1) + 0.0
 
 
 def mutual_information(j: JointDistribution) -> InfoQuantity:

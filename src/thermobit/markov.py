@@ -210,14 +210,21 @@ def stationary_distribution(channel: Channel) -> Distribution:
 
 
 def check_detailed_balance(channel: Channel, pi: Distribution) -> DetailedBalanceCheck:
-    """True iff pi_i K_ij = pi_j K_ji for all pairs, within 1e-10."""
+    """True iff pi_i K_ij = pi_j K_ji for all pairs, within 1e-10.
+
+    A flux that is zero one way must be zero the other way too. That is
+    checked exactly first, on the signs of pi_i and K_ij, so that a one-way
+    flux too small for the tolerance still breaks detailed balance.
+    """
     if len(pi) != len(channel):
         raise ShapeError(
             f"distribution of length {len(pi)} against {len(channel)}-state channel"
         )
+    flows = (pi.probs > 0.0)[:, None] & (channel.matrix > 0.0)
     flux = pi.probs[:, None] * channel.matrix
     residual = float(np.max(np.abs(flux - flux.T)))
-    return DetailedBalanceCheck(holds=residual < _VERIFY_TOL, max_residual=residual)
+    holds = bool(np.array_equal(flows, flows.T)) and residual < _VERIFY_TOL
+    return DetailedBalanceCheck(holds=holds, max_residual=residual)
 
 
 def evolve(

@@ -14,6 +14,7 @@ from thermobit import (
     Distribution,
     JointDistribution,
     PairRelation,
+    ShapeError,
     copy_landauer,
     copy_szilard,
     erase,
@@ -283,6 +284,20 @@ def test_strict_contract_of_copy_ops(op, accepted, pair):
                                                 rf"mode, got \({names}\)$"):
             op(pair)
     op(pair, mode="lenient")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: erase(BitPairState.independent_uniform(), mode="lenient"),
+     "erase expects a bit, got a BitPairState"),
+    (lambda: erase(BitPairState.independent_uniform()),
+     "erase expects a bit, got a BitPairState"),
+    (lambda: copy_szilard(BitState.star(), mode="lenient"),
+     "copy_szilard expects a pair, got a BitState"),
+    (lambda: randomize_first(BitState.star()), "randomize_first expects a pair, got a BitState"),
+], ids=["erase-lenient", "erase-strict", "copy-szilard-lenient", "randomize-first"])
+def test_bit_ops_reject_the_other_kind_of_state(call, message):
+    with pytest.raises(ShapeError, match=f"^{message}$"):
+        call()
 
 
 # -- ledger invariants ----------------------------------------------------------------------

@@ -217,6 +217,19 @@ def test_audit_trajectory_csv_runs_the_chain_once(tmp_path, capsys, monkeypatch)
     assert len(calls) == 1
 
 
+def test_audit_reports_a_faint_one_way_cycle(tmp_path, capsys):
+    path = tmp_path / "cycle.tbit"
+    path.write_text("system loop\n  states a b c d\n  temperature 1.0\n\n"
+                    "dist start\n  over loop\n  probs 0.25 0.25 0.25 0.25\n\n"
+                    "channel cycle\n  over loop\n"
+                    "  from a: a 0.99999999999 b 1e-11\n  from b: a 0.5 c 0.5\n"
+                    "  from c: a 0.5 d 0.5\n  from d: a 0.5 b 0.5\n")
+    code, out, _ = run_cli(["audit", str(path), "--channel", "cycle", "--p0", "start"],
+                           capsys)
+    assert code == 0
+    assert "detailed balance  False\n" in out
+
+
 def test_audit_unknown_channel_exits_one(capsys):
     code, _, err = run_cli(["audit", str(DATA), "--channel", "ghost", "--p0", "sharp"], capsys)
     assert code == 1

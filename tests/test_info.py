@@ -205,6 +205,35 @@ def test_kl_rows_spans_several_default_blocks():
     _kl_rows_bitwise(block, q)
 
 
+@pytest.mark.parametrize("n, zeros", [(9, 1), (12, 4), (40, 7), (300, 150)])
+def test_kl_rows_matches_kl_nats_on_rows_sharing_a_zero_pattern(n, zeros):
+    # two groups of rows, each keeping at least 8 entries: numpy sums 8 or more
+    # entries pairwise, and it sums a group's rows that way only when each
+    # row's kept entries lie next to each other in memory
+    rng = np.random.default_rng(n)
+    block = rng.dirichlet(np.ones(n), size=10)
+    block[:5, rng.choice(n, size=zeros, replace=False)] = 0.0
+    block[5:, rng.choice(n, size=zeros, replace=False)] = 0.0
+    block /= block.sum(axis=1, keepdims=True)
+    _kl_rows_bitwise(block, rng.dirichlet(np.ones(n)))
+
+
+@pytest.mark.parametrize("zero_ref", [False, True])
+def test_kl_rows_matches_kl_nats_on_rows_whose_supports_alternate(zero_ref):
+    # a sparse row under a rotation: consecutive rows never share a support,
+    # and against a reference with a zero, D alternates between inf and finite
+    rng = np.random.default_rng(3)
+    n = 11
+    p0 = np.zeros(n)
+    p0[:9] = rng.dirichlet(np.ones(9))
+    block = np.array([np.roll(p0, t) for t in range(50)])
+    q = rng.dirichlet(np.ones(n))
+    if zero_ref:
+        q[0] = 0.0
+        q /= q.sum()
+    _kl_rows_bitwise(block, q)
+
+
 def test_kl_entropy_relation_under_uniform_reference():
     # D(p||u) - D(q||u) = H(q) - H(p)
     rng = np.random.default_rng(5)

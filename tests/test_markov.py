@@ -178,6 +178,16 @@ def test_detailed_balance_fails_for_rotation():
     assert result.max_residual == pytest.approx(1.0 / 3.0, rel=1e-12)
 
 
+def test_detailed_balance_fails_for_a_faint_one_way_cycle():
+    # the cycle 1 -> 2 -> 3 -> 1 runs one way only, but its fluxes are about
+    # 6e-12, below the 1e-10 flux tolerance
+    channel = Channel([[1.0 - 1e-11, 1e-11, 0.0, 0.0], [0.5, 0.0, 0.5, 0.0],
+                       [0.5, 0.0, 0.0, 0.5], [0.5, 0.5, 0.0, 0.0]])
+    result = check_detailed_balance(channel, stationary_distribution(channel))
+    assert result.max_residual < 1e-10
+    assert not result.holds
+
+
 # -- evolve ---------------------------------------------------------------------------
 
 def test_evolve_from_the_reference_stays_at_zero():
@@ -345,11 +355,45 @@ def test_audit_of_positive_rows_computes_d_in_one_pass(monkeypatch):
     probs = verdict.trajectory.probs
     assert _first_repeat(probs) is None
     assert len(calls) <= 1
-    # rows with a zero still go through _kl_nats, one call each
+    # rows with a zero go in the same pass, grouped by the states they occupy
     calls.clear()
     rotation = Channel(np.roll(np.eye(3), 1, axis=1))
     evolve(Distribution([0.6, 0.4, 0.0]), rotation, 1_000)
-    assert len(calls) == 1_001
+    assert len(calls) == 0
+
+
+def _audit_case(case):
+    """(p0, channel) for an audit whose rows or stationary pi have zeros."""
+    if case == "transient":
+        # states 0-1 are transient and pi is 0 on them: D is inf until their
+        # mass underflows to 0, and finite after
+        return Distribution([0.3, 0.3, 0.2, 0.1, 0.1]), Channel([
+            [0.1, 0.1, 0.4, 0.2, 0.2], [0.05, 0.05, 0.3, 0.3, 0.3],
+            [0.0, 0.0, 0.5, 0.25, 0.25], [0.0, 0.0, 0.25, 0.5, 0.25],
+            [0.0, 0.0, 0.25, 0.25, 0.5]])
+    assert case == "two-class"
+    # closed classes {0, 1, 2} and {3, 4}; every row is 0 on the second
+    matrix = np.zeros((5, 5))
+    matrix[:3, :3] = [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]]
+    matrix[3:, 3:] = [[0.6, 0.4], [0.4, 0.6]]
+    return Distribution([0.6, 0.4, 0.0, 0.0, 0.0]), Channel(matrix)
+
+
+@pytest.mark.parametrize("case", ["transient", "two-class"])
+def test_audit_of_reducible_chains_computes_d_in_one_pass(case, monkeypatch):
+    p0, channel = _audit_case(case)
+    calls = _count_kl_nats(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StationaryMultiplicityWarning)
+        verdict = second_law_audit(p0, channel, 600)
+    assert len(calls) == 0
+    trajectory = verdict.trajectory
+    probs, d_nats = _step_by_step(p0, channel, 600, verdict.stationary)
+    assert np.array_equal(trajectory.probs, probs)
+    assert trajectory.d_nats.tobytes() == d_nats.tobytes()
+    assert np.isfinite(d_nats[-1])
+    if case == "transient":
+        assert np.isinf(d_nats[0])
 
 
 def test_evolve_memory_stays_at_its_output_arrays():
