@@ -4,6 +4,9 @@ Exit codes: 0 = pass, 1 = usage or parse errors, 2 = a checked property
 was violated. All output is deterministic for a fixed seed and inputs;
 information quantities appear in both nats and bits, and non-finite
 values are rendered as the literal strings "inf"/"-inf".
+
+Importing this module loads no numpy. Only the subcommand named on the
+command line gets its arguments, and imports the modules it runs.
 """
 
 from __future__ import annotations
@@ -13,13 +16,10 @@ import json
 import math
 import os
 import sys
+from typing import Callable, NamedTuple
 
-from . import bitops, dsl, engine, sweeps
 from .errors import ThermobitError
-from .markov import second_law_audit
-from .thermo import IDENTITY_TOLERANCE, SI_BOLTZMANN, check_szilard_landauer
 
-DEFAULT_SEED = sweeps.DEFAULT_SEED  # 0xC0FFEE
 SEED_ENV_VAR = "THERMOBIT_SEED"
 
 EXIT_OK = 0
@@ -33,6 +33,22 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+class _Subcommand(_Parser):
+    """A subcommand's parser. Its arguments, and the modules their choices
+    and defaults come from, are added only once the command line names it."""
+
+    def __init__(self, *args, add_arguments: Callable[[argparse.ArgumentParser], None],
+                 **kwargs):
+        super().__init__(*args, **kwargs)
+        self._add_arguments = add_arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._add_arguments is not None:
+            self._add_arguments(self)
+            self._add_arguments = None
+        return super().parse_known_args(args, namespace)
 
 
 def _int_at_least(minimum: int):
@@ -57,7 +73,7 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _resolve_seed(flag_value: int | None) -> int:
+def _resolve_seed(flag_value: int | None, default: int) -> int:
     if flag_value is not None:
         return flag_value
     env = os.environ.get(SEED_ENV_VAR)
@@ -68,11 +84,13 @@ def _resolve_seed(flag_value: int | None) -> int:
             raise ThermobitError(
                 f"{SEED_ENV_VAR} must be an integer, got {env!r}"
             ) from None
-    return DEFAULT_SEED
+    return default
 
 
 def _boltzmann(args) -> float:
     """--kB if given, else the Boltzmann constant of --units."""
+    from .thermo import SI_BOLTZMANN
+
     if args.kB is not None:
         return args.kB
     return SI_BOLTZMANN if args.units == "si" else 1.0
@@ -113,6 +131,8 @@ def _csv_line(cells) -> str:
 
 
 def _load_document(path: str):
+    from . import dsl
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
             source = handle.read()
@@ -143,6 +163,8 @@ def _lookup(decls: dict, kind: str, name: str, path: str, system: str | None = N
 
 
 def _cmd_check(args) -> int:
+    from .thermo import check_szilard_landauer
+
     doc = _load_document(args.file)
     if doc is None:
         return EXIT_USAGE
@@ -186,6 +208,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    from .markov import second_law_audit
+
     doc = _load_document(args.file)
     if doc is None:
         return EXIT_USAGE
@@ -216,13 +240,13 @@ def _cmd_audit(args) -> int:
     return EXIT_OK if verdict.monotone else EXIT_VIOLATION
 
 
-_BIT_BY_FLAG = {
-    "0": bitops.BitState.zero,
-    "1": bitops.BitState.one,
-    "star": bitops.BitState.star,
-}
+# each --input value, by the BitState constructor it names
+_BIT_BY_FLAG = {"0": "zero", "1": "one", "star": "star"}
+
 
 def _cmd_bitop(args) -> int:
+    from . import bitops
+
     op = bitops.OPS[args.op]
     if args.input is not None and not isinstance(op.nominal, bitops.BitState):
         raise ThermobitError(f"{args.op} takes no --input: it acts on a pair of bits")
@@ -231,7 +255,8 @@ def _cmd_bitop(args) -> int:
         raise ThermobitError(f"{args.op} takes no --from or --to")
     values = tuple(default if v is None else v for v, default in zip(given, op.values))
     op = bitops.operation(args.op, *values)
-    state = op.nominal if args.input is None else _BIT_BY_FLAG[args.input]()
+    state = op.nominal if args.input is None else getattr(bitops.BitState,
+                                                          _BIT_BY_FLAG[args.input])()
     # looked up on the module, so that a wrapper put in its place sees the call
     _, ledger = getattr(bitops, op.function)(state, *values, temperature=args.temperature,
                                              boltzmann=_boltzmann(args), mode=args.mode)
@@ -240,6 +265,8 @@ def _cmd_bitop(args) -> int:
 
 
 def _cmd_szilard(args) -> int:
+    from . import engine
+
     cfg = engine.EngineConfig(temperature=args.temperature, boltzmann=_boltzmann(args),
                               steps=args.steps)
     rows = engine.convergence_table(cfg, args.ratio, levels=args.levels)
@@ -264,7 +291,9 @@ def _cmd_szilard(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    seed = _resolve_seed(args.seed)
+    from . import sweeps
+
+    seed = _resolve_seed(args.seed, sweeps.DEFAULT_SEED)
     identity = sweeps.identity_sweep(args.instances, args.max_states, seed)
     dpi = sweeps.dpi_sweep(args.instances, min(args.max_states, 8), seed)
     monotone = sweeps.monotonicity_sweep(
@@ -304,6 +333,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_fmt(args) -> int:
+    from . import dsl
+
     doc = _load_document(args.file)
     if doc is None:
         return EXIT_USAGE
@@ -311,27 +342,24 @@ def _cmd_fmt(args) -> int:
     return EXIT_OK
 
 
+
+
 # --------------------------------------------------------------------------
-# argument wiring
+# argument wiring: each adder imports only what its choices and defaults need
 # --------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="thermobit",
-        description="Information-thermodynamics checks over finite state spaces.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _check_arguments(check: argparse.ArgumentParser) -> None:
+    from .thermo import IDENTITY_TOLERANCE, REPORT_FORMATS
 
-    check = sub.add_parser("check", help="verify the free-energy/information identity",
-                           parents=[], add_help=True)
     check.add_argument("file", help="protocol file (.tbit)")
     check.add_argument("--dist", required=True, help="name of the dist to check")
     check.add_argument("--tolerance", type=_tolerance, default=IDENTITY_TOLERANCE,
                        help=f"residual tolerance per unit scale (default {IDENTITY_TOLERANCE})")
-    check.add_argument("--format", choices=dsl.REPORT_FORMATS, default="table")
+    check.add_argument("--format", choices=REPORT_FORMATS, default="table")
 
-    audit = sub.add_parser("audit", help="Second-Law audit of a channel")
+
+def _audit_arguments(audit: argparse.ArgumentParser) -> None:
     audit.add_argument("file", help="protocol file (.tbit)")
     audit.add_argument("--channel", required=True)
     audit.add_argument("--p0", required=True, help="name of the starting dist")
@@ -341,31 +369,39 @@ def _build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--trajectory-csv", help="write the trajectory to this CSV file")
     audit.add_argument("--format", choices=("table", "json"), default="table")
 
-    bitop = sub.add_parser("bitop", help="run one bit operation and print its ledger")
-    bitop.add_argument("op", choices=bitops.OPS)
+
+def _bitop_arguments(bitop: argparse.ArgumentParser) -> None:
+    from .bitops import OPS
+
+    bitop.add_argument("op", choices=OPS)
     bitop.add_argument("--mode", choices=("strict", "lenient"), default="strict")
     bitop.add_argument("--temperature", type=float, default=1.0)
     bitop.add_argument("--kB", type=float, default=None,
                        help="Boltzmann constant (default per --units)")
     bitop.add_argument("--units", choices=("natural", "si"), default="natural")
-    bitop.add_argument("--input", choices=("0", "1", "star"), default=None,
+    bitop.add_argument("--input", choices=tuple(_BIT_BY_FLAG), default=None,
                        help="input bit for single-bit ops (default: the op's nominal type)")
     bitop.add_argument("--from", dest="from_value", type=int, choices=(0, 1),
                        help="switch only: the value switched from (default 0)")
     bitop.add_argument("--to", dest="to_value", type=int, choices=(0, 1),
                        help="switch only: the value switched to (default 1)")
 
-    szilard = sub.add_parser("szilard", help="isothermal work table for compression by a ratio")
+
+def _szilard_arguments(szilard: argparse.ArgumentParser) -> None:
+    from .engine import EngineConfig
+    from .thermo import REPORT_FORMATS
+
     szilard.add_argument("--ratio", type=float, default=2.0)
-    szilard.add_argument("--steps", type=int, default=engine.EngineConfig().steps)
+    szilard.add_argument("--steps", type=int, default=EngineConfig().steps)
     szilard.add_argument("--temperature", type=float, default=1.0)
     szilard.add_argument("--kB", type=float, default=None)
     szilard.add_argument("--units", choices=("natural", "si"), default="natural")
     szilard.add_argument("--levels", type=_int_at_least(1), default=6,
                          help="number of N-halving rows in the table")
-    szilard.add_argument("--format", choices=dsl.REPORT_FORMATS, default="table")
+    szilard.add_argument("--format", choices=REPORT_FORMATS, default="table")
 
-    sweep = sub.add_parser("sweep", help="randomized property sweeps")
+
+def _sweep_arguments(sweep: argparse.ArgumentParser) -> None:
     sweep.add_argument("--instances", type=_int_at_least(1), default=1000)
     sweep.add_argument("--max-states", type=_int_at_least(2), default=64)
     sweep.add_argument("--steps", type=_int_at_least(1), default=100,
@@ -376,29 +412,50 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--inject-violation", action="store_true",
                        help=argparse.SUPPRESS)  # test hook: force a caught failure
 
-    fmt = sub.add_parser("fmt", help="canonically format a protocol file")
+
+def _fmt_arguments(fmt: argparse.ArgumentParser) -> None:
     fmt.add_argument("file")
 
-    return parser
+
+class _Command(NamedTuple):
+    help: str
+    add_arguments: Callable[[argparse.ArgumentParser], None]
+    run: Callable[[argparse.Namespace], int]
 
 
-_HANDLERS = {
-    "check": _cmd_check,
-    "audit": _cmd_audit,
-    "bitop": _cmd_bitop,
-    "szilard": _cmd_szilard,
-    "sweep": _cmd_sweep,
-    "fmt": _cmd_fmt,
+_COMMANDS = {
+    "check": _Command("verify the free-energy/information identity", _check_arguments,
+                      _cmd_check),
+    "audit": _Command("Second-Law audit of a channel", _audit_arguments, _cmd_audit),
+    "bitop": _Command("run one bit operation and print its ledger", _bitop_arguments,
+                      _cmd_bitop),
+    "szilard": _Command("isothermal work table for compression by a ratio",
+                        _szilard_arguments, _cmd_szilard),
+    "sweep": _Command("randomized property sweeps", _sweep_arguments, _cmd_sweep),
+    "fmt": _Command("canonically format a protocol file", _fmt_arguments, _cmd_fmt),
 }
 
 
+def _build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="thermobit",
+        description="Information-thermodynamics checks over finite state spaces.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
+    for name, command in _COMMANDS.items():
+        sub.add_parser(name, help=command.help, add_arguments=command.add_arguments)
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return _COMMANDS[args.command].run(args)
     except ThermobitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # a step count too large to allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
 
 

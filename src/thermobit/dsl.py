@@ -47,13 +47,13 @@ from . import bitops
 from .errors import DomainError, ShapeError
 from .info import SUM_TOLERANCE, Distribution
 from .markov import Channel
-from .thermo import EnergyLandscape
+from .thermo import REPORT_FORMATS, EnergyLandscape
 
-_NUMBER_RE = re.compile(r"^[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
+_NUMBER = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_NUMBER_RE = re.compile(_NUMBER)
+# words joined by single spaces, each of them a number
+_NUMBERS_RE = re.compile(rf"(?:{_NUMBER}(?: |\Z))+")
 _COUNT_RE = re.compile(r"^\d+$")
-_TOKEN_RE = re.compile(r"\S+")
-
-REPORT_FORMATS = ("table", "json", "csv")
 
 
 class _Key(NamedTuple):
@@ -178,19 +178,30 @@ class ParseResult:
 
 
 @dataclass(slots=True)
-class _Token:
-    text: str
-    line: int
-    column: int
+class _Line:
+    """One line that holds code: its words are `code.split()`, which splits
+    exactly where the runs of `\\S+` end (both follow `str.isspace`)."""
+
+    number: int  # 1-based
+    code: str  # the text before any '#'
+    words: list[str]
+
+    def column(self, index: int) -> int:
+        """The 1-based column of `words[index]`, found only when a diagnostic
+        needs it: each word is the first match of its text after the last."""
+        end = 0
+        for word in self.words[: index + 1]:
+            start = self.code.index(word, end)
+            end = start + len(word)
+        return start + 1
 
 
 @dataclass
 class _RawBlock:
     kind: str
     name: str
-    line: int
-    column: int
-    items: list[list[_Token]] = field(default_factory=list)
+    header: _Line
+    items: list[_Line] = field(default_factory=list)
 
 
 class _Parser:
@@ -198,115 +209,138 @@ class _Parser:
         self.source = source
         self.diagnostics: list[ParseDiagnostic] = []
 
-    def error(self, at: _Token | _RawBlock, message: str):
-        self.diagnostics.append(ParseDiagnostic(at.line, at.column, message))
+    def error(self, line: _Line, index: int, message: str):
+        """Report `message` at word `index` of `line`."""
+        self.diagnostics.append(ParseDiagnostic(line.number, line.column(index), message))
+
+    def block_error(self, block: _RawBlock, message: str):
+        self.error(block.header, 0, message)
 
     # -- stage 1: group lines into raw blocks ------------------------------
 
     def collect_blocks(self) -> list[_RawBlock]:
         blocks: list[_RawBlock] = []
         current: _RawBlock | None = None  # None only before the first header
-        for line_no, raw in enumerate(self.source.splitlines(), start=1):
-            code = raw.split("#", 1)[0]
-            tokens = [
-                _Token(m.group(0), line_no, m.start() + 1)
-                for m in _TOKEN_RE.finditer(code)
-            ]
-            if not tokens:
+        for number, raw in enumerate(self.source.splitlines(), start=1):
+            code = raw.partition("#")[0]
+            words = code.split()
+            if not words:
                 continue
-            head = tokens[0]
-            if head.column > 1:
+            line = _Line(number, code, words)
+            if code[0].isspace():
                 if current is None:
-                    self.error(head, "indented line outside any block")
+                    self.error(line, 0, "indented line outside any block")
                 else:
-                    current.items.append(tokens)
+                    current.items.append(line)
                 continue
             # A bad header still opens a block, left out of `blocks`, so that
             # its lines are ignored up to the next header.
-            name = tokens[1].text if len(tokens) > 1 else ""
-            current = _RawBlock(head.text, name, head.line, head.column)
-            if head.text not in _BLOCK_KEYWORDS:
-                self.error(head, f"unknown block keyword {head.text!r}; expected one of "
-                                 + ", ".join(_BLOCK_KEYWORDS))
+            head = words[0]
+            name = words[1] if len(words) > 1 else ""
+            current = _RawBlock(head, name, line)
+            if head not in _BLOCK_KEYWORDS:
+                self.error(line, 0, f"unknown block keyword {head!r}; expected one of "
+                                    + ", ".join(_BLOCK_KEYWORDS))
             elif not name:
-                self.error(head, f"{head.text!r} block needs a name")
+                self.error(line, 0, f"{head!r} block needs a name")
             elif ":" in name:
-                self.error(tokens[1], f"invalid block name {name!r}")
+                self.error(line, 1, f"invalid block name {name!r}")
             else:
-                if len(tokens) > 2:
-                    self.error(tokens[2], "unexpected text after block name")
+                if len(words) > 2:
+                    self.error(line, 2, "unexpected text after block name")
                 blocks.append(current)
         return blocks
 
     # -- stage 2: check each line against the grammar ------------------------
 
     def lines(self, block: _RawBlock):
-        """Yield (key, args) for each line of `block` that fits the grammar.
+        """Yield (line, key, args) for each line of `block` that fits the grammar.
 
         The other lines -- an unknown key, a second once-only key, a wrong
         argument count or word -- are reported as they come; a required key
         that no line supplied is reported once the block is exhausted.
+        Word i of `args` is word i + 1 of `line`.
         """
         grammar = _GRAMMAR[block.kind]
         seen: set[str] = set()
-        for key, *args in block.items:
-            rule = grammar.get(key.text)
+        for line in block.items:
+            key, *args = line.words
+            rule = grammar.get(key)
             if rule is None:
                 noun = "directive" if block.kind == "protocol" else "key"
-                self.error(key, f"unknown {block.kind} {noun} {key.text!r}")
-            elif rule.once and key.text in seen:
-                self.error(key, f"duplicate '{key.text}' line")
+                self.error(line, 0, f"unknown {block.kind} {noun} {key!r}")
+            elif rule.once and key in seen:
+                self.error(line, 0, f"duplicate '{key}' line")
             elif not rule.fewest <= len(args) <= rule.most or (
-                rule.words and args[0].text not in rule.words
+                rule.words and args[0] not in rule.words
             ):
                 # a fixed word, or an argument to a key that takes none, is
                 # faulted where it stands
-                at = args[0] if rule.words is not None and args else key
-                self.error(at, f"'{key.text}' {rule.takes}")
+                self.error(line, 1 if rule.words is not None and args else 0,
+                           f"'{key}' {rule.takes}")
             else:
-                seen.add(key.text)
-                yield key, args
+                seen.add(key)
+                yield line, key, args
         for name in _REQUIRED[block.kind]:
             if name not in seen:
                 article = "an" if name[0] in "aeiou" else "a"
-                self.error(block, f"{block.kind} {block.name!r} is missing "
-                                  f"{article} '{name}' line")
+                self.block_error(block, f"{block.kind} {block.name!r} is missing "
+                                        f"{article} '{name}' line")
 
-    # -- token helpers ------------------------------------------------------
+    # -- word helpers -------------------------------------------------------
 
-    def number(self, token: _Token, what: str, sign: str | None = None) -> float | None:
-        """The finite value `token` spells, or None once the reason is reported.
+    def number(self, line: _Line, index: int, what: str,
+               sign: str | None = None) -> float | None:
+        """The finite value word `index` of `line` spells, or None once the
+        reason is reported.
 
         `sign` ("positive" or "non-negative") narrows the accepted values.
         """
-        if not _NUMBER_RE.match(token.text):
-            problem = f"a number, got {token.text!r}"
-        elif not math.isfinite(value := float(token.text)):
-            problem = f"finite, got {token.text!r}"
+        text = line.words[index]
+        if not _NUMBER_RE.fullmatch(text):
+            problem = f"a number, got {text!r}"
+        elif not math.isfinite(value := float(text)):
+            problem = f"finite, got {text!r}"
         elif sign and (value < 0.0 or value == 0.0 and sign == "positive"):
             problem = sign
         else:
             return value
-        self.error(token, f"{what} must be {problem}")
+        self.error(line, index, f"{what} must be {problem}")
         return None
 
-    def count(self, token: _Token, what: str) -> int | None:
-        if not _COUNT_RE.match(token.text):
-            self.error(token, f"{what} must be a non-negative integer, got {token.text!r}")
-            return None
-        return int(token.text)
+    def non_negative_numbers(self, line: _Line, what: str) -> list[float] | None:
+        """The values of `line`'s arguments, each checked as `number` checks
+        it with sign "non-negative": in one pass, and word by word only to
+        report what is wrong (then None)."""
+        args = line.words[1:]
+        if _NUMBERS_RE.fullmatch(" ".join(args)):
+            values = list(map(float, args))
+            if all(map(math.isfinite, values)) and min(values) >= 0.0:
+                return values
+        for index in range(1, len(line.words)):
+            self.number(line, index, what, "non-negative")
+        return None
 
-    def check_label(self, token: _Token) -> bool:
-        if ":" in token.text:
-            self.error(token, f"invalid label {token.text!r}")
+    def count(self, line: _Line, index: int, what: str) -> int | None:
+        text = line.words[index]
+        if not _COUNT_RE.match(text):
+            self.error(line, index, f"{what} must be a non-negative integer, got {text!r}")
+            return None
+        return int(text)
+
+    def check_label(self, line: _Line, index: int) -> bool:
+        label = line.words[index]
+        if ":" in label:
+            self.error(line, index, f"invalid label {label!r}")
             return False
         return True
 
-    def system_of(self, block: _RawBlock, over: _Token, decls: dict) -> SystemDecl | None:
-        system = decls["system"].get(over.text)
+    def system_of(self, block: _RawBlock, over: _Line, decls: dict) -> SystemDecl | None:
+        """The system that word 1 of the `over` line names."""
+        system = decls["system"].get(over.words[1])
         if system is None:
-            self.error(over, f"{block.kind} {block.name!r} refers to unknown system "
-                             f"{over.text!r}")
+            self.error(over, 1, f"{block.kind} {block.name!r} refers to unknown system "
+                                f"{over.words[1]!r}")
         return system
 
     # -- stage 3: per-block builders ----------------------------------------
@@ -318,88 +352,90 @@ class _Parser:
         mark = len(self.diagnostics)
         states: dict[str, float] = {}  # label -> energy
         values = {"boltzmann": 1.0}
-        energies: list[tuple[_Token, float | None]] = []
-        for key, args in self.lines(block):
-            if key.text == "states":
-                for tok in args:
-                    if not self.check_label(tok):
+        energies: list[tuple[_Line, float | None]] = []
+        for line, key, args in self.lines(block):
+            if key == "states":
+                for index, label in enumerate(args, start=1):
+                    if not self.check_label(line, index):
                         continue
-                    if tok.text in states:
-                        self.error(tok, f"duplicate state label {tok.text!r}")
+                    if label in states:
+                        self.error(line, index, f"duplicate state label {label!r}")
                     else:
-                        states[tok.text] = 0.0
-            elif key.text == "energy":
-                energies.append((args[0], self.number(args[1], "energy value")))
+                        states[label] = 0.0
+            elif key == "energy":
+                energies.append((line, self.number(line, 2, "energy value")))
             else:
-                values[key.text] = self.number(args[0], key.text, "positive")
+                values[key] = self.number(line, 1, key, "positive")
         if len(self.diagnostics) > mark:
             return None
         assigned: set[str] = set()
-        for label, value in energies:
-            if label.text not in states:
-                self.error(label, f"energy for unknown state {label.text!r}")
-            elif label.text in assigned:
-                self.error(label, f"duplicate energy for state {label.text!r}")
+        for line, value in energies:
+            label = line.words[1]
+            if label not in states:
+                self.error(line, 1, f"energy for unknown state {label!r}")
+            elif label in assigned:
+                self.error(line, 1, f"duplicate energy for state {label!r}")
             else:
-                assigned.add(label.text)
-                states[label.text] = value
+                assigned.add(label)
+                states[label] = value
         return SystemDecl(name=block.name, states=tuple(states),
                           temperature=values["temperature"], boltzmann=values["boltzmann"],
                           energies=tuple(states.values()))
 
     def build_dist(self, block: _RawBlock, decls: dict) -> DistDecl | None:
         mark = len(self.diagnostics)
-        for key, args in self.lines(block):
-            if key.text == "over":
-                over = args[0]
+        for line, key, args in self.lines(block):
+            if key == "over":
+                over = line
             else:
-                probs_key = key
-                probs = [self.number(tok, "probability", "non-negative") for tok in args]
+                probs_line = line
+                probs = self.non_negative_numbers(line, "probability")
         if len(self.diagnostics) > mark:
             return None
         total = float(np.sum(probs))
         if abs(total - 1.0) > SUM_TOLERANCE:
-            self.error(probs_key, f"probabilities sum to {total:g}")
+            self.error(probs_line, 0, f"probabilities sum to {total:g}")
         system = self.system_of(block, over, decls)
         if system is None:
             return None
         if len(probs) != len(system.states):
-            self.error(probs_key, f"dist {block.name!r} has {len(probs)} probabilities "
-                                  f"but system {system.name!r} has {len(system.states)} states")
+            self.error(probs_line, 0, f"dist {block.name!r} has {len(probs)} probabilities "
+                                      f"but system {system.name!r} has "
+                                      f"{len(system.states)} states")
             return None
         if len(self.diagnostics) > mark:
             return None
         try:
-            dist = Distribution(np.array(probs), labels=system.states)
+            dist = Distribution(probs, labels=system.states)
         except (DomainError, ShapeError) as exc:
-            self.error(probs_key, str(exc))
+            self.error(probs_line, 0, str(exc))
             return None
         return DistDecl(name=block.name, system=system.name, dist=dist)
 
     def build_channel(self, block: _RawBlock, decls: dict) -> ChannelDecl | None:
         mark = len(self.diagnostics)
-        rows: list[tuple[_Token, list[tuple[_Token, float]]]] = []
-        for key, args in self.lines(block):
-            if key.text == "over":
-                over = args[0]
+        # each 'from' line, with the (word index of the target, value) of its pairs;
+        # word 1 is the source label and its ':'
+        rows: list[tuple[_Line, list[tuple[int, float]]]] = []
+        for line, key, args in self.lines(block):
+            if key == "over":
+                over = line
                 continue
-            if not args or not args[0].text.endswith(":"):
-                self.error(key, "'from' needs a source label followed by ':'")
+            if not args or not args[0].endswith(":"):
+                self.error(line, 0, "'from' needs a source label followed by ':'")
                 continue
-            source = _Token(args[0].text[:-1], args[0].line, args[0].column)
-            if not source.text:
-                self.error(args[0], "'from' needs a source label before ':'")
+            if args[0] == ":":
+                self.error(line, 1, "'from' needs a source label before ':'")
                 continue
-            pairs = args[1:]
-            if not pairs or len(pairs) % 2 != 0:
-                self.error(key, "'from' row needs (target, value) pairs")
+            if len(args) == 1 or len(args) % 2 == 0:
+                self.error(line, 0, "'from' row needs (target, value) pairs")
                 continue
             row = []
-            for target, value_tok in zip(pairs[0::2], pairs[1::2]):
-                value = self.number(value_tok, "transition probability", "non-negative")
-                if value is not None and self.check_label(target):
-                    row.append((target, value))
-            rows.append((source, row))
+            for index in range(2, len(line.words), 2):
+                value = self.number(line, index + 1, "transition probability", "non-negative")
+                if value is not None and self.check_label(line, index):
+                    row.append((index, value))
+            rows.append((line, row))
         if len(self.diagnostics) > mark:
             return None
         system = self.system_of(block, over, decls)
@@ -408,51 +444,52 @@ class _Parser:
         index = {label: i for i, label in enumerate(system.states)}
         matrix = np.zeros((len(index), len(index)))
         seen_rows: set[str] = set()
-        for source, row in rows:
-            i = index.get(source.text)
+        for line, row in rows:
+            source = line.words[1][:-1]
+            i = index.get(source)
             if i is None:
-                self.error(source, f"'from' row for unknown state {source.text!r}")
+                self.error(line, 1, f"'from' row for unknown state {source!r}")
                 continue
-            if source.text in seen_rows:
-                self.error(source, f"duplicate 'from' row for state {source.text!r}")
+            if source in seen_rows:
+                self.error(line, 1, f"duplicate 'from' row for state {source!r}")
                 continue
-            seen_rows.add(source.text)
+            seen_rows.add(source)
             seen_targets: set[str] = set()
-            for target, value in row:
-                if target.text not in index:
-                    self.error(target, f"transition to unknown state {target.text!r}")
-                elif target.text in seen_targets:
-                    self.error(target, f"duplicate target {target.text!r} in row")
+            for at, value in row:
+                target = line.words[at]
+                if target not in index:
+                    self.error(line, at, f"transition to unknown state {target!r}")
+                elif target in seen_targets:
+                    self.error(line, at, f"duplicate target {target!r} in row")
                 else:
-                    seen_targets.add(target.text)
-                    matrix[i, index[target.text]] = value
+                    seen_targets.add(target)
+                    matrix[i, index[target]] = value
             row_sum = float(matrix[i].sum())
             if abs(row_sum - 1.0) > SUM_TOLERANCE:
-                self.error(source, f"row for state {source.text!r} sums to {row_sum:g}")
+                self.error(line, 1, f"row for state {source!r} sums to {row_sum:g}")
         for label in system.states:
             if label not in seen_rows:
-                self.error(block, f"channel {block.name!r} is missing a 'from' row "
-                                  f"for state {label!r}")
+                self.block_error(block, f"channel {block.name!r} is missing a 'from' row "
+                                        f"for state {label!r}")
         if len(self.diagnostics) > mark:
             return None
         try:
             channel = Channel(matrix, labels=system.states)
         except (DomainError, ShapeError) as exc:
-            self.error(block, str(exc))
+            self.block_error(block, str(exc))
             return None
         return ChannelDecl(name=block.name, system=system.name, channel=channel)
 
     def build_protocol(self, block: _RawBlock, decls: dict) -> ProtocolDecl:
         directives: list[Directive] = []
-        for key, args in self.lines(block):
-            op = key.text
-            arg = args[0].text if args else None
+        for line, op, args in self.lines(block):
+            arg = args[0] if args else None
             if op == "apply" and arg not in decls["channel"]:
-                self.error(args[0], f"'apply' refers to unknown channel {arg!r}")
+                self.error(line, 1, f"'apply' refers to unknown channel {arg!r}")
             elif op in ("evolve", "audit"):
-                arg = self.count(args[0], f"'{op}' step count")
+                arg = self.count(line, 1, f"'{op}' step count")
                 if op == "audit" and arg == 0:
-                    self.error(args[0], "'audit' needs at least one step")
+                    self.error(line, 1, "'audit' needs at least one step")
             directives.append(Directive(op, arg))
         return ProtocolDecl(name=block.name, directives=tuple(directives))
 
@@ -463,8 +500,8 @@ class _Parser:
         for block in blocks:
             key = (block.kind, block.name)
             if key in first:
-                self.error(block, f"duplicate {block.kind} name {block.name!r} "
-                                  f"(first declared on line {first[key].line})")
+                self.block_error(block, f"duplicate {block.kind} name {block.name!r} "
+                                        f"(first declared on line {first[key].header.number})")
             else:
                 first[key] = block
         decls: dict[str, dict] = {kind: {} for kind in _GRAMMAR}

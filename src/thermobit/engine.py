@@ -9,6 +9,7 @@ cycle ledgers for the demon protocols. Volume enters only through ratios.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -108,6 +109,8 @@ def isothermal_work(cfg: EngineConfig, v_start: float, v_end: float) -> float:
     """
     _check_volumes(v_start, v_end)
     n = cfg.steps
+    if n > sys.maxsize // 8:  # np.arange(n) would overflow its byte count
+        raise MemoryError(f"Unable to allocate {n} midpoints")
     dv = (v_end - v_start) / n
     midpoints = v_start + (np.arange(n) + 0.5) * dv
     return float(-cfg.kT * dv * np.sum(1.0 / midpoints)) + 0.0

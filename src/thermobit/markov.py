@@ -94,9 +94,19 @@ class Trajectory:
         """Columns: step, p_1..p_n, D_nats, D_bits."""
         n = self.probs.shape[1]
         lines = ["step," + ",".join(f"p_{i + 1}" for i in range(n)) + ",D_nats,D_bits"]
-        for t, (row, d) in enumerate(zip(self.probs.tolist(), self.d_nats.tolist())):
-            probs = ",".join(map(repr, row))
-            lines.append(f"{t},{probs},{d!r},{d / LOG2!r}")
+        # A row whose p_t and D are byte for byte the previous row's (as once a
+        # chain settles) reuses its text: bytes, not ==, so -0.0 is not 0.0.
+        same = np.ones(len(self.d_nats) - 1, dtype=bool)
+        for cells in (self.probs, self.d_nats[:, None]):
+            cells = np.ascontiguousarray(cells)
+            rows = cells.view(np.dtype((np.void, cells.itemsize * cells.shape[1])))[:, 0]
+            same &= rows[1:] == rows[:-1]
+        text = ""
+        for t, repeat in enumerate([False, *same.tolist()]):
+            if not repeat:
+                d = self.d_nats[t].item()
+                text = ",".join(map(repr, self.probs[t].tolist())) + f",{d!r},{d / LOG2!r}"
+            lines.append(f"{t},{text}")
         return "\n".join(lines) + "\n"
 
 
@@ -260,7 +270,11 @@ def evolve(
         raise ShapeError(f"p0 and reference of lengths {len(p0)}, {len(reference)} "
                          f"against a {len(channel)}-state channel")
     matrix, ref = channel.matrix, reference.probs
-    probs = np.empty((steps + 1, len(channel)))
+    try:
+        probs = np.empty((steps + 1, len(channel)))
+    except ValueError:  # more bytes than numpy can count: no memory holds it either
+        raise MemoryError(f"Unable to allocate {steps + 1} rows of {len(channel)} "
+                          f"probabilities") from None
     probs[0] = row = p0.probs
     end = steps + 1
     for t in range(1, steps + 1):

@@ -19,6 +19,9 @@ from .info import Distribution, InfoQuantity, shannon_entropy
 DEFAULT_BOLTZMANN = 1.0
 SI_BOLTZMANN = 1.380649e-23  # J/K
 IDENTITY_TOLERANCE = 1e-12  # residual per unit of scale = max(1, |F(p)|, |F(gibbs)|)
+# The formats an identity report or a work table can be written in: the CLI's
+# --format choices and the words of a `.tbit` `report` line.
+REPORT_FORMATS = ("table", "json", "csv")
 
 
 def _check_kT(temperature: float, boltzmann: float) -> None:

@@ -571,3 +571,24 @@ def test_cli_env_seed_reaches_subprocess():
     assert payload["seed"] == 7
     sweeps = [v["sweep"] for v in payload.values() if isinstance(v, dict)]
     assert sweeps == ["identity", "data_processing", "second_law"]
+
+
+# 10**17 steps need more bytes than any address space holds, so no machine
+# maps the array (not even one that overcommits memory) before failing.
+@pytest.mark.parametrize("args", [
+    ["audit", str(DATA), "--channel", "drift", "--p0", "tilted", "--steps", str(10**17)],
+    ["audit", str(DATA), "--channel", "drift", "--p0", "tilted", "--steps", str(10**20)],
+    ["audit", str(DATA), "--channel", "drift", "--p0", "tilted", "--steps", str(2**63 - 1)],
+    ["szilard", "--steps", str(10**17)],
+    ["szilard", "--steps", str(2**63 - 1)],
+    ["sweep", "--instances", "2", "--steps", str(10**17)],
+], ids=["audit", "audit-beyond-indexing", "audit-largest-index", "szilard", "szilard-largest",
+        "sweep"])
+def test_a_step_count_too_large_to_allocate_is_one_error_line(args):
+    proc = _run_subprocess(args)
+    err = proc.stderr.decode()
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert "Traceback" not in err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+    assert err.splitlines()[-1].split("error: ", 1)[1]

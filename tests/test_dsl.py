@@ -1,6 +1,7 @@
 """Tests for the protocol-file parser, validator, and canonical formatter."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -277,3 +278,72 @@ def test_fuzz_shuffled_grammar_tokens_never_crash():
 def test_parse_is_total_over_arbitrary_text(text):
     result = dsl.parse(text)
     assert isinstance(result.diagnostics, tuple)
+
+
+# -- the reader: words and columns -----------------------------------------------------
+
+# Whitespace that does not end a line: the reader's words are what `\S+` matches
+# between these, and `str.splitlines` keeps them inside one line.
+_INLINE_SPACE = [chr(c) for c in range(0x110000)
+                 if chr(c).isspace() and len(f"a{chr(c)}a".splitlines()) == 1]
+_WORD = st.text(st.characters(blacklist_categories=("Cs",),
+                              blacklist_characters="".join(_INLINE_SPACE) + "#"),
+                min_size=1).filter(lambda w: not any(c.isspace() for c in w))
+_GAP = st.text(st.sampled_from(_INLINE_SPACE), min_size=1, max_size=4)
+_COMMENT = st.one_of(st.just(""), st.text(
+    st.characters(blacklist_categories=("Cs",)).filter(lambda c: len(f"a{c}a".splitlines()) == 1),
+    max_size=20).map(lambda text: "#" + text))
+
+
+def test_str_split_and_regex_agree_on_every_code_point():
+    everything = "".join(map(chr, range(0x110000)))
+    assert ({m.start() for m in re.finditer(r"\s", everything)}
+            == {i for i, c in enumerate(everything) if c.isspace()})
+    assert everything.split() == re.findall(r"\S+", everything)
+
+
+@settings(max_examples=300, deadline=None)
+@given(words=st.lists(_WORD, min_size=1, max_size=8), gaps=st.lists(_GAP, min_size=9, max_size=9),
+       comment=_COMMENT)
+def test_words_and_columns_match_the_regex_oracle(words, gaps, comment):
+    code = gaps[0] + "".join(w + g for w, g in zip(words, gaps[1:]))
+    source = f"system s\n{code}{comment}\n"
+    [block] = dsl._Parser(source).collect_blocks()
+    [line] = block.items
+    oracle = list(re.finditer(r"\S+", code))
+    assert line.number == 2
+    assert line.words == [m.group() for m in oracle]
+    assert [line.column(i) for i in range(len(oracle))] == [m.start() + 1 for m in oracle]
+
+
+@settings(max_examples=200, deadline=None)
+@given(good=st.lists(st.sampled_from(["0", "0.25", "1e-3", "+.5", "7."]), min_size=1, max_size=12),
+       bad=_WORD.filter(lambda w: dsl._NUMBER_RE.fullmatch(w) is None),
+       at=st.integers(min_value=0), gaps=st.lists(_GAP, min_size=14, max_size=14),
+       comment=_COMMENT)
+def test_a_bad_probability_is_reported_at_its_regex_column(good, bad, at, gaps, comment):
+    words = ["probs", *good]
+    at = 1 + at % len(good)
+    words.insert(at, bad)
+    code = gaps[0] + "".join(w + g for w, g in zip(words, gaps[1:]))
+    result = dsl.parse(f"system s\n  states a\n  temperature 1\ndist d\n  over s\n{code}{comment}")
+    column = [m.start() + 1 for m in re.finditer(r"\S+", code)][at]
+    assert [(d.line, d.column, d.message) for d in result.diagnostics] == [
+        (6, column, f"probability must be a number, got {bad!r}")]
+
+
+@pytest.mark.parametrize("bad, problem", [
+    ("x", "a number, got 'x'"), ("1e999", "finite, got '1e999'"), ("-0.5", "non-negative"),
+])
+def test_one_bad_word_among_4096_probabilities_is_reported_as_alone(bad, problem):
+    def diagnostics(n):
+        words = ["0.0"] * n
+        words[n // 2] = bad
+        source = (f"system s\n  states {' '.join(f'a{i}' for i in range(n))}\n"
+                  f"  temperature 1\ndist d\n  over s\n  probs {' '.join(words)}\n")
+        return [d.render() for d in dsl.parse(source).diagnostics]
+
+    column = len("  probs ") + 4 * 2048 + 1
+    assert diagnostics(4096) == [f"error: line 6, col {column}: probability must be {problem}"]
+    assert diagnostics(2) == [f"error: line 6, col 13: probability must be {problem}"]
+
