@@ -49,10 +49,8 @@ from .info import SUM_TOLERANCE, Distribution
 from .markov import Channel
 from .thermo import REPORT_FORMATS, EnergyLandscape
 
-_NUMBER = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-_NUMBER_RE = re.compile(_NUMBER)
-# words joined by single spaces, each of them a number
-_NUMBERS_RE = re.compile(rf"(?:{_NUMBER}(?: |\Z))+")
+# No two parts of the pattern can take the same digit, so a word matches in one way.
+_NUMBER_RE = re.compile(r"[+-]?(?:\d+\.\d*|\d+|\.\d+)(?:[eE][+-]?\d+)?")
 _COUNT_RE = re.compile(r"^\d+$")
 
 
@@ -185,15 +183,19 @@ class _Line:
     number: int  # 1-based
     code: str  # the text before any '#'
     words: list[str]
+    columns: list[int] | None = None  # 1-based, of each word; set by `column`
 
     def column(self, index: int) -> int:
-        """The 1-based column of `words[index]`, found only when a diagnostic
-        needs it: each word is the first match of its text after the last."""
-        end = 0
-        for word in self.words[: index + 1]:
-            start = self.code.index(word, end)
-            end = start + len(word)
-        return start + 1
+        """The 1-based column of `words[index]`. The first diagnostic on the
+        line finds every word's column in one scan: each word is the first
+        match of its text after the previous word."""
+        if self.columns is None:
+            self.columns, end = [], 0
+            for word in self.words:
+                start = self.code.index(word, end)
+                self.columns.append(start + 1)
+                end = start + len(word)
+        return self.columns[index]
 
 
 @dataclass
@@ -313,7 +315,7 @@ class _Parser:
         it with sign "non-negative": in one pass, and word by word only to
         report what is wrong (then None)."""
         args = line.words[1:]
-        if _NUMBERS_RE.fullmatch(" ".join(args)):
+        if all(map(_NUMBER_RE.fullmatch, args)):
             values = list(map(float, args))
             if all(map(math.isfinite, values)) and min(values) >= 0.0:
                 return values

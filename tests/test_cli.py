@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -571,6 +572,29 @@ def test_cli_env_seed_reaches_subprocess():
     assert payload["seed"] == 7
     sweeps = [v["sweep"] for v in payload.values() if isinstance(v, dict)]
     assert sweeps == ["identity", "data_processing", "second_law"]
+
+
+# A pattern in which two parts can take the same digits matches "10" or "100"
+# in more than one way; run over the whole line, it would retry every such
+# choice of the words before a bad last word (2**40 and 3**30 of them here).
+# 20,000 bad words each need a column, which must not cost a rescan per word.
+@pytest.mark.parametrize("words, bad", [
+    (["10"] * 40 + ["x"], [40]),
+    (["100"] * 30 + ["x"], [30]),
+    (["x"] * 20000, range(20000)),
+], ids=["forty-tens", "thirty-hundreds", "twenty-thousand-typos"])
+def test_check_reports_bad_probabilities_promptly(tmp_path, words, bad):
+    code = "  probs " + " ".join(words)
+    path = tmp_path / "long.tbit"
+    path.write_text(f"system s\n  states a\n  temperature 1\ndist d\n  over s\n{code}\n")
+    proc = subprocess.run([sys.executable, "-m", "thermobit", "check", str(path), "--dist", "d"],
+                          capture_output=True, timeout=30)
+    columns = [m.start() + 1 for m in re.finditer(r"\S+", code)]
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert proc.stderr.decode().splitlines() == [
+        f"error: line 6, col {columns[i + 1]}: probability must be a number, got {words[i]!r}"
+        for i in bad]
 
 
 # 10**17 steps need more bytes than any address space holds, so no machine

@@ -317,7 +317,8 @@ def test_words_and_columns_match_the_regex_oracle(words, gaps, comment):
 
 
 @settings(max_examples=200, deadline=None)
-@given(good=st.lists(st.sampled_from(["0", "0.25", "1e-3", "+.5", "7."]), min_size=1, max_size=12),
+@given(good=st.lists(st.sampled_from(["0", "0.25", "1e-3", "+.5", "7.", "10", "100", "25e-3"]),
+                     min_size=1, max_size=12),
        bad=_WORD.filter(lambda w: dsl._NUMBER_RE.fullmatch(w) is None),
        at=st.integers(min_value=0), gaps=st.lists(_GAP, min_size=14, max_size=14),
        comment=_COMMENT)
