@@ -42,9 +42,9 @@ def _as_prob_array(values, what: str, ndim: int) -> np.ndarray:
         raise ShapeError(f"{what} must be {ndim}-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise ShapeError(f"{what} needs at least one entry")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError(f"{what} entries must be finite")
-    if np.any(arr < 0.0):
+    if (arr < 0.0).any():
         raise DomainError(f"{what} entries must be non-negative")
     total = float(arr.sum())
     if abs(total - 1.0) > SUM_TOLERANCE:

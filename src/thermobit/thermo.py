@@ -49,7 +49,7 @@ class EnergyLandscape:
         arr = np.array(self.energies, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ShapeError("energies must be a non-empty vector")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise DomainError("energies must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "energies", arr)

@@ -231,6 +231,22 @@ def test_audit_reports_a_faint_one_way_cycle(tmp_path, capsys):
     assert "detailed balance  False\n" in out
 
 
+def test_audit_reports_a_faint_two_way_cycle(tmp_path, capsys):
+    # a cycle run both ways at rates 2e-11 and 1e-11: every flux pair differs
+    # by half its size, though by only 3.3e-12 in absolute terms
+    path = tmp_path / "cycle.tbit"
+    path.write_text("system loop\n  states a b c\n  temperature 1.0\n\n"
+                    "dist start\n  over loop\n  probs 0.5 0.3 0.2\n\n"
+                    "channel cycle\n  over loop\n"
+                    "  from a: a 0.99999999997 b 2e-11 c 1e-11\n"
+                    "  from b: a 1e-11 b 0.99999999997 c 2e-11\n"
+                    "  from c: a 2e-11 b 1e-11 c 0.99999999997\n")
+    code, out, _ = run_cli(["audit", str(path), "--channel", "cycle", "--p0", "start"],
+                           capsys)
+    assert code == 0
+    assert "detailed balance  False\n" in out
+
+
 def test_audit_unknown_channel_exits_one(capsys):
     code, _, err = run_cli(["audit", str(DATA), "--channel", "ghost", "--p0", "sharp"], capsys)
     assert code == 1

@@ -1,13 +1,15 @@
 """Tests for the Markov-chain engine and the Second-Law auditor."""
 
+import collections
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermobit import (
@@ -156,6 +158,198 @@ def test_stationary_is_fixed_by_random_positive_chains(rows):
     assert np.max(np.abs(pi.probs @ channel.matrix - pi.probs)) <= 1e-15
 
 
+def _gth_outer(matrix):
+    """GTH elimination with a fresh np.outer per step: the bit-for-bit oracle
+    for markov._gth_solve, which multiplies the update into scratch space."""
+    a = matrix.copy()
+    for k in range(len(a) - 1, 0, -1):
+        a[:k, k] /= a[k, :k].sum()
+        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
+    x = np.ones(len(a))
+    for k in range(1, len(a)):
+        x[k] = x[:k] @ a[:k, k]
+    return x / x.sum()
+
+
+def _classes_by_search(support):
+    """Closed classes of a boolean support graph by breadth-first search, in
+    the order of their lowest state."""
+    n = len(support)
+    reach = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        reach[i, i] = True
+        queue = collections.deque([i])
+        while queue:
+            for k in np.flatnonzero(support[queue.popleft()] & ~reach[i]):
+                reach[i, k] = True
+                queue.append(k)
+    classes, assigned = [], np.zeros(n, dtype=bool)
+    for i in range(n):
+        if not assigned[i] and reach[reach[i], i].all():  # all i reaches reaches i
+            classes.append(np.flatnonzero(reach[i]))
+            assigned |= reach[i]
+    return classes
+
+
+def _oracle_chain(rng, kind, n):
+    """A row-stochastic matrix of the given kind for the GTH and class oracles."""
+    dense = rng.dirichlet(np.ones(n), size=n)
+    if kind == "dense":
+        return dense
+    if kind == "sparse":  # a few entries per row, plus a cycle through all states
+        matrix = dense * (rng.random((n, n)) < 3 / n)
+        matrix[np.arange(n), (np.arange(n) + 1) % n] += 0.25
+        return matrix / matrix.sum(axis=1, keepdims=True)
+    if kind == "slow":  # two blocks; each state leaks a to the other block
+        a, half = 10.0 ** -rng.integers(3, 10), n // 2
+        matrix = np.zeros((n, n))
+        matrix[:half, :half] = rng.dirichlet(np.ones(half), size=half)
+        matrix[half:, half:] = rng.dirichlet(np.ones(n - half), size=n - half)
+        matrix *= 1 - a
+        matrix[np.arange(half), rng.integers(half, n, size=half)] += a
+        matrix[np.arange(half, n), rng.integers(half, size=n - half)] += a
+        return matrix
+    # transients leak into one closed block ("transient") or two ("two-class")
+    blocks = 1 if kind == "transient" else 2
+    matrix, start = np.zeros((n, n)), 0
+    for size in [max(1, n // 3)] * blocks:
+        matrix[start:start + size, start:start + size] = rng.dirichlet(np.ones(size), size=size)
+        start += size
+    matrix[start:] = rng.dirichlet(np.ones(n), size=n - start)
+    order = rng.permutation(n)
+    return matrix[np.ix_(order, order)]
+
+
+_ORACLE_SIZES = {"dense": [*range(2, 17), 24, 32, 48, 64, 96, 127, 128],
+                 "sparse": [*range(2, 40, 3), 64, 100],
+                 "slow": [2, 3, 4, 5, 8, 13, 20, 32, 64],
+                 "transient": [*range(2, 30, 2), 50],
+                 "two-class": [*range(3, 30, 2), 50]}
+
+
+@pytest.mark.parametrize("kind", sorted(_ORACLE_SIZES))
+def test_stationary_matches_the_outer_product_gth_bit_for_bit(kind):
+    rng = np.random.default_rng(101)
+    for n in _ORACLE_SIZES[kind] * 3:
+        matrix = Channel(_oracle_chain(rng, kind, n)).matrix
+        classes = _classes_by_search(matrix > 0.0)
+        assert len(classes) == (2 if kind == "two-class" else 1)
+        recurrent = sum(len(members) for members in classes)
+        expected = np.zeros(n)
+        for members in classes:
+            block = _gth_outer(matrix[np.ix_(members, members)])
+            expected[members] = block * (len(members) / recurrent)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", StationaryMultiplicityWarning)
+            pi = stationary_distribution(Channel(matrix))
+        assert pi.probs.tobytes() == expected.tobytes()
+
+
+def test_closed_classes_match_a_breadth_first_search():
+    rng = np.random.default_rng(43)
+    graphs = []
+    for n in (2, 3, 5, 16, 17, 33, 64, 100):
+        path = np.eye(n, k=1, dtype=bool)  # 0 -> 1 -> ... -> n-1, which is absorbing
+        cycle = path.copy()
+        cycle[n - 1, 0] = True  # n-1 reaches 0 only in n-1 steps: every squaring counts
+        lollipop = cycle.copy()
+        lollipop[n - 1, 0], lollipop[n - 1, n // 2] = False, True
+        graphs += [path, cycle, lollipop]
+    for _ in range(300):
+        n = int(rng.integers(1, 40))
+        graphs.append(rng.random((n, n)) < rng.uniform(0.0, 3.0 / n))
+    for support in graphs:
+        got = markov._closed_classes(support.astype(float))
+        assert [c.tolist() for c in got] == [c.tolist() for c in _classes_by_search(support)]
+
+
+def _exact_solve(rows, rhs):
+    """Gauss-Jordan elimination in Fractions."""
+    m = [[*row, b] for row, b in zip(rows, rhs)]
+    for c in range(len(m)):
+        pivot = next(r for r in range(c, len(m)) if m[r][c] != 0)
+        m[c], m[pivot] = m[pivot], m[c]
+        for r in range(len(m)):
+            if r != c and m[r][c] != 0:
+                factor = m[r][c] / m[c][c]
+                m[r] = [x - factor * y for x, y in zip(m[r], m[c])]
+    return [m[r][-1] / m[r][r] for r in range(len(m))]
+
+
+def _certify_stationary(k, pi):
+    """Exact global balance on the off-diagonal rates, as the audit-hard
+    benchmark certifies its closed forms: for every j,
+    sum_{i != j} pi_i K_ij == pi_j sum_{l != j} K_jl."""
+    n = len(pi)
+    assert sum(pi) == 1 and min(pi) >= 0
+    for j in range(n):
+        inflow = sum(pi[i] * k[i][j] for i in range(n) if i != j)
+        assert inflow == pi[j] * sum(k[j][l] for l in range(n) if l != j)
+
+
+def _exact_stationary(k, classes):
+    """The recurrent-share mixture of each closed class's exact pi."""
+    recurrent = sum(len(members) for members in classes)
+    pi = [Fraction(0)] * len(k)
+    for members in map(np.ndarray.tolist, classes):
+        # pi Q = 0 for the generator Q of the class's off-diagonal rates, with
+        # the last equation replaced by sum(pi) = 1
+        rows = [[k[i][j] if i != j else -sum(k[j][l] for l in members if l != j)
+                 for i in members] for j in members]
+        rows[-1] = [Fraction(1)] * len(members)
+        solution = _exact_solve(rows, [Fraction(0)] * (len(members) - 1) + [Fraction(1)])
+        for i, x in zip(members, solution):
+            pi[i] = x * Fraction(len(members), recurrent)
+    return pi
+
+
+_DYADIC_CHAINS = st.integers(2, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.sampled_from([1, 2, 3, 10, 20, 40]), min_size=n, max_size=n),
+    st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=n, max_size=n),
+))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DYADIC_CHAINS)
+# closed classes {0, 1} and {2, 3}, the second joined at 2^-43 and 3 * 2^-43;
+# state 4 is transient
+@example(([1, 1, 40, 40, 1], [[0, 3, 0, 0, 0], [1, 0, 0, 0, 0], [0, 0, 0, 3, 0],
+                              [0, 0, 1, 0, 0], [2, 0, 1, 0, 0]]))
+# a birth-death chain, so reversible, with couplings from 2^-43 to 3 * 2^-4
+@example(([40, 1, 20, 2], [[0, 1, 0, 0], [3, 0, 2, 0], [0, 1, 0, 3], [0, 0, 2, 0]]))
+def test_stationary_matches_the_exact_pi_of_dyadic_chains(chain):
+    # row i moves to j != i with probability w_ij * 2^-(s_i + 3) and stays with
+    # the rest: every entry, and every partial row sum, is an exact double
+    scales, weights = chain
+    n = len(scales)
+    k = [[Fraction(w, 2 ** (s + 3)) for w in row] for s, row in zip(scales, weights)]
+    for i in range(n):
+        k[i][i] = 1 - sum(k[i][j] for j in range(n) if j != i)
+    matrix = np.array([[float(x) for x in row] for row in k])
+    channel = Channel(matrix)
+    assert [[Fraction(x) for x in row] for row in channel.matrix.tolist()] == k
+    exact = _exact_stationary(k, _classes_by_search(matrix > 0.0))
+    _certify_stationary(k, exact)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StationaryMultiplicityWarning)
+        pi = stationary_distribution(channel)
+    # entrywise to n^2 machine epsilons, relative: transient states exactly 0
+    eps = Fraction(np.finfo(float).eps)
+    for got, want in zip(pi.probs.tolist(), exact):
+        assert abs(Fraction(got) - want) <= n * n * eps * want
+    # so a reversible chain's flux pairs agree to 2 n^2 + 1 epsilons, within
+    # the detailed-balance slack, and a coarse asymmetry is never missed
+    flux = [[exact[i] * k[i][j] for j in range(n)] for i in range(n)]
+    asymmetry = max((abs(flux[i][j] - flux[j][i]) / max(flux[i][j], flux[j][i])
+                     for i in range(n) for j in range(i) if flux[i][j] or flux[j][i]),
+                    default=0)
+    holds = check_detailed_balance(channel, pi).holds
+    if asymmetry == 0:
+        assert holds
+    elif asymmetry >= Fraction(1, 2 ** 20):
+        assert not holds
+
+
 # -- detailed balance ------------------------------------------------------------------
 
 def test_detailed_balance_symmetric_channel():
@@ -180,10 +374,22 @@ def test_detailed_balance_fails_for_rotation():
 
 def test_detailed_balance_fails_for_a_faint_one_way_cycle():
     # the cycle 1 -> 2 -> 3 -> 1 runs one way only, but its fluxes are about
-    # 6e-12, below the 1e-10 flux tolerance
+    # 6e-12, below the absolute 1e-10 flux tolerance the check once used
     channel = Channel([[1.0 - 1e-11, 1e-11, 0.0, 0.0], [0.5, 0.0, 0.5, 0.0],
                        [0.5, 0.0, 0.0, 0.5], [0.5, 0.5, 0.0, 0.0]])
     result = check_detailed_balance(channel, stationary_distribution(channel))
+    assert result.max_residual < 1e-10
+    assert not result.holds
+
+
+def test_detailed_balance_fails_for_a_faint_two_way_cycle():
+    # pi is uniform and each flux pair differs by half its size, but the
+    # largest difference, 3.3e-12, is below the old absolute 1e-10 tolerance
+    e = 1e-11
+    channel = Channel([[1 - 3 * e, 2 * e, e], [e, 1 - 3 * e, 2 * e], [2 * e, e, 1 - 3 * e]])
+    pi = stationary_distribution(channel)
+    assert np.allclose(pi.probs, 1 / 3, rtol=1e-15, atol=0.0)
+    result = check_detailed_balance(channel, pi)
     assert result.max_residual < 1e-10
     assert not result.holds
 
