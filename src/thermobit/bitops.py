@@ -22,10 +22,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractError, DomainError, ShapeError
-from .info import LOG2, Distribution, JointDistribution, shannon_entropy
+from .info import LOG2, SUM_TOLERANCE, Distribution, JointDistribution, shannon_entropy
 from .thermo import _check_kT
-
-_CLASSIFY_TOL = 1e-9
 
 # Pair states are flattened row-major: 00, 01, 10, 11.
 _ERASE = np.array([[1.0, 0.0], [1.0, 0.0]])
@@ -88,11 +86,11 @@ class BitState:
     @property
     def classification(self) -> BitType:
         p0 = self.dist[0]
-        if abs(p0 - 1.0) <= _CLASSIFY_TOL:
+        if abs(p0 - 1.0) <= SUM_TOLERANCE:
             return BitType.ZERO
-        if p0 <= _CLASSIFY_TOL:
+        if p0 <= SUM_TOLERANCE:
             return BitType.ONE
-        if abs(p0 - 0.5) <= _CLASSIFY_TOL:
+        if abs(p0 - 0.5) <= SUM_TOLERANCE:
             return BitType.STAR
         return BitType.OTHER
 
@@ -150,12 +148,12 @@ class BitPairState:
         p = self.joint.probs
         disagree = float(p[0, 1] + p[1, 0])
         agree = float(p[0, 0] + p[1, 1])
-        if disagree <= _CLASSIFY_TOL:
+        if disagree <= SUM_TOLERANCE:
             return PairRelation.CORRELATED
-        if agree <= _CLASSIFY_TOL:
+        if agree <= SUM_TOLERANCE:
             return PairRelation.ANTICORRELATED
         product = np.outer(p.sum(axis=1), p.sum(axis=0))
-        if float(np.max(np.abs(p - product))) <= _CLASSIFY_TOL:
+        if float(np.max(np.abs(p - product))) <= SUM_TOLERANCE:
             return PairRelation.INDEPENDENT
         return PairRelation.OTHER
 

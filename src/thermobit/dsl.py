@@ -29,9 +29,9 @@ header line and contains indented `key value...` lines:
 Numbers are finite decimals with an optional exponent. Names must be
 unique within their kind, every reference must resolve, and dimensions
 must be consistent; probability vectors and channel rows obey the core
-modules' 1e-9 normalization tolerance. The parser recovers at block
-granularity and reports every diagnostic in one pass; it never raises on
-malformed input.
+modules' normalization tolerance, SUM_TOLERANCE. The parser recovers at
+block granularity and reports every diagnostic in one pass; it never
+raises on malformed input.
 """
 
 from __future__ import annotations

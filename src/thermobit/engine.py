@@ -3,7 +3,8 @@
 Everything here is deterministic, distribution-level bookkeeping: the
 isothermal work integral for one ideal-gas molecule (P·V = kT), the
 erase/randomize energy bounds it implies, and the measurement/extraction
-cycle ledgers for the demon protocols. Volume enters only through ratios.
+cycle ledgers for the demon protocols. Volume enters only through ratios,
+so the engine's vessel has unit volume.
 """
 
 from __future__ import annotations
@@ -25,18 +26,15 @@ _DEFAULT_STEPS = 100_000
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Temperature, Boltzmann constant, vessel volume, and the number of
-    discretization steps for the isothermal work integral."""
+    """Temperature, Boltzmann constant, and the number of discretization
+    steps for the isothermal work integral."""
 
     temperature: float = 1.0
     boltzmann: float = 1.0
-    volume: float = 1.0
     steps: int = _DEFAULT_STEPS
 
     def __post_init__(self):
         _check_kT(self.temperature, self.boltzmann)
-        if not 0.0 < self.volume < math.inf:
-            raise DomainError(f"volume must be finite and positive, got {self.volume!r}")
         if not isinstance(self.steps, int) or self.steps < 1:
             raise DomainError(f"steps must be a positive integer, got {self.steps!r}")
 
@@ -99,6 +97,13 @@ def _check_volumes(*volumes: float) -> None:
         raise DomainError(f"volumes must be finite and positive, got {volumes!r}")
 
 
+def _finite_work(work: float, cfg: EngineConfig) -> float:
+    """work, with -0.0 made 0.0; a DomainError when it overflowed."""
+    if not math.isfinite(work):
+        raise DomainError(f"the work at kT = {cfg.kT!r} is beyond the float range")
+    return work + 0.0
+
+
 def isothermal_work(cfg: EngineConfig, v_start: float, v_end: float) -> float:
     """Work done ON the gas for a quasi-static isothermal volume change.
 
@@ -113,13 +118,15 @@ def isothermal_work(cfg: EngineConfig, v_start: float, v_end: float) -> float:
         raise MemoryError(f"Unable to allocate {n} midpoints")
     dv = (v_end - v_start) / n
     midpoints = v_start + (np.arange(n) + 0.5) * dv
-    return float(-cfg.kT * dv * np.sum(1.0 / midpoints)) + 0.0
+    with np.errstate(over="ignore"):  # an overflow is an error, raised below
+        work = float(-cfg.kT * dv * np.sum(1.0 / midpoints))
+    return _finite_work(work, cfg)
 
 
 def exact_isothermal_work(cfg: EngineConfig, v_start: float, v_end: float) -> float:
     """Closed form kT·log(v_start/v_end) of the isothermal work integral."""
     _check_volumes(v_start, v_end)
-    return cfg.kT * math.log(v_start / v_end) + 0.0
+    return _finite_work(cfg.kT * math.log(v_start / v_end), cfg)
 
 
 def erase_work_bound(cfg: EngineConfig) -> float:
@@ -196,20 +203,19 @@ def demon_cycle(cfg: EngineConfig, measurement: MeasurementKind) -> CycleLedger:
 def convergence_table(
     cfg: EngineConfig, ratio: float, levels: int = 6
 ) -> list[tuple[int, float, float]]:
-    """Rows of (steps, work, abs error) for compressing V to V/ratio while
-    halving the step count, for convergence-order inspection."""
+    """Rows of (steps, work, abs error) for compressing the unit vessel to
+    1/ratio while halving the step count, for convergence-order inspection."""
     if not 0.0 < ratio < math.inf:
         raise DomainError(f"ratio must be finite and positive, got {ratio!r}")
-    v_start = cfg.volume
-    v_end = cfg.volume / ratio
-    exact = exact_isothermal_work(cfg, v_start, v_end)
+    v_end = 1.0 / ratio
+    exact = exact_isothermal_work(cfg, 1.0, v_end)
     rows = []
     n = cfg.steps
     for _ in range(levels):
         if n < 1:
             break
-        sub = EngineConfig(cfg.temperature, cfg.boltzmann, cfg.volume, n)
-        work = isothermal_work(sub, v_start, v_end)
+        sub = EngineConfig(cfg.temperature, cfg.boltzmann, n)
+        work = isothermal_work(sub, 1.0, v_end)
         rows.append((n, work, abs(work - exact)))
         n //= 2
     return rows

@@ -18,8 +18,9 @@ from .errors import DomainError, ShapeError
 
 LOG2 = math.log(2.0)
 
-# Construction tolerance: how far a probability vector's sum may stray
-# from 1 before it is rejected outright.
+# Input slack: how far a probability vector's sum may stray from 1 before it
+# is rejected outright, and the rounding allowed wherever an input's
+# probabilities are compared (a bit's classification, a joint's independence).
 SUM_TOLERANCE = 1e-9
 
 # Below this the vector counts as already normalized and is stored as-is,
@@ -34,6 +35,24 @@ def _renormalised(arr: np.ndarray, total: float) -> np.ndarray:
     if abs(total - 1.0) > _RENORM_SKIP:
         return arr / total
     return arr
+
+
+def _renormalised_rows(arr: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """_renormalised applied to each row of a 2-D array, whose row sums are
+    `sums`; arr itself when no row needs it."""
+    fix = np.abs(sums - 1.0) > _RENORM_SKIP
+    if fix.any():
+        arr = arr.copy()
+        arr[fix] = arr[fix] / sums[fix, None]
+    return arr
+
+
+def _labels(labels: Sequence[str], size: int, what: str = "labels") -> tuple[str, ...]:
+    """labels as a tuple, which must name `size` states."""
+    labels = tuple(labels)
+    if len(labels) != size:
+        raise ShapeError(f"{len(labels)} {what} for {size} states")
+    return labels
 
 
 def _as_prob_array(values, what: str, ndim: int) -> np.ndarray:
@@ -60,8 +79,9 @@ def _as_prob_array(values, what: str, ndim: int) -> np.ndarray:
 class Distribution:
     """A probability vector over a finite state space.
 
-    Entries are validated non-negative and summing to 1 within 1e-9,
-    then normalized. Instances are immutable and safe to share.
+    Entries are validated non-negative and summing to 1 within
+    SUM_TOLERANCE, then normalized. Instances are immutable and safe to
+    share.
     """
 
     probs: np.ndarray
@@ -71,12 +91,7 @@ class Distribution:
         arr = _as_prob_array(self.probs, "distribution", ndim=1)
         object.__setattr__(self, "probs", arr)
         if self.labels is not None:
-            labels = tuple(self.labels)
-            if len(labels) != arr.size:
-                raise ShapeError(
-                    f"{len(labels)} labels for {arr.size} states"
-                )
-            object.__setattr__(self, "labels", labels)
+            object.__setattr__(self, "labels", _labels(self.labels, arr.size))
 
     @classmethod
     def uniform(cls, n: int, labels: Sequence[str] | None = None) -> "Distribution":
@@ -117,10 +132,7 @@ class JointDistribution:
         for attr, size in (("row_labels", arr.shape[0]), ("col_labels", arr.shape[1])):
             value = getattr(self, attr)
             if value is not None:
-                value = tuple(value)
-                if len(value) != size:
-                    raise ShapeError(f"{len(value)} {attr} for {size} states")
-                object.__setattr__(self, attr, value)
+                object.__setattr__(self, attr, _labels(value, size, attr))
 
     @classmethod
     def from_product(cls, first: Distribution, second: Distribution) -> "JointDistribution":
@@ -280,7 +292,7 @@ def mutual_information(j: JointDistribution) -> InfoQuantity:
     """I(S1,S2) = D(joint ‖ product of marginals); finite and non-negative."""
     product = JointDistribution.from_product(j.marginal_first(), j.marginal_second())
     value = relative_entropy(j.flatten(), product.flatten()).nats
-    if -1e-9 < value < 0.0:
+    if -SUM_TOLERANCE < value < 0.0:
         value = 0.0  # summation noise on (near-)independent joints
     return InfoQuantity(value)
 

@@ -7,6 +7,7 @@ chain has one) cannot increase, detailed balance or not.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .info import LOG2, SUM_TOLERANCE, Distribution, relative_entropy
-from .info import _RENORM_SKIP, _kl_rows, _renormalised
+from .info import _kl_rows, _labels, _renormalised, _renormalised_rows
 
 # How far apart, relative to the larger, the fluxes pi_i K_ij and pi_j K_ji of
 # a reversible chain may come out, per n^2 states. GTH gives each entry of pi
@@ -57,17 +58,11 @@ class Channel:
                 f"channel row {i} must sum to 1 within {SUM_TOLERANCE:g}, "
                 f"got {float(sums[i])!r}"
             )
-        fix = np.abs(sums - 1.0) > _RENORM_SKIP
-        if fix.any():
-            arr = arr.copy()
-            arr[fix] = arr[fix] / sums[fix, None]
+        arr = _renormalised_rows(arr, sums)
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
         if self.labels is not None:
-            labels = tuple(self.labels)
-            if len(labels) != arr.shape[0]:
-                raise ShapeError(f"{len(labels)} labels for {arr.shape[0]} states")
-            object.__setattr__(self, "labels", labels)
+            object.__setattr__(self, "labels", _labels(self.labels, arr.shape[0]))
 
     def __len__(self) -> int:
         return int(self.matrix.shape[0])
@@ -149,12 +144,14 @@ class DataProcessingResult:
     ok: bool
 
 
+def _check_length(p: Distribution, channel: Channel) -> None:
+    if len(p) != len(channel):
+        raise ShapeError(f"distribution of length {len(p)} against {len(channel)}-state channel")
+
+
 def apply_channel(p: Distribution, channel: Channel) -> Distribution:
     """One chain step: (pK)_j = sum_i p_i K_ij."""
-    if len(p) != len(channel):
-        raise ShapeError(
-            f"distribution of length {len(p)} against {len(channel)}-state channel"
-        )
+    _check_length(p, channel)
     return Distribution(p.probs @ channel.matrix, labels=channel.labels)
 
 
@@ -243,23 +240,40 @@ def check_detailed_balance(channel: Channel, pi: Distribution) -> DetailedBalanc
     checked exactly first, on the signs of pi_i and K_ij, so that a one-way
     flux that underflows still breaks detailed balance. Then each pair of
     fluxes must agree to 8 n^2 machine epsilons relative to the larger of
-    the two, so a faint flux counts as much as a strong one. The verdict is
-    about the stored matrix: rates built to be reversible whose rounding
-    breaks that by more (Metropolis rates from energies hundreds of kT
-    apart) read as not in balance.
+    the two, so a faint flux counts as much as a strong one; when a flux
+    that flows lies below the normal range, the fluxes are compared as
+    mantissas and exponents, so one that underflows keeps its precision.
+    The verdict is about the stored matrix: rates built to be reversible
+    whose rounding breaks that by more (Metropolis rates from energies
+    hundreds of kT apart) read as not in balance.
     """
-    if len(pi) != len(channel):
-        raise ShapeError(
-            f"distribution of length {len(pi)} against {len(channel)}-state channel"
-        )
-    matrix = channel.matrix
-    flows = (pi.probs > 0.0)[:, None] & (matrix > 0.0)
-    flux = pi.probs[:, None] * matrix
+    _check_length(pi, channel)
+    matrix, probs = channel.matrix, pi.probs
+    flows = (probs > 0.0)[:, None] & (matrix > 0.0)
+    flux = probs[:, None] * matrix
     back = flux.T
     gap = np.abs(flux - back)
     slack = _BALANCE_SLACK * len(channel) ** 2
-    holds = (flows == flows.T).all() and (gap <= slack * np.maximum(flux, back)).all()
+    if not (flows == flows.T).all():
+        holds = False
+    elif flux.min(where=flows, initial=1.0) >= sys.float_info.min:  # all normal floats
+        holds = (gap <= slack * np.maximum(flux, back)).all()
+    else:
+        holds = _fluxes_balance_exactly(probs, matrix, slack)
     return DetailedBalanceCheck(holds=bool(holds), max_residual=float(gap.max()))
+
+
+def _fluxes_balance_exactly(probs: np.ndarray, matrix: np.ndarray, slack: float) -> bool:
+    """check_detailed_balance's relative flux test on np.frexp mantissas and
+    exponents: the mantissa product is the one rounding a normal flux takes,
+    the exponents add exactly, and each pair is scaled by 2^-(its larger
+    exponent), so no flux below the normal range rounds towards 0."""
+    m_pi, e_pi = np.frexp(probs)
+    m_k, e_k = np.frexp(matrix)
+    exponent = e_pi[:, None] + e_k
+    flux = np.ldexp(m_pi[:, None] * m_k, exponent - np.maximum(exponent, exponent.T))
+    back = flux.T
+    return bool((np.abs(flux - back) <= slack * np.maximum(flux, back)).all())
 
 
 def evolve(

@@ -7,7 +7,8 @@ the `sweep` CLI command and the acceptance suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -22,11 +23,26 @@ def _instance_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([seed, index])
 
 
+class _SweepResult:
+    """A sweep's counts. It passed when no instance failed; its JSON form is
+    the sweep's name, then each field in order."""
+
+    sweep: ClassVar[str]
+
+    @property
+    def all_passed(self) -> bool:
+        return self.failures == 0
+
+    def to_json_dict(self) -> dict:
+        return {"sweep": self.sweep, **{f.name: getattr(self, f.name) for f in fields(self)}}
+
+
 @dataclass(frozen=True)
-class IdentitySweepResult:
+class IdentitySweepResult(_SweepResult):
     """Szilard-Landauer identity, the log-partition proof step, and Gibbs
     optimality, all checked on the same random instances."""
 
+    sweep = "identity"
     instances: int
     identity_failures: int
     identity_worst: float  # worst residual / scale
@@ -37,74 +53,32 @@ class IdentitySweepResult:
 
     @property
     def all_passed(self) -> bool:
-        return (
-            self.identity_failures == 0
-            and self.proof_failures == 0
-            and self.optimality_failures == 0
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "sweep": "identity",
-            "instances": self.instances,
-            "identity_failures": self.identity_failures,
-            "identity_worst": self.identity_worst,
-            "proof_failures": self.proof_failures,
-            "proof_worst": self.proof_worst,
-            "optimality_failures": self.optimality_failures,
-            "min_available": self.min_available,
-        }
+        return self.identity_failures == self.proof_failures == self.optimality_failures == 0
 
 
 @dataclass(frozen=True)
-class DpiSweepResult:
+class DpiSweepResult(_SweepResult):
+    sweep = "data_processing"
     instances: int
     failures: int
     worst_excess: float  # max of after - before
 
-    @property
-    def all_passed(self) -> bool:
-        return self.failures == 0
-
-    def to_json_dict(self) -> dict:
-        return {
-            "sweep": "data_processing",
-            "instances": self.instances,
-            "failures": self.failures,
-            "worst_excess": self.worst_excess,
-        }
-
 
 @dataclass(frozen=True)
-class MonotonicitySweepResult:
+class MonotonicitySweepResult(_SweepResult):
+    sweep = "second_law"
     instances: int
     failures: int
     worst_violation: float
     non_detailed_balance: int  # how many audited chains lacked detailed balance
 
-    @property
-    def all_passed(self) -> bool:
-        return self.failures == 0
-
-    def to_json_dict(self) -> dict:
-        return {
-            "sweep": "second_law",
-            "instances": self.instances,
-            "failures": self.failures,
-            "worst_violation": self.worst_violation,
-            "non_detailed_balance": self.non_detailed_balance,
-        }
-
 
 def random_landscape_instance(
-    rng: np.random.Generator, max_states: int, kb_choices: tuple[float, ...] = (1.0,)
+    rng: np.random.Generator, max_states: int
 ) -> tuple[EnergyLandscape, Distribution]:
     n = int(rng.integers(2, max_states + 1))
-    landscape = EnergyLandscape(
-        rng.uniform(-10.0, 10.0, n),
-        temperature=float(rng.uniform(0.1, 10.0)),
-        boltzmann=float(kb_choices[int(rng.integers(len(kb_choices)))]),
-    )
+    landscape = EnergyLandscape(rng.uniform(-10.0, 10.0, n),
+                                temperature=float(rng.uniform(0.1, 10.0)))
     return landscape, Distribution(rng.dirichlet(np.ones(n)))
 
 
@@ -122,14 +96,13 @@ def identity_sweep(
     instances: int,
     max_states: int = 64,
     seed: int = DEFAULT_SEED,
-    kb_choices: tuple[float, ...] = (1.0,),
 ) -> IdentitySweepResult:
     identity_failures = proof_failures = optimality_failures = 0
     identity_worst = proof_worst = 0.0
     min_available = np.inf
     for i in range(instances):
         rng = _instance_rng(seed, i)
-        landscape, p = random_landscape_instance(rng, max_states, kb_choices)
+        landscape, p = random_landscape_instance(rng, max_states)
         report = check_szilard_landauer(landscape, p)
         identity_rel = report.residual / report.scale
         proof_rel = (
@@ -181,14 +154,9 @@ def monotonicity_sweep(
     max_states: int = 32,
     steps: int = 100,
     seed: int = DEFAULT_SEED,
-    inject_violation: bool = False,
 ) -> MonotonicitySweepResult:
     """Audit random chains, one fifth of them noisy rotations (strongly
-    non-reversible), for Second-Law monotonicity.
-
-    inject_violation is a test hook: instance 0 is audited against a
-    deliberately non-stationary reference, which must be caught.
-    """
+    non-reversible), for Second-Law monotonicity."""
     failures = 0
     worst = 0.0
     non_db = 0
@@ -197,12 +165,7 @@ def monotonicity_sweep(
         n = int(rng.integers(2, max_states + 1))
         channel = random_channel(rng, n, cycle_bias=(i % 5 == 4))
         p0 = Distribution(rng.dirichlet(np.ones(n)))
-        reference = None
-        if inject_violation and i == 0:
-            skew = np.linspace(1.0, 2.0, n)
-            reference = Distribution(skew / skew.sum())
-            p0 = reference
-        verdict = second_law_audit(p0, channel, steps, reference=reference)
+        verdict = second_law_audit(p0, channel, steps)
         if not verdict.detailed_balance:
             non_db += 1
         worst = max(worst, verdict.max_violation)

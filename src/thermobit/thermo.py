@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .info import Distribution, InfoQuantity, shannon_entropy
+from .info import Distribution, InfoQuantity, _labels, shannon_entropy
 
 DEFAULT_BOLTZMANN = 1.0
 SI_BOLTZMANN = 1.380649e-23  # J/K
@@ -55,10 +55,7 @@ class EnergyLandscape:
         object.__setattr__(self, "energies", arr)
         _check_kT(self.temperature, self.boltzmann)
         if self.labels is not None:
-            labels = tuple(self.labels)
-            if len(labels) != arr.size:
-                raise ShapeError(f"{len(labels)} labels for {arr.size} states")
-            object.__setattr__(self, "labels", labels)
+            object.__setattr__(self, "labels", _labels(self.labels, arr.size))
 
     @property
     def kT(self) -> float:
@@ -143,12 +140,9 @@ def check_szilard_landauer(landscape: EnergyLandscape, p: Distribution) -> Therm
     The left side comes from the free-energy definition applied to p and to
     the Gibbs distribution; the right side evaluates D(p‖π) with log π taken
     directly in log space from the energies. The two routes share no
-    arithmetic beyond the landscape itself.
+    arithmetic beyond the landscape itself. average_energy checks that p
+    and the landscape have the same states.
     """
-    if len(p) != len(landscape):
-        raise ShapeError(
-            f"distribution of length {len(p)} against {len(landscape)} energies"
-        )
     kT = landscape.kT
     log_z = log_partition_function(landscape)
     gibbs = gibbs_distribution(landscape)

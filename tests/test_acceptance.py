@@ -327,3 +327,17 @@ def test_criterion_12_cli_determinism():
         identical,
         f"{len(first.stdout)} bytes compared",
     )
+
+
+def test_sweep_results_write_their_fields_in_order_as_json():
+    for result, name, fields in [
+        (identity_sweep(2, 4), "identity", ["identity_failures", "identity_worst",
+                                            "proof_failures", "proof_worst",
+                                            "optimality_failures", "min_available"]),
+        (dpi_sweep(2, 4), "data_processing", ["failures", "worst_excess"]),
+        (monotonicity_sweep(2, 4, 5), "second_law",
+         ["failures", "worst_violation", "non_detailed_balance"]),
+    ]:
+        payload = result.to_json_dict()
+        assert list(payload) == ["sweep", "instances", *fields]
+        assert payload["sweep"] == name

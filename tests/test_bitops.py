@@ -45,6 +45,10 @@ def test_bit_classification():
     assert BitState.star().classification is BitType.STAR
     assert BitState.from_probs(0.75, 0.25).classification is BitType.OTHER
     assert BitState.from_probs(0.5 + 5e-10, 0.5 - 5e-10).classification is BitType.STAR
+    # the classification slack is info.SUM_TOLERANCE, 1e-9, on either side of 1/2
+    for offset, kind in [(0.9e-9, BitType.STAR), (-0.9e-9, BitType.STAR),
+                         (2e-9, BitType.OTHER), (-2e-9, BitType.OTHER)]:
+        assert BitState.from_probs(0.5 + offset, 0.5 - offset).classification is kind
 
 
 def test_pair_relations():

@@ -1,5 +1,7 @@
 """Tests for the command-line interface: exit codes, formats, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,7 +10,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from thermobit import cli
 
@@ -86,10 +91,16 @@ def test_json_renders_nonfinite_as_strings():
     }
 
 
-def test_usage_error_exits_one():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["check"])  # missing required arguments
-    assert exc.value.code == 1
+def test_usage_error_exits_one(capsys):
+    for args, message in [
+        (["check"], "the following arguments are required: file, --dist"),
+        (["sweep", "--seed", "abc"], "argument --seed: must be an integer, got 'abc'"),
+        (["sweep", "--inject-violation"], "unrecognized arguments: --inject-violation"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.strip().splitlines()[-1].endswith(f"error: {message}")
 
 
 @pytest.mark.parametrize("args", [
@@ -99,6 +110,8 @@ def test_usage_error_exits_one():
     ["sweep", "--steps", "0"],
     ["szilard", "--levels", "-1"],
     ["audit", str(DATA), "--channel", "mix", "--p0", "sharp", "--steps", "0"],
+    ["sweep", "--seed", "-1"],
+    ["sweep", "--seed=-5"],
 ])
 def test_degenerate_counts_are_usage_errors(args, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -482,11 +495,21 @@ def test_sweep_small_run_passes(capsys):
     assert payload["identity"]["identity_failures"] == 0
 
 
-def test_sweep_injected_violation_exits_two(capsys):
+def test_sweep_injected_violation_exits_two(capsys, monkeypatch):
+    from thermobit import sweeps
+    from thermobit.info import Distribution
+
+    audit = sweeps.second_law_audit
+
+    def from_a_skewed_reference(p0, channel, steps, reference=None):
+        # a reference that is not stationary, and the chain starts on it
+        skew = np.linspace(1.0, 2.0, len(channel))
+        skewed = Distribution(skew / skew.sum())
+        return audit(skewed, channel, steps, reference=skewed)
+
+    monkeypatch.setattr(sweeps, "second_law_audit", from_a_skewed_reference)
     code, out, _ = run_cli(
-        ["sweep", "--instances", "5", "--max-states", "4", "--inject-violation",
-         "--format", "json"],
-        capsys,
+        ["sweep", "--instances", "5", "--max-states", "4", "--format", "json"], capsys
     )
     assert code == 2
     payload = json.loads(out)
@@ -513,10 +536,13 @@ def test_sweep_seed_env_override(capsys, monkeypatch):
 
 
 def test_sweep_bad_env_seed_exits_one(capsys, monkeypatch):
-    monkeypatch.setenv(cli.SEED_ENV_VAR, "not-a-number")
-    code, _, err = run_cli(["sweep", "--instances", "5"], capsys)
-    assert code == 1
-    assert cli.SEED_ENV_VAR in err
+    for value, problem in [("not-a-number", "an integer, got 'not-a-number'"),
+                           ("-1", "at least 0, got -1"), ("-0x10", "at least 0, got -16")]:
+        monkeypatch.setenv(cli.SEED_ENV_VAR, value)
+        code, out, err = run_cli(["sweep", "--instances", "5"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {cli.SEED_ENV_VAR} must be {problem}\n"
 
 
 # -- fmt ----------------------------------------------------------------------------
@@ -632,3 +658,104 @@ def test_a_step_count_too_large_to_allocate_is_one_error_line(args):
     assert "Traceback" not in err
     assert len([line for line in err.splitlines() if "error:" in line]) == 1
     assert err.splitlines()[-1].split("error: ", 1)[1]
+
+
+# -- the exit-code contract, as a property ---------------------------------------------
+
+# Values for every kind of argument: degenerate integers and floats, unknown
+# names, missing files and directories. Counts stay small (steps <= 10**4,
+# sweeps of at most 3 instances over at most 8 states, since the identity sweep
+# draws landscapes of up to --max-states states); the only larger step count
+# is one too large to index, which fails before any allocation.
+_HUGE = "99999999999999999999"
+_FLOATS = st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "0", "-1",
+                           "0.5", "2", "abc"])
+_STEPS = st.sampled_from(["-1", "0", "1", "10", "10000", _HUGE, "1.5"])
+_SEEDS = st.sampled_from(["-1", "-5", "0", "7", "0x2A", _HUGE, "abc", ""])
+_ENV_SEEDS = st.sampled_from([None, "-1", "0", "7", "0x2A", _HUGE, "abc", " 3"])
+_DISTS = st.sampled_from(["sharp", "fair", "tilted", "ghost"])
+
+
+@st.composite
+def _argv(draw, tmp: Path):
+    files = st.sampled_from([str(DATA), str(tmp / "missing.tbit"), str(tmp),
+                             str(tmp / "bad.tbit")])
+
+    def options(*pairs):
+        argv = []
+        for flag, values in pairs:
+            if draw(st.booleans()):
+                argv += [flag] if values is None else [flag, draw(values)]
+        return argv
+
+    command = draw(st.sampled_from(["check", "audit", "bitop", "szilard", "sweep", "fmt",
+                                    "ghost", None]))
+    if command == "check":
+        return [command, draw(files), *options(
+            ("--dist", _DISTS), ("--tolerance", _FLOATS),
+            ("--format", st.sampled_from(["table", "json", "csv", "xml"])))]
+    if command == "audit":
+        return [command, draw(files), *options(
+            ("--channel", st.sampled_from(["mix", "drift", "ghost"])), ("--p0", _DISTS),
+            ("--steps", _STEPS), ("--reference", _DISTS),
+            ("--format", st.sampled_from(["table", "json", "csv"])),
+            ("--trajectory-csv", st.sampled_from([str(tmp / "t.csv"), str(tmp),
+                                                  str(tmp / "missing" / "t.csv")])))]
+    if command == "bitop":
+        return [command, draw(st.sampled_from(["erase", "not", "switch", "randomize",
+                                               "copy-szilard", "copy-landauer",
+                                               "randomize-first", "ghost"])), *options(
+            ("--mode", st.sampled_from(["strict", "lenient", "ghost"])),
+            ("--temperature", _FLOATS), ("--kB", _FLOATS),
+            ("--units", st.sampled_from(["natural", "si", "ghost"])),
+            ("--input", st.sampled_from(["0", "1", "star", "2"])),
+            ("--from", st.sampled_from(["0", "1", "2"])),
+            ("--to", st.sampled_from(["0", "1", "-1"])))]
+    if command == "szilard":
+        return [command, *options(
+            ("--ratio", _FLOATS), ("--steps", _STEPS), ("--temperature", _FLOATS),
+            ("--kB", _FLOATS), ("--units", st.sampled_from(["natural", "si"])),
+            ("--levels", st.sampled_from(["-1", "0", "1", "3", _HUGE])),
+            ("--format", st.sampled_from(["table", "json", "csv"])))]
+    if command == "sweep":
+        return [command, "--instances", draw(st.sampled_from(["-1", "0", "1", "2", "3"])),
+                *options(("--max-states", st.sampled_from(["-1", "0", "1", "2", "3", "8"])),
+                         ("--steps", _STEPS), ("--seed", _SEEDS),
+                         ("--format", st.sampled_from(["table", "json"])),
+                         ("--inject-violation", None))]
+    if command == "fmt":
+        return [command, draw(files)]
+    return [] if command is None else [command]
+
+
+def _run_in_process(argv, env_seed):
+    out, err = io.StringIO(), io.StringIO()
+    saved = os.environ.pop(cli.SEED_ENV_VAR, None)
+    if env_seed is not None:
+        os.environ[cli.SEED_ENV_VAR] = env_seed
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:  # argparse: usage errors and --help
+                code = exc.code
+    finally:
+        os.environ.pop(cli.SEED_ENV_VAR, None)
+        if saved is not None:
+            os.environ[cli.SEED_ENV_VAR] = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), env_seed=_ENV_SEEDS)
+def test_every_command_line_keeps_the_exit_code_contract(data, env_seed, tmp_path):
+    (tmp_path / "bad.tbit").write_text("system s\n  temperature 1\n")
+    argv = data.draw(_argv(tmp_path), label="argv")
+    code, out, err = _run_in_process(argv, env_seed)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out + err
+    if code == 1:
+        assert any(line.startswith(("error:", "usage:")) or ": error: " in line
+                   for line in err.splitlines())
+    assert _run_in_process(argv, env_seed) == (code, out, err)

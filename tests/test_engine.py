@@ -179,8 +179,6 @@ def test_engine_config_validation():
     with pytest.raises(DomainError):
         EngineConfig(temperature=0.0)
     with pytest.raises(DomainError):
-        EngineConfig(volume=-1.0)
-    with pytest.raises(DomainError):
         EngineConfig(steps=0)
     with pytest.raises(DomainError):
         EngineConfig(steps=1.5)

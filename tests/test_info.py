@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermobit import (
+    Channel,
     Distribution,
     DomainError,
+    EnergyLandscape,
     JointDistribution,
     ShapeError,
     decompose_information,
@@ -401,3 +403,20 @@ def test_decomposition_shape_mismatch():
     j = JointDistribution.from_product(Distribution([0.5, 0.5]), Distribution([0.5, 0.5]))
     with pytest.raises(ShapeError):
         decompose_information(j, Distribution.uniform(3), Distribution.uniform(2))
+
+
+@pytest.mark.parametrize("build, attr", [
+    (lambda labels: Distribution([0.5, 0.5], labels=labels), "labels"),
+    (lambda labels: JointDistribution(np.full((2, 3), 1 / 6), row_labels=labels),
+     "row_labels"),
+    (lambda labels: JointDistribution(np.full((3, 2), 1 / 6), col_labels=labels),
+     "col_labels"),
+    (lambda labels: Channel(np.eye(2), labels=labels), "labels"),
+    (lambda labels: EnergyLandscape([0.0, 1.0], labels=labels), "labels"),
+], ids=["distribution", "joint-rows", "joint-columns", "channel", "landscape"])
+def test_labels_must_name_every_state_and_are_stored_as_a_tuple(build, attr):
+    for wrong in (["a"], ["a", "b", "c"]):
+        with pytest.raises(ShapeError) as exc:
+            build(wrong)
+        assert str(exc.value) == f"{len(wrong)} {attr} for 2 states"
+    assert getattr(build(["a", "b"]), attr) == ("a", "b")

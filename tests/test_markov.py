@@ -394,6 +394,42 @@ def test_detailed_balance_fails_for_a_faint_two_way_cycle():
     assert not result.holds
 
 
+def _two_cycles(a, back, forth):
+    # state 0 feeds 1 and 2 at rate a; between 1 and 2 the rates are back and forth
+    return Channel([[1 - 2 * a, a, a], [0.5, 0.5 - forth, forth], [0.5, back, 0.5 - back]])
+
+
+@pytest.mark.parametrize("back, forth, holds", [(1e-200, 3e-200, False),
+                                                (2e-200, 2e-200, True)],
+                         ids=["cycle", "reversible"])
+def test_detailed_balance_is_exact_below_the_normal_range(back, forth, holds):
+    # pi_1 and pi_2 are about 2e-160, so the fluxes between states 1 and 2
+    # (about 6e-360 and 2e-360 for the cycle) underflow to 0.0 as floats
+    channel = _two_cycles(1e-160, back, forth)
+    pi = stationary_distribution(channel)
+    assert pi.probs[1] * channel.matrix[1, 2] == pi.probs[2] * channel.matrix[2, 1] == 0.0
+    assert check_detailed_balance(channel, pi).holds is holds
+
+
+def test_the_exact_flux_test_gives_the_verdict_of_the_float_one():
+    # in the normal range, comparing mantissas and exponents must change nothing
+    rng = np.random.default_rng(20261018)
+    for _ in range(300):
+        n = int(rng.integers(2, 13))
+        pi = rng.dirichlet(np.ones(n))
+        if rng.random() < 0.5:  # Metropolis rates against pi: reversible
+            matrix = np.minimum(1.0, pi[None, :] / pi[:, None]) / n
+            np.fill_diagonal(matrix, 0.0)
+            np.fill_diagonal(matrix, 1.0 - matrix.sum(axis=1))
+        else:
+            matrix = rng.dirichlet(np.ones(n), size=n)
+        channel = Channel(matrix)
+        pi = stationary_distribution(channel)
+        slack = markov._BALANCE_SLACK * n ** 2
+        assert markov._fluxes_balance_exactly(pi.probs, channel.matrix, slack) \
+            == check_detailed_balance(channel, pi).holds
+
+
 # -- evolve ---------------------------------------------------------------------------
 
 def test_evolve_from_the_reference_stays_at_zero():
