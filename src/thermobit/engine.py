@@ -208,6 +208,8 @@ def convergence_table(
     if not 0.0 < ratio < math.inf:
         raise DomainError(f"ratio must be finite and positive, got {ratio!r}")
     v_end = 1.0 / ratio
+    if v_end == math.inf:
+        raise DomainError(f"ratio {ratio!r} is too small: 1/ratio overflows")
     exact = exact_isothermal_work(cfg, 1.0, v_end)
     rows = []
     n = cfg.steps

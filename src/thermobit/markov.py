@@ -180,29 +180,47 @@ def _closed_classes(matrix: np.ndarray) -> list[np.ndarray]:
     return classes
 
 
-def _gth_solve(matrix: np.ndarray) -> np.ndarray:
-    """Stationary vector of an irreducible stochastic matrix by
-    Grassmann-Taksar-Heyman elimination.
+def _gth_solve(stack: np.ndarray) -> np.ndarray:
+    """Stationary rows of a (B, n, n) stack of irreducible stochastic
+    matrices by Grassmann-Taksar-Heyman elimination.
 
     Each step censors the chain to its leading states; the divisor is the
     probability of leaving state k for a lower state, a sum of non-negative
     entries, so no subtraction ever happens and the result keeps high
     relative accuracy however slowly the chain mixes.
+
+    The chains are eliminated together, one numpy call per step for the
+    whole stack, and row b is bit for bit the solve of stack[b] alone: each
+    entry takes the same divide, product and sum, each pivot is numpy's
+    pairwise sum over that chain's row alone, and each back-substitution
+    term is the same strided dot product.
     """
-    a = matrix.copy()
-    # Each rank-one update is multiplied into a contiguous k x k view of one
-    # scratch buffer, then added in place: per entry the same product and sum
-    # as a[:k, :k] += np.outer(...), without a new array per step.
+    a = stack.copy()
+    batch, n = a.shape[:2]
+    # Each rank-one update is multiplied into a contiguous view of one scratch
+    # buffer, then added in place: per entry the same product and sum as
+    # a[b, :k, :k] += np.outer(...), without a new array per step. Outputs
+    # are passed by position, which numpy parses faster than out=.
     scratch = np.empty(a.size)
-    for k in range(len(a) - 1, 0, -1):
-        a[:k, k] /= np.add.reduce(a[k, :k])
-        block, update = a[:k, :k], scratch[:k * k].reshape(k, k)
-        np.multiply(a[:k, k, None], a[k, :k], out=update)
-        np.add(block, update, out=block)
-    x = np.ones(len(a))
-    for k in range(1, len(a)):
-        x[k] = x[:k] @ a[:k, k]
-    return x / x.sum()
+    pivot = np.empty((batch, 1, 1))
+    divide, multiply, add, reduce = np.divide, np.multiply, np.add, np.add.reduce
+    for k in range(n - 1, 0, -1):
+        column, row, block = a[:, :k, k:k + 1], a[:, k:k + 1, :k], a[:, :k, :k]
+        reduce(row, 2, None, pivot, True)
+        divide(column, pivot, column)
+        update = scratch[:batch * k * k].reshape(batch, k, k)
+        multiply(column, row, update)
+        add(block, update, block)
+    x = np.ones((batch, n))
+    if batch == 1:  # a 1-D dot per term costs less than a (1, 1, 1) matmul
+        x1, a1 = x[0], a[0]
+        for k in range(1, n):
+            x1[k] = x1[:k] @ a1[:k, k]
+    else:
+        rows = x[:, None]
+        for k in range(1, n):
+            np.matmul(rows[:, :, :k], a[:, :k, k:k + 1], rows[:, :, k:k + 1])
+    return x / reduce(x, 1, None, None, True)
 
 
 def stationary_distribution(channel: Channel) -> Distribution:
@@ -217,11 +235,14 @@ def stationary_distribution(channel: Channel) -> Distribution:
     audit proceeds with this one.
     """
     matrix = channel.matrix
+    n = len(matrix)
     classes = _closed_classes(matrix)
+    if len(classes[0]) == n:  # one class covers every state
+        return Distribution(_gth_solve(matrix[None])[0], labels=channel.labels)
     recurrent = sum(len(members) for members in classes)
-    pi = np.zeros(len(channel))
+    pi = np.zeros(n)
     for members in classes:
-        block = _gth_solve(matrix[np.ix_(members, members)])
+        block = _gth_solve(matrix[np.ix_(members, members)][None])[0]
         pi[members] = block * (len(members) / recurrent)
     if len(classes) > 1:
         warnings.warn(
@@ -231,6 +252,25 @@ def stationary_distribution(channel: Channel) -> Distribution:
             stacklevel=2,
         )
     return Distribution(pi, labels=channel.labels)
+
+
+def _stationary_distributions(channels: list[Channel]) -> list[Distribution]:
+    """stationary_distribution of each channel, bit for bit. The chains of
+    one size with no zero entry, so one closed class over every state, are
+    solved in one stacked elimination; any other chain goes through
+    stationary_distribution, with its warning."""
+    pis: list[Distribution | None] = [None] * len(channels)
+    by_size: dict[int, list[int]] = {}
+    for i, channel in enumerate(channels):
+        by_size.setdefault(len(channel), []).append(i)
+    for indices in by_size.values():
+        stack = np.stack([channels[i].matrix for i in indices])
+        positive = (stack > 0.0).all(axis=(1, 2))
+        rows = iter(_gth_solve(stack[positive]))
+        for i, stacked in zip(indices, positive.tolist()):
+            pis[i] = (Distribution(next(rows), labels=channels[i].labels) if stacked
+                      else stationary_distribution(channels[i]))
+    return pis
 
 
 def check_detailed_balance(channel: Channel, pi: Distribution) -> DetailedBalanceCheck:
@@ -357,7 +397,17 @@ def second_law_audit(
     """
     if steps < 1:
         raise DomainError(f"audit needs at least one step, got {steps}")
-    pi = stationary_distribution(channel)
+    return _audit(p0, channel, steps, stationary_distribution(channel), reference)
+
+
+def _audit(
+    p0: Distribution,
+    channel: Channel,
+    steps: int,
+    pi: Distribution,
+    reference: Distribution | None = None,
+) -> AuditVerdict:
+    """second_law_audit once the stationary pi of the channel is known."""
     balance = check_detailed_balance(channel, pi)
     trajectory = evolve(p0, channel, steps, pi if reference is None else reference)
     max_violation = _max_positive_jump(trajectory.d_nats)

@@ -13,10 +13,13 @@ from typing import ClassVar
 import numpy as np
 
 from .info import Distribution
-from .markov import Channel, data_processing_check, second_law_audit
+from .markov import Channel, _audit, _stationary_distributions, data_processing_check
 from .thermo import IDENTITY_TOLERANCE, EnergyLandscape, check_szilard_landauer
 
 DEFAULT_SEED = 0xC0FFEE
+# The monotonicity sweep draws and solves this many instances at a time, so
+# its stacked arrays stay the same size however many instances it runs.
+_CHUNK = 128
 
 
 def _instance_rng(seed: int, index: int) -> np.random.Generator:
@@ -77,8 +80,11 @@ def random_landscape_instance(
     rng: np.random.Generator, max_states: int
 ) -> tuple[EnergyLandscape, Distribution]:
     n = int(rng.integers(2, max_states + 1))
-    landscape = EnergyLandscape(rng.uniform(-10.0, 10.0, n),
-                                temperature=float(rng.uniform(0.1, 10.0)))
+    try:
+        energies = rng.uniform(-10.0, 10.0, n)
+    except ValueError:  # more bytes than numpy can count: no memory holds it either
+        raise MemoryError(f"Unable to allocate {n} energies") from None
+    landscape = EnergyLandscape(energies, temperature=float(rng.uniform(0.1, 10.0)))
     return landscape, Distribution(rng.dirichlet(np.ones(n)))
 
 
@@ -160,17 +166,22 @@ def monotonicity_sweep(
     failures = 0
     worst = 0.0
     non_db = 0
-    for i in range(instances):
-        rng = _instance_rng(seed, i)
-        n = int(rng.integers(2, max_states + 1))
-        channel = random_channel(rng, n, cycle_bias=(i % 5 == 4))
-        p0 = Distribution(rng.dirichlet(np.ones(n)))
-        verdict = second_law_audit(p0, channel, steps)
-        if not verdict.detailed_balance:
-            non_db += 1
-        worst = max(worst, verdict.max_violation)
-        if not verdict.monotone:
-            failures += 1
+    for start in range(0, instances, _CHUNK):
+        drawn = []
+        for i in range(start, min(start + _CHUNK, instances)):
+            rng = _instance_rng(seed, i)
+            n = int(rng.integers(2, max_states + 1))
+            channel = random_channel(rng, n, cycle_bias=(i % 5 == 4))
+            drawn.append((channel, Distribution(rng.dirichlet(np.ones(n)))))
+        # the chunk's chains of each size share one stationary solve
+        pis = _stationary_distributions([channel for channel, _ in drawn])
+        for (channel, p0), pi in zip(drawn, pis):
+            verdict = _audit(p0, channel, steps, pi)
+            if not verdict.detailed_balance:
+                non_db += 1
+            worst = max(worst, verdict.max_violation)
+            if not verdict.monotone:
+                failures += 1
     return MonotonicitySweepResult(
         instances=instances,
         failures=failures,

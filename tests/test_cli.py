@@ -112,14 +112,21 @@ def test_usage_error_exits_one(capsys):
     ["audit", str(DATA), "--channel", "mix", "--p0", "sharp", "--steps", "0"],
     ["sweep", "--seed", "-1"],
     ["sweep", "--seed=-5"],
+    # numpy draws each sweep size as an int64 below --max-states + 1
+    ["sweep", "--instances", "1", "--max-states", "99999999999999999999"],
+    # the size drawn at this seed needs more bytes than numpy can count
+    ["sweep", "--instances", "1", "--max-states", str(2**63 - 1), "--seed", "1"],
 ])
 def test_degenerate_counts_are_usage_errors(args, capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(args)
-    assert exc.value.code == 1
+    try:
+        code = cli.main(args)
+    except SystemExit as exc:  # a value the argument's type rejects
+        code = exc.code
+    assert code == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert "must be at least" in err.strip().splitlines()[-1]
+    assert re.search(r"must be at (least|most) |^error: Unable to allocate ",
+                     err.strip().splitlines()[-1])
 
 
 @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
@@ -170,6 +177,13 @@ def test_non_finite_or_non_positive_physical_inputs_are_usage_errors(
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("ratio", ["5e-324", "1e-320"])
+def test_a_ratio_whose_reciprocal_overflows_is_named(ratio, capsys):
+    code, out, err = run_cli(["szilard", "--ratio", ratio], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: ratio {float(ratio)!r} is too small: 1/ratio overflows\n"
 
 
 # -- audit -------------------------------------------------------------------------
@@ -499,15 +513,15 @@ def test_sweep_injected_violation_exits_two(capsys, monkeypatch):
     from thermobit import sweeps
     from thermobit.info import Distribution
 
-    audit = sweeps.second_law_audit
+    audit = sweeps._audit
 
-    def from_a_skewed_reference(p0, channel, steps, reference=None):
+    def from_a_skewed_reference(p0, channel, steps, pi, reference=None):
         # a reference that is not stationary, and the chain starts on it
         skew = np.linspace(1.0, 2.0, len(channel))
         skewed = Distribution(skew / skew.sum())
-        return audit(skewed, channel, steps, reference=skewed)
+        return audit(skewed, channel, steps, pi, reference=skewed)
 
-    monkeypatch.setattr(sweeps, "second_law_audit", from_a_skewed_reference)
+    monkeypatch.setattr(sweeps, "_audit", from_a_skewed_reference)
     code, out, _ = run_cli(
         ["sweep", "--instances", "5", "--max-states", "4", "--format", "json"], capsys
     )
@@ -522,6 +536,22 @@ def test_sweep_same_seed_is_deterministic_in_process(capsys):
     _, first, _ = run_cli(args, capsys)
     _, second, _ = run_cli(args, capsys)
     assert first == second
+
+
+# Captured from the sweep's defaults before its stationary solves were
+# stacked: every later change to the sweep keeps these bytes.
+@pytest.mark.parametrize("args, golden", [
+    (["--format", "json", "--seed", "0xC0FFEE"], "sweep_0xC0FFEE.json"),
+    (["--format", "json", "--seed", "1"], "sweep_1.json"),
+    (["--format", "json", "--seed", "7"], "sweep_7.json"),
+    (["--format", "json", "--seed", "12345"], "sweep_12345.json"),
+    ([], "sweep_table.txt"),
+], ids=["0xC0FFEE", "1", "7", "12345", "table"])
+def test_sweep_stdout_matches_its_golden_file(args, golden, capsys, monkeypatch):
+    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+    code, out, err = run_cli(["sweep", *args], capsys)
+    assert (code, err) == (0, "")
+    assert out.encode() == (DATA.parent / golden).read_bytes()
 
 
 def test_sweep_seed_env_override(capsys, monkeypatch):

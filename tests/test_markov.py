@@ -245,6 +245,41 @@ def test_stationary_matches_the_outer_product_gth_bit_for_bit(kind):
         assert pi.probs.tobytes() == expected.tobytes()
 
 
+# Bit identity rests on numpy reducing each row of a stack by the pairwise
+# sum of a 1-D call, and sending a (1, k) @ (k, 1) matmul to the strided dot
+# product of a 1-D one.
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1),
+       kinds=st.lists(st.sampled_from(["dense", "sparse", "slow", "rotation"]),
+                      min_size=1, max_size=12))
+def test_a_stacked_solve_gives_each_chain_its_own_solve_bit_for_bit(n, seed, kinds):
+    rng = np.random.default_rng(seed)
+    chains = []
+    for kind in kinds:
+        if kind == "rotation":  # as the monotonicity sweep draws it
+            chains.append(0.9 * np.roll(np.eye(n), 1, axis=1)
+                          + 0.1 * rng.dirichlet(np.ones(n), size=n))
+        else:
+            chains.append(_oracle_chain(rng, kind, n))
+    stack = np.stack([Channel(matrix).matrix for matrix in chains])
+    for matrix, row in zip(stack, markov._gth_solve(stack)):
+        assert row.tobytes() == _gth_outer(matrix).tobytes()
+
+
+def test_solving_chains_together_gives_each_its_stationary_distribution():
+    rng = np.random.default_rng(7)
+    channels = [Channel(_oracle_chain(rng, kind, n), labels=[f"s{i}" for i in range(n)])
+                for n in (2, 3, 5, 5, 8, 13) for kind in sorted(_ORACLE_SIZES)]
+    with pytest.warns(StationaryMultiplicityWarning) as together_warned:
+        together = markov._stationary_distributions(channels)
+    with pytest.warns(StationaryMultiplicityWarning) as alone_warned:
+        alone = [stationary_distribution(channel) for channel in channels]
+    assert len(together_warned) == len(alone_warned) == 6  # one per two-class chain
+    for pi, expected in zip(together, alone):
+        assert pi.probs.tobytes() == expected.probs.tobytes()
+        assert pi.labels == expected.labels
+
+
 def test_closed_classes_match_a_breadth_first_search():
     rng = np.random.default_rng(43)
     graphs = []
@@ -304,7 +339,7 @@ def _exact_stationary(k, classes):
 
 
 _DYADIC_CHAINS = st.integers(2, 6).flatmap(lambda n: st.tuples(
-    st.lists(st.sampled_from([1, 2, 3, 10, 20, 40]), min_size=n, max_size=n),
+    st.lists(st.sampled_from([1, 2, 3, 10, 20, 40, 100, 300, 600, 997]), min_size=n, max_size=n),
     st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=n, max_size=n),
 ))
 
@@ -317,9 +352,15 @@ _DYADIC_CHAINS = st.integers(2, 6).flatmap(lambda n: st.tuples(
                               [0, 0, 1, 0, 0], [2, 0, 1, 0, 0]]))
 # a birth-death chain, so reversible, with couplings from 2^-43 to 3 * 2^-4
 @example(([40, 1, 20, 2], [[0, 1, 0, 0], [3, 0, 2, 0], [0, 1, 0, 3], [0, 0, 2, 0]]))
+# couplings of at least 2^-1000 keep every pi entry normal (by the Markov chain
+# tree theorem, above 2^-1018 for n <= 6); state 0 leaks 2^-1033 here, so states
+# 1 and 2 get 2^-1029, a subnormal
+@example(([1030, 1, 1], [[0, 1, 0], [1, 0, 1], [0, 1, 0]]))
 def test_stationary_matches_the_exact_pi_of_dyadic_chains(chain):
-    # row i moves to j != i with probability w_ij * 2^-(s_i + 3) and stays with
-    # the rest: every entry, and every partial row sum, is an exact double
+    # row i moves to j != i with probability w_ij * 2^-(s_i + 3), down to
+    # 2^-1000, and stays with the rest: every off-diagonal entry, and every
+    # partial sum of them, is an exact double. The diagonal is rounded once
+    # s_i + 3 > 52; neither GTH nor the exact solve reads it.
     scales, weights = chain
     n = len(scales)
     k = [[Fraction(w, 2 ** (s + 3)) for w in row] for s, row in zip(scales, weights)]
@@ -327,16 +368,21 @@ def test_stationary_matches_the_exact_pi_of_dyadic_chains(chain):
         k[i][i] = 1 - sum(k[i][j] for j in range(n) if j != i)
     matrix = np.array([[float(x) for x in row] for row in k])
     channel = Channel(matrix)
-    assert [[Fraction(x) for x in row] for row in channel.matrix.tolist()] == k
+    stored = [[Fraction(x) for x in row] for row in channel.matrix.tolist()]
+    assert all(stored[i][j] == k[i][j] for i in range(n) for j in range(n) if i != j)
     exact = _exact_stationary(k, _classes_by_search(matrix > 0.0))
     _certify_stationary(k, exact)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", StationaryMultiplicityWarning)
         pi = stationary_distribution(channel)
-    # entrywise to n^2 machine epsilons, relative: transient states exactly 0
-    eps = Fraction(np.finfo(float).eps)
+    # entrywise to n^2 machine epsilons, relative: transient states exactly 0.
+    # Below the normal range a double keeps fewer significant bits, so there
+    # the bound is n^2 subnormal spacings, absolute.
+    eps, smallest_normal = Fraction(np.finfo(float).eps), Fraction(np.finfo(float).tiny)
+    spacing = Fraction(np.finfo(float).smallest_subnormal)
     for got, want in zip(pi.probs.tolist(), exact):
-        assert abs(Fraction(got) - want) <= n * n * eps * want
+        bound = n * n * (eps * want if want >= smallest_normal else spacing)
+        assert abs(Fraction(got) - want) <= bound
     # so a reversible chain's flux pairs agree to 2 n^2 + 1 epsilons, within
     # the detailed-balance slack, and a coarse asymmetry is never missed
     flux = [[exact[i] * k[i][j] for j in range(n)] for i in range(n)]
@@ -766,7 +812,7 @@ def test_audit_and_sweep_share_one_monotonicity_slack(monkeypatch):
     verdict = second_law_audit(uniform, channel, 1, reference=uniform)
     assert 1e-12 < verdict.max_violation <= 1e-10
     assert not verdict.monotone
-    monkeypatch.setattr(sweeps, "second_law_audit", lambda *args, **kwargs: verdict)
+    monkeypatch.setattr(sweeps, "_audit", lambda *args, **kwargs: verdict)
     assert sweeps.monotonicity_sweep(3, steps=1).failures == 3
 
 
