@@ -47,6 +47,23 @@ def _renormalised_rows(arr: np.ndarray, sums: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _renormalise_first_astray(rows: np.ndarray, sums: np.ndarray) -> int:
+    """Renormalise, in place and as _renormalised would, the first row of a
+    2-D array whose sum strays from 1 by more than _RENORM_SKIP, and return
+    its index; len(rows) when no row strays.
+
+    `sums` receives the row sums from one reduce along the rows, which gives
+    each row the pairwise sum a 1-D call gives. They are then read as Python
+    floats one at a time, which for the few rows between renormalisations
+    costs less than more numpy calls, and copies nothing of a long block."""
+    np.add.reduce(rows, 1, out=sums)
+    for i, total in enumerate(memoryview(sums)):
+        if abs(total - 1.0) > _RENORM_SKIP:
+            rows[i] /= total
+            return i
+    return len(rows)
+
+
 def _labels(labels: Sequence[str], size: int, what: str = "labels") -> tuple[str, ...]:
     """labels as a tuple, which must name `size` states."""
     labels = tuple(labels)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .info import LOG2, SUM_TOLERANCE, Distribution, relative_entropy
-from .info import _kl_rows, _labels, _renormalised, _renormalised_rows
+from .info import _kl_rows, _labels, _renormalise_first_astray, _renormalised_rows
 
 # How far apart, relative to the larger, the fluxes pi_i K_ij and pi_j K_ji of
 # a reversible chain may come out, per n^2 states. GTH gives each entry of pi
@@ -327,6 +327,9 @@ def evolve(
     pi_ref="auto" resolves the reference via stationary_distribution. The
     inputs are checked once; the steps run on plain arrays, renormalised by
     Distribution's rule, so row t is bit for bit what apply_channel builds.
+    A step is one product and one byte compare: the sums are tested in
+    blocks of rows, one reduce each, and the chain is stepped on again from
+    the first row that is renormalised.
 
     The loop stops at the chain's floating-point fixed point: once a step
     returns its input bit for bit, the remaining rows are that row and the
@@ -354,22 +357,39 @@ def evolve(
     except ValueError:  # more bytes than numpy can count: no memory holds it either
         raise MemoryError(f"Unable to allocate {steps + 1} rows of {len(channel)} "
                           f"probabilities") from None
-    probs[0] = row = p0.probs
-    last = row.tobytes()
-    end = steps + 1
-    for t in range(1, steps + 1):
-        # one product, one sum and one byte compare; row.dot and np.add.reduce
-        # give the bits of row @ matrix and nxt.sum() with less call overhead
-        nxt = row.dot(matrix)
-        nxt = _renormalised(nxt, float(np.add.reduce(nxt)))
-        now = nxt.tobytes()
-        if now == last:
-            probs[t:] = row
-            end = t
-            break
-        probs[t] = row = nxt
-        last = now
     d_nats = np.empty(steps + 1)
+    probs[0] = p0.probs
+    prev = probs[0]
+    last = prev.tobytes()
+    end = steps + 1  # rows from end on repeat row end - 1
+    # A block of steps ends at its size or at a repeated row; then its row
+    # sums, held in d_nats until the KL pass, are tested. The first row whose
+    # sum strays is renormalised, and the rows after it, stepped from its
+    # unrenormalised bits, are stepped again. A block that needs nothing
+    # doubles the next; a renormalisation sizes the next by the gap since the
+    # one before, so a chain that renormalises every few steps wastes few.
+    t = size = 1
+    fixed = 0  # the last renormalised row
+    while t < end:
+        start = t
+        for t in range(start, min(start + size, end)):
+            row = probs[t]
+            prev.dot(matrix, row)
+            now = row.tobytes()
+            if now == last:
+                end = t
+                break
+            prev, last = row, now
+        r = start + _renormalise_first_astray(probs[start:t + 1], d_nats[start:t + 1])
+        if r > t:
+            size *= 2
+        else:
+            prev = probs[r]
+            last = prev.tobytes()
+            end = r if last == probs[r - 1].tobytes() else steps + 1
+            t, size, fixed = r, r - fixed, r
+        t += 1
+    probs[end:] = probs[end - 1]
     _kl_rows(probs[:end], ref, d_nats[:end])
     d_nats[end:] = d_nats[end - 1]
     probs.setflags(write=False)

@@ -2,6 +2,7 @@
 
 import collections
 import math
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -539,6 +540,9 @@ def _sparse(rng, n, support):
 
 
 _TWO_STATE = Channel([[0.99, 0.01], [0.02, 0.98]])
+# rows summing to just under 1 - 1e-12: from [1, 0] the chain settles at step
+# 3 on a row that was renormalised
+_SETTLES_RENORMALISED = Channel([[0.8424141517855323, 0.15758584821346774]] * 2)
 
 
 def _doubly_stochastic(rng, n, terms=8):
@@ -566,6 +570,18 @@ def _evolve_case(case, rng):
         return _random_dist(rng, 128), _doubly_stochastic(rng, 128), 1_000, "auto"
     if case == "stationary-p0":
         return Distribution([0.5, 0.5]), Channel([[0.75, 0.25], [0.25, 0.75]]), 50, "auto"
+    if case.startswith("drift"):
+        # every row sums to 1 + drift, kept as stored, so products stray and
+        # are renormalised every few steps
+        rows = np.full((4, 4), 0.25)
+        rows[:, 0] += float(case.removeprefix("drift"))
+        return Distribution([0.4, 0.3, 0.2, 0.1]), Channel(rows), 10_000, "auto"
+    if case == "renormalised-fixed-point":
+        return Distribution([1.0, 0.0]), _SETTLES_RENORMALISED, 50, "auto"
+    if case == "no-steps":
+        return Distribution([1.0, 0.0]), _TWO_STATE, 0, "auto"
+    if case == "one-step":
+        return Distribution([1.0, 0.0]), _TWO_STATE, 1, "auto"
     assert case == "nonstationary-reference"
     return Distribution([1.0, 0.0]), _TWO_STATE, 5_000, Distribution([0.5, 0.5])
 
@@ -578,8 +594,17 @@ def _first_repeat(probs):
     return None
 
 
+def _renormalised_steps(probs, channel):
+    """The steps t at which p_(t-1) K sums to more than 1e-12 away from 1,
+    so that p_t is that product renormalised."""
+    sums = np.array([np.add.reduce(p.dot(channel.matrix)) for p in probs[:-1]])
+    return np.flatnonzero(np.abs(sums - 1.0) > 1e-12) + 1
+
+
 @pytest.mark.parametrize("case", ["reducible", "rotation", "zero-reference", "two-state",
-                                  "dense-128", "stationary-p0", "nonstationary-reference"])
+                                  "dense-128", "stationary-p0", "nonstationary-reference",
+                                  "drift+5e-13", "drift+9e-13", "drift-1e-13",
+                                  "renormalised-fixed-point", "no-steps", "one-step"])
 def test_evolve_matches_step_by_step_reference_bitwise(case):
     rng = np.random.default_rng(23)
     p0, channel, steps, pi_ref = _evolve_case(case, rng)
@@ -595,8 +620,13 @@ def test_evolve_matches_step_by_step_reference_bitwise(case):
     assert len(trajectory) == steps + 1
     # each case covers what its name says about the fixed point
     settled = _first_repeat(probs)
-    if case in ("rotation", "zero-reference"):
+    if case in ("rotation", "zero-reference", "no-steps", "one-step"):
         assert settled is None
+    elif case.startswith("drift"):
+        assert settled is None
+        assert len(_renormalised_steps(probs, channel)) > steps // 20
+    elif case == "renormalised-fixed-point":
+        assert settled == 3 and settled in _renormalised_steps(probs, channel)
     elif case == "stationary-p0":
         assert settled == 1
     elif case != "reducible":
@@ -607,20 +637,36 @@ def test_evolve_matches_step_by_step_reference_bitwise(case):
         assert np.isinf(d_nats).any() and np.isfinite(d_nats).any()
 
 
-def test_evolve_stops_at_the_floating_point_fixed_point(monkeypatch):
+def _count_products(run):
+    """run() and the number of `dot` calls it made, one per chain step."""
     calls = 0
-    renormalised = markov._renormalised
 
-    def counting(arr, total):
+    def profile(frame, event, arg):
         nonlocal calls
-        calls += 1
-        return renormalised(arr, total)
+        if event == "c_call" and getattr(arg, "__name__", None) == "dot":
+            calls += 1
 
-    monkeypatch.setattr(markov, "_renormalised", counting)
-    trajectory = evolve(Distribution([1.0, 0.0]), _TWO_STATE, 50_000)
+    sys.setprofile(profile)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
+def test_evolve_stops_at_the_floating_point_fixed_point():
+    trajectory, calls = _count_products(
+        lambda: evolve(Distribution([1.0, 0.0]), _TWO_STATE, 50_000))
     assert calls < 2_000
     assert len(trajectory) == 50_001
     assert np.array_equal(trajectory.probs[-1], trajectory.probs[calls])
+
+
+def test_evolve_stops_at_a_renormalised_fixed_point():
+    trajectory, calls = _count_products(
+        lambda: evolve(Distribution([1.0, 0.0]), _SETTLES_RENORMALISED, 50_000))
+    assert calls < 20
+    assert np.array_equal(trajectory.probs[-1], trajectory.probs[3])
 
 
 def _count_kl_nats(monkeypatch):
@@ -703,6 +749,48 @@ def test_evolve_keeps_renormalising_rows_that_drift():
     assert np.array_equal(channel.matrix, rows)
     trajectory = evolve(Distribution([0.4, 0.3, 0.2, 0.1]), channel, 10_000)
     assert np.all(np.abs(trajectory.probs.sum(axis=1) - 1.0) <= 1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 8), steps=st.integers(0, 300), seed=st.integers(0, 2**32 - 1),
+       drifts=st.lists(st.floats(-1e-12, 1e-12), min_size=9, max_size=9))
+def test_evolve_matches_step_by_step_on_rows_that_drift(n, steps, seed, drifts):
+    # each row's sum, and p0's, strays from 1 by up to 1e-12, so products
+    # renormalise at irregular steps
+    rng = np.random.default_rng(seed)
+    rows = rng.dirichlet(np.ones(n), size=n)
+    rows[np.arange(n), rows.argmax(axis=1)] += drifts[:n]
+    p0 = rng.dirichlet(np.ones(n))
+    p0[p0.argmax()] += drifts[n]
+    p0, channel, reference = Distribution(p0), Channel(rows), _random_dist(rng, n)
+    trajectory = evolve(p0, channel, steps, reference)
+    probs, d_nats = _step_by_step(p0, channel, steps, reference)
+    assert trajectory.probs.tobytes() == probs.tobytes()
+    assert trajectory.d_nats.tobytes() == d_nats.tobytes()
+
+
+# evolve relies on these two numpy equivalences for its bits; they are pinned
+# here on every numpy the suite runs on, the declared floor included
+@pytest.mark.parametrize("rows", [1, 2, 64])
+def test_a_reduce_along_rows_gives_each_row_its_1d_sum(rows):
+    rng = np.random.default_rng(rows)
+    for n in range(1, 201):
+        probs = rng.random((rows + 2, n))
+        sums = np.zeros(rows + 2)
+        np.add.reduce(probs[1:-1], 1, out=sums[1:-1])
+        for row, total in zip(probs[1:-1], sums[1:-1]):
+            assert total.tobytes() == np.add.reduce(row).tobytes()
+
+
+def test_a_product_written_into_a_row_has_the_bits_of_a_new_product():
+    rng = np.random.default_rng(5)
+    for n in range(1, 201):
+        matrix = rng.dirichlet(np.ones(n), size=n)
+        probs = np.zeros((3, n))
+        probs[0] = rng.dirichlet(np.ones(n))
+        probs[0].dot(matrix, probs[1])
+        assert probs[1].tobytes() == probs[0].dot(matrix).tobytes()
+        assert probs[1].tobytes() == (probs[0] @ matrix).tobytes()
 
 
 def test_evolve_rejects_mismatched_lengths():
