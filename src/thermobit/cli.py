@@ -149,7 +149,7 @@ def _load_document(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             source = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ThermobitError(f"cannot read {path}: {exc}") from None
     result = dsl.parse(source)
     for diagnostic in result.diagnostics:

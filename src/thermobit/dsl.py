@@ -118,7 +118,6 @@ class SystemDecl:
             np.array(self.energies),
             temperature=self.temperature,
             boltzmann=self.boltzmann,
-            labels=self.states,
         )
 
 
@@ -170,9 +169,6 @@ class ParseResult:
     @property
     def ok(self) -> bool:
         return self.document is not None
-
-    def errors(self) -> list[ParseDiagnostic]:
-        return list(self.diagnostics)
 
 
 @dataclass(slots=True)
@@ -408,7 +404,7 @@ class _Parser:
         if len(self.diagnostics) > mark:
             return None
         try:
-            dist = Distribution(probs, labels=system.states)
+            dist = Distribution(probs)
         except (DomainError, ShapeError) as exc:
             self.error(probs_line, 0, str(exc))
             return None
@@ -476,7 +472,7 @@ class _Parser:
         if len(self.diagnostics) > mark:
             return None
         try:
-            channel = Channel(matrix, labels=system.states)
+            channel = Channel(matrix)
         except (DomainError, ShapeError) as exc:
             self.block_error(block, str(exc))
             return None
@@ -557,11 +553,10 @@ def format_document(doc: ProtocolSpec) -> str:
     for decl in doc.channels.values():
         lines = [f"channel {decl.name}"]
         lines.append(f"  over {decl.system}")
-        labels = decl.channel.labels
-        for i, source in enumerate(labels):
-            row = decl.channel.matrix[i]
+        states = doc.systems[decl.system].states
+        for source, row in zip(states, decl.channel.matrix):
             cells = " ".join(
-                f"{labels[j]} {_fmt(row[j])}" for j in range(len(labels)) if row[j] != 0.0
+                f"{target} {_fmt(x)}" for target, x in zip(states, row) if x != 0.0
             )
             lines.append(f"  from {source}: {cells}")
         chunks.append("\n".join(lines))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -64,14 +63,6 @@ def _renormalise_first_astray(rows: np.ndarray, sums: np.ndarray) -> int:
     return len(rows)
 
 
-def _labels(labels: Sequence[str], size: int, what: str = "labels") -> tuple[str, ...]:
-    """labels as a tuple, which must name `size` states."""
-    labels = tuple(labels)
-    if len(labels) != size:
-        raise ShapeError(f"{len(labels)} {what} for {size} states")
-    return labels
-
-
 def _as_prob_array(values, what: str, ndim: int) -> np.ndarray:
     arr = np.array(values, dtype=float)
     if arr.ndim != ndim:
@@ -102,23 +93,19 @@ class Distribution:
     """
 
     probs: np.ndarray
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        arr = _as_prob_array(self.probs, "distribution", ndim=1)
-        object.__setattr__(self, "probs", arr)
-        if self.labels is not None:
-            object.__setattr__(self, "labels", _labels(self.labels, arr.size))
+        object.__setattr__(self, "probs", _as_prob_array(self.probs, "distribution", ndim=1))
 
     @classmethod
-    def uniform(cls, n: int, labels: Sequence[str] | None = None) -> "Distribution":
-        return cls(np.full(n, 1.0 / n), labels=tuple(labels) if labels else None)
+    def uniform(cls, n: int) -> "Distribution":
+        return cls(np.full(n, 1.0 / n))
 
     @classmethod
-    def degenerate(cls, n: int, index: int, labels: Sequence[str] | None = None) -> "Distribution":
+    def degenerate(cls, n: int, index: int) -> "Distribution":
         probs = np.zeros(n)
         probs[index] = 1.0
-        return cls(probs, labels=tuple(labels) if labels else None)
+        return cls(probs)
 
     def __len__(self) -> int:
         return int(self.probs.size)
@@ -129,7 +116,7 @@ class Distribution:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Distribution):
             return NotImplemented
-        return np.array_equal(self.probs, other.probs) and self.labels == other.labels
+        return np.array_equal(self.probs, other.probs)
 
     def __repr__(self) -> str:
         return f"Distribution({self.probs.tolist()!r})"
@@ -140,50 +127,32 @@ class JointDistribution:
     """A distribution over a product space, indexed (state of S1, state of S2)."""
 
     probs: np.ndarray
-    row_labels: tuple[str, ...] | None = None
-    col_labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        arr = _as_prob_array(self.probs, "joint distribution", ndim=2)
-        object.__setattr__(self, "probs", arr)
-        for attr, size in (("row_labels", arr.shape[0]), ("col_labels", arr.shape[1])):
-            value = getattr(self, attr)
-            if value is not None:
-                object.__setattr__(self, attr, _labels(value, size, attr))
+        object.__setattr__(self, "probs", _as_prob_array(self.probs, "joint distribution", ndim=2))
 
     @classmethod
     def from_product(cls, first: Distribution, second: Distribution) -> "JointDistribution":
-        return cls(
-            np.outer(first.probs, second.probs),
-            row_labels=first.labels,
-            col_labels=second.labels,
-        )
+        return cls(np.outer(first.probs, second.probs))
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.probs.shape
 
     def marginal_first(self) -> Distribution:
-        return Distribution(self.probs.sum(axis=1), labels=self.row_labels)
+        return Distribution(self.probs.sum(axis=1))
 
     def marginal_second(self) -> Distribution:
-        return Distribution(self.probs.sum(axis=0), labels=self.col_labels)
+        return Distribution(self.probs.sum(axis=0))
 
     def flatten(self) -> Distribution:
         """The same distribution viewed over the flat product space (row-major)."""
-        labels = None
-        if self.row_labels is not None and self.col_labels is not None:
-            labels = tuple(f"{r},{c}" for r in self.row_labels for c in self.col_labels)
-        return Distribution(self.probs.reshape(-1), labels=labels)
+        return Distribution(self.probs.reshape(-1))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, JointDistribution):
             return NotImplemented
-        return (
-            np.array_equal(self.probs, other.probs)
-            and self.row_labels == other.row_labels
-            and self.col_labels == other.col_labels
-        )
+        return np.array_equal(self.probs, other.probs)
 
     def __repr__(self) -> str:
         return f"JointDistribution({self.probs.tolist()!r})"
@@ -198,10 +167,6 @@ class InfoQuantity:
     @property
     def bits(self) -> float:
         return self.nats / LOG2
-
-    @property
-    def is_finite(self) -> bool:
-        return math.isfinite(self.nats)
 
     def __float__(self) -> float:
         return self.nats

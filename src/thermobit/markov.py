@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .info import LOG2, SUM_TOLERANCE, Distribution, relative_entropy
-from .info import _kl_rows, _labels, _renormalise_first_astray, _renormalised_rows
+from .info import _kl_rows, _renormalise_first_astray, _renormalised_rows
 
 # How far apart, relative to the larger, the fluxes pi_i K_ij and pi_j K_ji of
 # a reversible chain may come out, per n^2 states. GTH gives each entry of pi
@@ -40,7 +40,6 @@ class Channel:
     """A row-stochastic matrix: row i is the next-state distribution from i."""
 
     matrix: np.ndarray
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         arr = np.array(self.matrix, dtype=float)
@@ -61,8 +60,6 @@ class Channel:
         arr = _renormalised_rows(arr, sums)
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
-        if self.labels is not None:
-            object.__setattr__(self, "labels", _labels(self.labels, arr.shape[0]))
 
     def __len__(self) -> int:
         return int(self.matrix.shape[0])
@@ -70,7 +67,7 @@ class Channel:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Channel):
             return NotImplemented
-        return np.array_equal(self.matrix, other.matrix) and self.labels == other.labels
+        return np.array_equal(self.matrix, other.matrix)
 
     def __repr__(self) -> str:
         return f"Channel({self.matrix.tolist()!r})"
@@ -152,7 +149,7 @@ def _check_length(p: Distribution, channel: Channel) -> None:
 def apply_channel(p: Distribution, channel: Channel) -> Distribution:
     """One chain step: (pK)_j = sum_i p_i K_ij."""
     _check_length(p, channel)
-    return Distribution(p.probs @ channel.matrix, labels=channel.labels)
+    return Distribution(p.probs @ channel.matrix)
 
 
 def _closed_classes(matrix: np.ndarray) -> list[np.ndarray]:
@@ -238,7 +235,7 @@ def stationary_distribution(channel: Channel) -> Distribution:
     n = len(matrix)
     classes = _closed_classes(matrix)
     if len(classes[0]) == n:  # one class covers every state
-        return Distribution(_gth_solve(matrix[None])[0], labels=channel.labels)
+        return Distribution(_gth_solve(matrix[None])[0])
     recurrent = sum(len(members) for members in classes)
     pi = np.zeros(n)
     for members in classes:
@@ -251,7 +248,7 @@ def stationary_distribution(channel: Channel) -> Distribution:
             StationaryMultiplicityWarning,
             stacklevel=2,
         )
-    return Distribution(pi, labels=channel.labels)
+    return Distribution(pi)
 
 
 def _stationary_distributions(channels: list[Channel]) -> list[Distribution]:
@@ -268,8 +265,7 @@ def _stationary_distributions(channels: list[Channel]) -> list[Distribution]:
         positive = (stack > 0.0).all(axis=(1, 2))
         rows = iter(_gth_solve(stack[positive]))
         for i, stacked in zip(indices, positive.tolist()):
-            pis[i] = (Distribution(next(rows), labels=channels[i].labels) if stacked
-                      else stationary_distribution(channels[i]))
+            pis[i] = Distribution(next(rows)) if stacked else stationary_distribution(channels[i])
     return pis
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .info import Distribution, InfoQuantity, _labels, shannon_entropy
+from .info import Distribution, InfoQuantity, shannon_entropy
 
 DEFAULT_BOLTZMANN = 1.0
 SI_BOLTZMANN = 1.380649e-23  # J/K
@@ -38,24 +38,33 @@ def _check_kT(temperature: float, boltzmann: float) -> None:
 
 @dataclass(frozen=True, eq=False)
 class EnergyLandscape:
-    """Per-state energies plus a temperature and a Boltzmann-constant choice."""
+    """Per-state energies plus a temperature and a Boltzmann-constant choice.
+
+    The log weights −E/kT and the energy spread over kT must stay in float
+    range (an infinite spread gives an infinite quotient), so that every
+    quantity the identity check forms from them is finite.
+    """
 
     energies: np.ndarray
     temperature: float = 1.0
     boltzmann: float = DEFAULT_BOLTZMANN
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         arr = np.array(self.energies, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ShapeError("energies must be a non-empty vector")
-        if not np.isfinite(arr).all():
+        lo, hi = float(arr.min()), float(arr.max())
+        if not -math.inf < lo <= hi < math.inf:
             raise DomainError("energies must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "energies", arr)
         _check_kT(self.temperature, self.boltzmann)
-        if self.labels is not None:
-            object.__setattr__(self, "labels", _labels(self.labels, arr.size))
+        kT = self.kT
+        for name, value in (("-E/kT", max(-lo, hi) / kT),
+                            ("the energy spread over kT", (hi - lo) / kT)):
+            if value == math.inf:
+                raise DomainError(f"{name} overflows for energies in [{lo!r}, {hi!r}] "
+                                  f"at kT = {kT!r}")
 
     @property
     def kT(self) -> float:
@@ -118,7 +127,7 @@ def gibbs_distribution(landscape: EnergyLandscape) -> Distribution:
     """The equilibrium distribution π_i ∝ exp(−E_i/kT), computed shift-stably."""
     a = _log_weights(landscape)
     w = np.exp(a - float(a.max()))
-    return Distribution(w / w.sum(), labels=landscape.labels)
+    return Distribution(w / w.sum())
 
 
 def average_energy(landscape: EnergyLandscape, p: Distribution) -> float:

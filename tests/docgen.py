@@ -45,7 +45,7 @@ def random_document(rng: np.random.Generator) -> dsl.ProtocolSpec:
         dists[name] = dsl.DistDecl(
             name=name,
             system=system.name,
-            dist=Distribution(rng.dirichlet(np.ones(n)), labels=system.states),
+            dist=Distribution(rng.dirichlet(np.ones(n))),
         )
 
     channels: dict[str, dsl.ChannelDecl] = {}
@@ -57,7 +57,7 @@ def random_document(rng: np.random.Generator) -> dsl.ProtocolSpec:
         channels[name] = dsl.ChannelDecl(
             name=name,
             system=system.name,
-            channel=Channel(matrix, labels=system.states),
+            channel=Channel(matrix),
         )
     channel_names = list(channels)
 

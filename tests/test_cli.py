@@ -186,6 +186,23 @@ def test_a_ratio_whose_reciprocal_overflows_is_named(ratio, capsys):
     assert err == f"error: ratio {float(ratio)!r} is too small: 1/ratio overflows\n"
 
 
+@pytest.mark.parametrize("temperature, energies, overflow", [
+    ("1", ("1e308", "-1e308"), "the energy spread over kT"),
+    ("1e-300", ("1e300", "1e300"), "-E/kT"),
+    ("1e-300", ("1e300", "-1e300"), "-E/kT"),
+], ids=["spread", "log-weights", "log-weights-opposite-signs"])
+def test_check_names_a_landscape_that_overflows(temperature, energies, overflow, tmp_path,
+                                                capsys):
+    path = tmp_path / "system.tbit"
+    path.write_text(f"system s\n  states a b\n  temperature {temperature}\n"
+                    f"  energy a {energies[0]}\n  energy b {energies[1]}\n\n"
+                    "dist d\n  over s\n  probs 0.5 0.5\n")
+    code, out, err = run_cli(["check", str(path), "--dist", "d"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {overflow} overflows for energies in ")
+    assert err.count("\n") == 1
+
+
 # -- audit -------------------------------------------------------------------------
 
 def test_audit_mixing_chain_passes(capsys):
@@ -588,6 +605,24 @@ def test_fmt_canonicalizes(capsys, tmp_path):
     assert out2 == out
 
 
+def test_fmt_stdout_matches_its_golden_file(capsys):
+    code, out, err = run_cli(["fmt", str(DATA)], capsys)
+    assert (code, err) == (0, "")
+    assert out.encode() == (DATA.parent / "demo_fmt.tbit").read_bytes()
+
+
+@pytest.mark.parametrize("args", [["fmt"], ["check", "--dist", "d"],
+                                  ["audit", "--channel", "c", "--p0", "d"]],
+                         ids=["fmt", "check", "audit"])
+def test_a_file_that_is_not_utf8_is_one_error_line(args, capsys, tmp_path):
+    path = tmp_path / "latin1.tbit"
+    path.write_bytes(b"system s\n# \xff\n")
+    code, out, err = run_cli([args[0], str(path), *args[1:]], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot read {path}: ")
+    assert err.count("\n") == 1
+
+
 def test_fmt_bad_file_exits_one(capsys, tmp_path):
     bad = tmp_path / "bad.tbit"
     bad.write_text("system s\n  temperature 1\n")
@@ -709,7 +744,7 @@ _DISTS = st.sampled_from(["sharp", "fair", "tilted", "ghost"])
 @st.composite
 def _argv(draw, tmp: Path):
     files = st.sampled_from([str(DATA), str(tmp / "missing.tbit"), str(tmp),
-                             str(tmp / "bad.tbit")])
+                             str(tmp / "bad.tbit"), str(tmp / "latin1.tbit")])
 
     def options(*pairs):
         argv = []
@@ -781,6 +816,7 @@ def _run_in_process(argv, env_seed):
 @given(data=st.data(), env_seed=_ENV_SEEDS)
 def test_every_command_line_keeps_the_exit_code_contract(data, env_seed, tmp_path):
     (tmp_path / "bad.tbit").write_text("system s\n  temperature 1\n")
+    (tmp_path / "latin1.tbit").write_bytes(b"system s\n# \xff\n")
     argv = data.draw(_argv(tmp_path), label="argv")
     code, out, err = _run_in_process(argv, env_seed)
     assert code in (0, 1, 2)

@@ -83,7 +83,7 @@ def test_probability_sum_diagnostic_carries_location():
     source = "system s\n  states a b\n  temperature 1\n\ndist d\n  over s\n  probs 0.5 0.6\n"
     result = dsl.parse(source)
     assert not result.ok
-    (diag,) = result.errors()
+    (diag,) = result.diagnostics
     assert "probabilities sum to 1.1" in diag.message
     assert diag.line == 7
     assert diag.column == 3
@@ -96,21 +96,21 @@ def test_channel_row_sum_diagnostic():
     )
     result = dsl.parse(source)
     assert not result.ok
-    assert any("sums to 0.9" in d.message and d.line == 7 for d in result.errors())
+    assert any("sums to 0.9" in d.message and d.line == 7 for d in result.diagnostics)
 
 
 def test_missing_channel_row_diagnostic():
     source = "system s\n  states a b\n  temperature 1\n\nchannel k\n  over s\n  from a: a 1\n"
     result = dsl.parse(source)
     assert not result.ok
-    assert any("missing a 'from' row for state 'b'" in d.message for d in result.errors())
+    assert any("missing a 'from' row for state 'b'" in d.message for d in result.diagnostics)
 
 
 def test_unresolved_references_and_unknown_keywords():
     source = "dist d\n  over ghost\n  probs 1\n\nblorp x\n  stuff 1\n"
     result = dsl.parse(source)
     assert not result.ok
-    messages = " | ".join(d.message for d in result.errors())
+    messages = " | ".join(d.message for d in result.diagnostics)
     assert "unknown system 'ghost'" in messages
     assert "unknown block keyword 'blorp'" in messages
 
@@ -122,7 +122,7 @@ def test_duplicate_names_are_rejected():
     )
     result = dsl.parse(source)
     assert not result.ok
-    assert any("duplicate system name 's'" in d.message for d in result.errors())
+    assert any("duplicate system name 's'" in d.message for d in result.diagnostics)
 
 
 def test_parser_recovers_and_reports_all_errors_in_one_pass():
@@ -134,12 +134,12 @@ def test_parser_recovers_and_reports_all_errors_in_one_pass():
     )
     result = dsl.parse(source)
     assert not result.ok
-    assert len(result.errors()) == 2
+    assert len(result.diagnostics) == 2
 
 
 def test_error_count_is_deterministic():
     source = "dist d\n  probs 2\nnoise\n  indented\n"
-    counts = {len(dsl.parse(source).errors()) for _ in range(5)}
+    counts = {len(dsl.parse(source).diagnostics) for _ in range(5)}
     assert len(counts) == 1
 
 
@@ -166,13 +166,13 @@ def test_protocol_directive_validation():
     ]:
         result = dsl.parse(base + bad_line + "\n")
         assert not result.ok, bad_line
-        assert any(needle in d.message for d in result.errors()), bad_line
+        assert any(needle in d.message for d in result.diagnostics), bad_line
 
 
 def test_temperature_must_be_positive():
     result = dsl.parse("system s\n  states a\n  temperature 0\n")
     assert not result.ok
-    assert any("must be positive" in d.message for d in result.errors())
+    assert any("must be positive" in d.message for d in result.diagnostics)
 
 
 def test_duplicate_target_is_reported_even_when_its_first_value_is_zero():
@@ -183,13 +183,13 @@ def test_duplicate_target_is_reported_even_when_its_first_value_is_zero():
     result = dsl.parse(source)
     assert not result.ok
     assert (7, 15, "duplicate target 'a' in row") in [
-        (d.line, d.column, d.message) for d in result.errors()
+        (d.line, d.column, d.message) for d in result.diagnostics
     ]
 
 
 def test_duplicate_state_label_is_reported_once_at_its_column():
     result = dsl.parse("system s\n  states a b a\n  temperature 1\n")
-    assert [(d.line, d.column, d.message) for d in result.errors()] == [
+    assert [(d.line, d.column, d.message) for d in result.diagnostics] == [
         (2, 14, "duplicate state label 'a'")
     ]
 
@@ -201,7 +201,7 @@ def test_duplicate_state_label_is_reported_once_at_its_column():
      "probability must be a number, got 'x'"),
 ], ids=["temperature", "probs"])
 def test_a_bad_value_is_not_also_reported_as_a_missing_line(source, message):
-    assert [d.message for d in dsl.parse(source).errors()] == [message]
+    assert [d.message for d in dsl.parse(source).diagnostics] == [message]
 
 
 @pytest.mark.parametrize("source, line, column, what", [
@@ -218,7 +218,7 @@ def test_non_finite_numbers_are_rejected_at_their_position(source, line, column,
     result = dsl.parse(source)
     assert not result.ok
     ((got_line, got_column, message),) = [(d.line, d.column, d.message)
-                                          for d in result.errors()]
+                                          for d in result.diagnostics]
     assert (got_line, got_column) == (line, column)
     assert message.startswith(f"{what} must be finite, got ")
 
@@ -258,7 +258,7 @@ def test_fuzz_random_bytes_never_crash():
         blob = rng.integers(0, 256, size=int(rng.integers(0, 80)), dtype=np.uint8)
         text = blob.tobytes().decode("utf-8", errors="replace")
         result = dsl.parse(text)  # must not raise
-        assert (result.document is None) == bool(result.errors())
+        assert (result.document is None) == bool(result.diagnostics)
 
 
 def test_fuzz_shuffled_grammar_tokens_never_crash():

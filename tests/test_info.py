@@ -8,10 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermobit import (
-    Channel,
     Distribution,
     DomainError,
-    EnergyLandscape,
     JointDistribution,
     ShapeError,
     decompose_information,
@@ -293,11 +291,6 @@ def test_distribution_is_immutable():
         d.probs[0] = 0.3
 
 
-def test_distribution_label_mismatch():
-    with pytest.raises(ShapeError):
-        Distribution([0.5, 0.5], labels=("a",))
-
-
 # -- joints and mutual information ------------------------------------------------
 
 def _direct_mutual_info(matrix):
@@ -340,12 +333,10 @@ def test_mutual_information_matches_oracle_on_random_joints():
 
 
 def test_joint_marginals_and_flatten():
-    j = JointDistribution([[0.1, 0.2], [0.3, 0.4]], row_labels=("a", "b"),
-                          col_labels=("x", "y"))
+    j = JointDistribution([[0.1, 0.2], [0.3, 0.4]])
     assert np.allclose(j.marginal_first().probs, [0.3, 0.7])
     assert np.allclose(j.marginal_second().probs, [0.4, 0.6])
     flat = j.flatten()
-    assert flat.labels == ("a,x", "a,y", "b,x", "b,y")
     assert np.allclose(flat.probs, [0.1, 0.2, 0.3, 0.4])
 
 
@@ -403,20 +394,3 @@ def test_decomposition_shape_mismatch():
     j = JointDistribution.from_product(Distribution([0.5, 0.5]), Distribution([0.5, 0.5]))
     with pytest.raises(ShapeError):
         decompose_information(j, Distribution.uniform(3), Distribution.uniform(2))
-
-
-@pytest.mark.parametrize("build, attr", [
-    (lambda labels: Distribution([0.5, 0.5], labels=labels), "labels"),
-    (lambda labels: JointDistribution(np.full((2, 3), 1 / 6), row_labels=labels),
-     "row_labels"),
-    (lambda labels: JointDistribution(np.full((3, 2), 1 / 6), col_labels=labels),
-     "col_labels"),
-    (lambda labels: Channel(np.eye(2), labels=labels), "labels"),
-    (lambda labels: EnergyLandscape([0.0, 1.0], labels=labels), "labels"),
-], ids=["distribution", "joint-rows", "joint-columns", "channel", "landscape"])
-def test_labels_must_name_every_state_and_are_stored_as_a_tuple(build, attr):
-    for wrong in (["a"], ["a", "b", "c"]):
-        with pytest.raises(ShapeError) as exc:
-            build(wrong)
-        assert str(exc.value) == f"{len(wrong)} {attr} for 2 states"
-    assert getattr(build(["a", "b"]), attr) == ("a", "b")

@@ -1,9 +1,12 @@
 """Tests for the thermodynamic core and the correspondence check."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermobit import (
     Distribution,
@@ -220,10 +223,44 @@ def test_landscape_rejects_zero_temperature():
 def test_landscape_rejects_bad_boltzmann_and_energies():
     with pytest.raises(DomainError):
         EnergyLandscape([0.0], boltzmann=0.0)
-    with pytest.raises(DomainError):
-        EnergyLandscape([math.inf])
+    for energies in ([math.inf], [math.nan, 0.0], [0.0, -math.inf]):
+        with pytest.raises(DomainError, match="^energies must be finite$"):
+            EnergyLandscape(energies)
     with pytest.raises(ShapeError):
         EnergyLandscape([])
+
+
+# Each overflows one of the quantities the check forms: the energy spread
+# (1e308 - -1e308) at T = 1, -E/kT at T = 1e-300, and the spread over kT
+# (1.2e308 / 0.6) where -E/kT = ±1e308 and the spread itself fit in a float.
+@pytest.mark.parametrize("energies, temperature, overflow", [
+    ([1e308, -1e308], 1.0, "the energy spread over kT overflows"),
+    ([1e300, 1e300], 1e-300, "-E/kT overflows"),
+    ([1e300, -1e300], 1e-300, "-E/kT overflows"),
+    ([6e307, -6e307], 0.6, "the energy spread over kT overflows"),
+], ids=["spread", "log-weights", "log-weights-opposite-signs", "spread-over-kT"])
+def test_landscape_rejects_energies_that_overflow(energies, temperature, overflow):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=overflow):
+            EnergyLandscape(energies, temperature=temperature)
+
+
+@settings(max_examples=300, deadline=None)
+@given(energies=st.lists(st.sampled_from([0.0, 1.0, -1.0, 1e300, -1e300, 1e308, -1e308]),
+                         min_size=1, max_size=4),
+       temperature=st.sampled_from([1e-300, 1.0, 1e300]), data=st.data())
+def test_every_landscape_is_rejected_or_checks_cleanly(energies, temperature, data):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            landscape = EnergyLandscape(energies, temperature=temperature)
+        except DomainError:
+            return
+        n = len(energies)
+        index = data.draw(st.integers(0, n - 1), label="index")
+        for p in (Distribution.uniform(n), Distribution.degenerate(n, index)):
+            assert check_szilard_landauer(landscape, p).passes()
 
 
 def test_check_shape_mismatch():
