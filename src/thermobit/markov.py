@@ -190,29 +190,36 @@ def _gth_solve(stack: np.ndarray) -> np.ndarray:
     whole stack, and row b is bit for bit the solve of stack[b] alone: each
     entry takes the same divide, product and sum, each pivot is numpy's
     pairwise sum over that chain's row alone, and each back-substitution
-    term is the same strided dot product.
+    term is the same strided dot product. Step k keeps its divided column
+    at a[:, :k, k], for the back-substitution, and writes the censored
+    k x k block into one of two reused C-contiguous buffers, as the rank-one
+    product plus the previous block. One chain forms that product with a
+    BLAS product of one term per entry, a single rounded product as
+    np.multiply gives, and a stack with the broadcast multiply.
     """
-    a = stack.copy()
-    batch, n = a.shape[:2]
-    # Each rank-one update is multiplied into a contiguous view of one scratch
-    # buffer, then added in place: per entry the same product and sum as
-    # a[b, :k, :k] += np.outer(...), without a new array per step. Outputs
-    # are passed by position, which numpy parses faster than out=.
-    scratch = np.empty(a.size)
-    pivot = np.empty((batch, 1, 1))
-    divide, multiply, add, reduce = np.divide, np.multiply, np.add, np.add.reduce
+    batch, n = stack.shape[:2]
+    if batch == 1:  # 2-D views: np.dot needs them, and they index faster
+        block, lead, outer = stack[0], (), np.dot
+    else:
+        block, lead, outer = stack, (batch,), np.multiply
+    a = np.empty(block.shape)
+    buffers = np.empty((2, batch * (n - 1) ** 2))
+    pivot = np.empty((*lead, 1, 1))
+    # Outputs are passed by position, which numpy parses faster than out=.
+    divide, add, reduce = np.divide, np.add, np.add.reduce
     for k in range(n - 1, 0, -1):
-        column, row, block = a[:, :k, k:k + 1], a[:, k:k + 1, :k], a[:, :k, :k]
-        reduce(row, 2, None, pivot, True)
-        divide(column, pivot, column)
-        update = scratch[:batch * k * k].reshape(batch, k, k)
-        multiply(column, row, update)
-        add(block, update, block)
+        column, row = a[..., :k, k:k + 1], block[..., k:k + 1, :k]
+        reduce(row, -1, None, pivot, True)
+        divide(block[..., :k, k:k + 1], pivot, column)
+        censored = buffers[k % 2, :batch * k * k].reshape(*lead, k, k)
+        outer(column, row, censored)
+        add(censored, block[..., :k, :k], censored)
+        block = censored
     x = np.ones((batch, n))
     if batch == 1:  # a 1-D dot per term costs less than a (1, 1, 1) matmul
-        x1, a1 = x[0], a[0]
+        x1 = x[0]
         for k in range(1, n):
-            x1[k] = x1[:k] @ a1[:k, k]
+            x1[k] = x1[:k] @ a[:k, k]
     else:
         rows = x[:, None]
         for k in range(1, n):

@@ -42,7 +42,9 @@ class EnergyLandscape:
 
     The log weights −E/kT and the energy spread over kT must stay in float
     range (an infinite spread gives an infinite quotient), so that every
-    quantity the identity check forms from them is finite.
+    quantity the identity check forms from them is finite. So must
+    max|E| + kT·log n, which bounds |F(p)| for every p over n states, and
+    the spread plus kT·log n, which bounds F(p) − F(π) and kT·D(p‖π).
     """
 
     energies: np.ndarray
@@ -59,9 +61,12 @@ class EnergyLandscape:
         arr.setflags(write=False)
         object.__setattr__(self, "energies", arr)
         _check_kT(self.temperature, self.boltzmann)
-        kT = self.kT
-        for name, value in (("-E/kT", max(-lo, hi) / kT),
-                            ("the energy spread over kT", (hi - lo) / kT)):
+        kT, n = self.kT, arr.size
+        top, spread, entropy = max(-lo, hi), hi - lo, kT * math.log(n)  # kT·H(p) <= kT log n
+        for name, value in (("-E/kT", top / kT),
+                            ("the energy spread over kT", spread / kT),
+                            (f"max|E| + kT log {n}", top + entropy),
+                            (f"the energy spread + kT log {n}", spread + entropy)):
             if value == math.inf:
                 raise DomainError(f"{name} overflows for energies in [{lo!r}, {hi!r}] "
                                   f"at kT = {kT!r}")

@@ -190,13 +190,17 @@ def test_a_ratio_whose_reciprocal_overflows_is_named(ratio, capsys):
     ("1", ("1e308", "-1e308"), "the energy spread over kT"),
     ("1e-300", ("1e300", "1e300"), "-E/kT"),
     ("1e-300", ("1e300", "-1e300"), "-E/kT"),
-], ids=["spread", "log-weights", "log-weights-opposite-signs"])
+    # kT log 8 > 1.8e308: F(p) of the uniform p would be -inf, a false violation
+    ("1e308", ("0",) * 8, "max|E| + kT log 8"),
+], ids=["spread", "log-weights", "log-weights-opposite-signs", "flat-free-energy"])
 def test_check_names_a_landscape_that_overflows(temperature, energies, overflow, tmp_path,
                                                 capsys):
+    states = [f"s{i}" for i in range(len(energies))]
+    probs = " ".join([repr(1 / len(states))] * len(states))
     path = tmp_path / "system.tbit"
-    path.write_text(f"system s\n  states a b\n  temperature {temperature}\n"
-                    f"  energy a {energies[0]}\n  energy b {energies[1]}\n\n"
-                    "dist d\n  over s\n  probs 0.5 0.5\n")
+    path.write_text(f"system s\n  states {' '.join(states)}\n  temperature {temperature}\n"
+                    + "".join(f"  energy {name} {e}\n" for name, e in zip(states, energies))
+                    + f"\ndist d\n  over s\n  probs {probs}\n")
     code, out, err = run_cli(["check", str(path), "--dist", "d"], capsys)
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {overflow} overflows for energies in ")

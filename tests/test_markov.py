@@ -160,8 +160,9 @@ def test_stationary_is_fixed_by_random_positive_chains(rows):
 
 
 def _gth_outer(matrix):
-    """GTH elimination with a fresh np.outer per step: the bit-for-bit oracle
-    for markov._gth_solve, which multiplies the update into scratch space."""
+    """GTH elimination with a fresh np.outer per step, added in place: the
+    bit-for-bit oracle for markov._gth_solve, which writes each updated block
+    into a contiguous buffer."""
     a = matrix.copy()
     for k in range(len(a) - 1, 0, -1):
         a[:k, k] /= a[k, :k].sum()
@@ -246,14 +247,22 @@ def test_stationary_matches_the_outer_product_gth_bit_for_bit(kind):
         assert pi.probs.tobytes() == expected.tobytes()
 
 
+_STACKED_KINDS = st.sampled_from(["dense", "sparse", "slow", "rotation"])
+
+
 # Bit identity rests on numpy reducing each row of a stack by the pairwise
 # sum of a 1-D call, and sending a (1, k) @ (k, 1) matmul to the strided dot
-# product of a 1-D one.
+# product of a 1-D one. A stack of one chain, up to the 128 states of the
+# largest audited chains, takes the one-chain path, whose rank-one products
+# give +0.0 where np.outer gives -0.0: the rows must match all the same.
 @settings(max_examples=100, deadline=None)
-@given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1),
-       kinds=st.lists(st.sampled_from(["dense", "sparse", "slow", "rotation"]),
-                      min_size=1, max_size=12))
-def test_a_stacked_solve_gives_each_chain_its_own_solve_bit_for_bit(n, seed, kinds):
+@given(sizes=st.one_of(
+           st.tuples(st.integers(2, 40), st.lists(_STACKED_KINDS, min_size=1, max_size=12)),
+           st.tuples(st.integers(41, 130), st.lists(_STACKED_KINDS, min_size=1, max_size=1))),
+       seed=st.integers(0, 2**32 - 1), negative_zeros=st.booleans())
+def test_a_stacked_solve_gives_each_chain_its_own_solve_bit_for_bit(sizes, seed,
+                                                                     negative_zeros):
+    n, kinds = sizes
     rng = np.random.default_rng(seed)
     chains = []
     for kind in kinds:
@@ -262,9 +271,27 @@ def test_a_stacked_solve_gives_each_chain_its_own_solve_bit_for_bit(n, seed, kin
                           + 0.1 * rng.dirichlet(np.ones(n), size=n))
         else:
             chains.append(_oracle_chain(rng, kind, n))
+    if negative_zeros:
+        chains = [np.where(matrix == 0.0, -0.0, matrix) for matrix in chains]
     stack = np.stack([Channel(matrix).matrix for matrix in chains])
     for matrix, row in zip(stack, markov._gth_solve(stack)):
         assert row.tobytes() == _gth_outer(matrix).tobytes()
+
+
+def test_a_one_term_dot_rounds_each_entry_as_multiply_does():
+    # The one-chain elimination forms its rank-one update as np.dot of a
+    # strided (k, 1) column of an (n, n) array and a (1, k) row into a
+    # C-contiguous buffer: a BLAS product of one term, which must round each
+    # entry once, as np.multiply does, subnormal products included.
+    rng = np.random.default_rng(17)
+    for k in range(1, 201):
+        values = rng.random((2, k + 1, k + 1)) * 2.0 ** -rng.integers(0, 1075, (2, k + 1, k + 1))
+        values[rng.random(values.shape) < 0.2] = 0.0
+        a, rows = values
+        column, row = a[:k, k:k + 1], rows[k:k + 1, :k]
+        got = np.empty(k * k).reshape(k, k)
+        np.dot(column, row, got)
+        assert got.tobytes() == np.multiply(column, row).tobytes()
 
 
 def test_solving_chains_together_gives_each_its_stationary_distribution():

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermobit import (
@@ -231,14 +231,21 @@ def test_landscape_rejects_bad_boltzmann_and_energies():
 
 
 # Each overflows one of the quantities the check forms: the energy spread
-# (1e308 - -1e308) at T = 1, -E/kT at T = 1e-300, and the spread over kT
-# (1.2e308 / 0.6) where -E/kT = ±1e308 and the spread itself fit in a float.
+# (1e308 - -1e308) at T = 1, -E/kT at T = 1e-300, the spread over kT
+# (1.2e308 / 0.6) where -E/kT = ±1e308 and the spread itself fit in a float,
+# kT log 8 at T = 1e308 (so F of a flat landscape), |E| + kT log 2 where
+# neither term overflows alone, and the spread + kT log 2 where |E| + kT log 2
+# fits.
 @pytest.mark.parametrize("energies, temperature, overflow", [
     ([1e308, -1e308], 1.0, "the energy spread over kT overflows"),
     ([1e300, 1e300], 1e-300, "-E/kT overflows"),
     ([1e300, -1e300], 1e-300, "-E/kT overflows"),
     ([6e307, -6e307], 0.6, "the energy spread over kT overflows"),
-], ids=["spread", "log-weights", "log-weights-opposite-signs", "spread-over-kT"])
+    ([0.0] * 8, 1e308, r"max\|E\| \+ kT log 8 overflows"),
+    ([1.5e308, 1.5e308], 1e308, r"max\|E\| \+ kT log 2 overflows"),
+    ([8e307, -8e307], 4e307, r"the energy spread \+ kT log 2 overflows"),
+], ids=["spread", "log-weights", "log-weights-opposite-signs", "spread-over-kT",
+        "flat-free-energy", "free-energy", "available"])
 def test_landscape_rejects_energies_that_overflow(energies, temperature, overflow):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -248,9 +255,10 @@ def test_landscape_rejects_energies_that_overflow(energies, temperature, overflo
 
 @settings(max_examples=300, deadline=None)
 @given(energies=st.lists(st.sampled_from([0.0, 1.0, -1.0, 1e300, -1e300, 1e308, -1e308]),
-                         min_size=1, max_size=4),
-       temperature=st.sampled_from([1e-300, 1.0, 1e300]), data=st.data())
-def test_every_landscape_is_rejected_or_checks_cleanly(energies, temperature, data):
+                         min_size=1, max_size=8),
+       temperature=st.sampled_from([1e-300, 1.0, 1e300, 1e308]), index=st.integers(0, 7))
+@example(energies=[0.0] * 8, temperature=1e308, index=0)  # kT log 8 overflows F(p)
+def test_every_landscape_is_rejected_or_checks_cleanly(energies, temperature, index):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
@@ -258,8 +266,7 @@ def test_every_landscape_is_rejected_or_checks_cleanly(energies, temperature, da
         except DomainError:
             return
         n = len(energies)
-        index = data.draw(st.integers(0, n - 1), label="index")
-        for p in (Distribution.uniform(n), Distribution.degenerate(n, index)):
+        for p in (Distribution.uniform(n), Distribution.degenerate(n, index % n)):
             assert check_szilard_landauer(landscape, p).passes()
 
 
