@@ -63,6 +63,24 @@ def _renormalise_first_astray(rows: np.ndarray, sums: np.ndarray) -> int:
     return len(rows)
 
 
+def _probability_rows(arr: np.ndarray, what: str) -> np.ndarray:
+    """Each row of a 2-D float array checked as a probability vector, as a
+    Distribution's entries are, and renormalised by its rule: arr itself
+    when no row needs it. Raises DomainError on the first fault."""
+    if not np.isfinite(arr).all():
+        raise DomainError(f"{what} entries must be finite")
+    if (arr < 0.0).any():
+        raise DomainError(f"{what} entries must be non-negative")
+    sums = arr.sum(axis=1)
+    bad = np.abs(sums - 1.0) > SUM_TOLERANCE
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(
+            f"{what} row {i} must sum to 1 within {SUM_TOLERANCE:g}, got {float(sums[i])!r}"
+        )
+    return _renormalised_rows(arr, sums)
+
+
 def _as_prob_array(values, what: str, ndim: int) -> np.ndarray:
     arr = np.array(values, dtype=float)
     if arr.ndim != ndim:
@@ -204,23 +222,20 @@ def relative_entropy(p: Distribution, q: Distribution) -> InfoQuantity:
     """D(p‖q) in nats; +inf when some p_i > 0 has q_i = 0."""
     if len(p) != len(q):
         raise ShapeError(f"distributions differ in length: {len(p)} vs {len(q)}")
-    return InfoQuantity(_kl_nats(p.probs, q.probs))
-
-
-def _kl_nats(p: np.ndarray, q: np.ndarray) -> float:
-    """D(p‖q) in nats of two probability arrays of one length; +inf when
-    some p_i > 0 has q_i = 0."""
-    mask = p > 0.0
-    ps = p[mask]
-    qs = q[mask]
-    if np.any(qs == 0.0):
-        return math.inf
-    return float(np.sum(ps * (np.log(ps) - np.log(qs)))) + 0.0
+    out = np.empty(1)
+    _kl_rows(p.probs[None], _log_reference(q.probs), out)
+    return InfoQuantity(out.item())
 
 
 # _kl_rows works on blocks of about this many entries, so its temporaries
 # stay near 256 KB however many rows it is given.
 _KL_BLOCK_ENTRIES = 1 << 15
+
+
+def _log_reference(q: np.ndarray) -> np.ndarray:
+    """log q, with -inf where q is 0, for _kl_rows."""
+    with np.errstate(divide="ignore"):
+        return np.log(q)
 
 
 def _support_groups(support: np.ndarray):
@@ -235,37 +250,40 @@ def _support_groups(support: np.ndarray):
         yield members, support[members[0]]
 
 
-def _kl_rows(rows: np.ndarray, q: np.ndarray, out: np.ndarray) -> None:
-    """out[i] = D(rows[i]‖q) in nats for each row of a 2-D array, bit for bit
-    what _kl_nats gives row by row.
+def _kl_rows(rows: np.ndarray, log_q: np.ndarray, out: np.ndarray) -> None:
+    """out[i] = D(rows[i]‖q) in nats for each row of a 2-D array, where log_q
+    is log q of one reference for every row (1-D) or of one reference per row
+    (2-D, row i's against rows[i]), as _log_reference gives it.
 
-    Rows that are positive on the same columns share _kl_nats's mask, so each
-    such group of a block is done at once: +inf when q has a zero on those
-    columns, and otherwise the same elementwise terms on the kept columns, with
-    log q taken once, and the same per-row pairwise sum. That sum needs each
-    row's terms contiguous, so the kept columns are copied in C order.
+    Row i's D is the numpy sum of rows[i, j] (log rows[i, j] - log_q[j]) over
+    just the j with rows[i, j] > 0, plus 0.0: a 1-D pairwise sum of those
+    terms alone. A term where q is 0 is +inf, and so is the D. With log_q = 0
+    it is the negative entropy -H(rows[i]), D against all ones.
+
+    Rows that are positive on the same columns are done together, a group of
+    each block at once: the same elementwise terms on the kept columns, and
+    the same per-row pairwise sum. That sum needs each row's terms
+    contiguous, so the kept columns are copied in C order.
     """
-    with np.errstate(divide="ignore"):
-        logq = np.log(q)
-    q_zero = q == 0.0
+    per_row = log_q.ndim == 2
     size = max(1, _KL_BLOCK_ENTRIES // rows.shape[1])
     for start in range(0, len(rows), size):
         block = rows[start:start + size]
         block_out = out[start:start + size]
+        block_log_q = log_q[start:start + size] if per_row else log_q
         support = block > 0.0
         if support.all():
             groups = [(slice(None), support[0])]
         else:
             groups = _support_groups(support)
         for members, columns in groups:
-            if q_zero[columns].any():
-                block_out[members] = math.inf
-                continue
             kept = block[members]
+            reference = block_log_q[members] if per_row else block_log_q
             if not columns.all():
                 kept = np.ascontiguousarray(kept[:, columns])
+                reference = reference[..., columns]
             terms = np.log(kept)
-            terms -= logq[columns]
+            terms -= reference
             terms *= kept
             block_out[members] = terms.sum(axis=1) + 0.0
 

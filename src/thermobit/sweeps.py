@@ -3,23 +3,59 @@
 Each sweep derives one RNG per instance from (seed, instance index), so
 results are reproducible and independent of execution order. These back
 the `sweep` CLI command and the acceptance suite.
+
+Each sweep draws its instances a chunk at a time, in index order, and
+checks the chunk's instances of each size n together, as stacked arrays:
+the identity and data-processing sweeps run the row kernels that
+check_szilard_landauer and data_processing_check run on one row, and the
+monotonicity sweep solves the stationary distributions of a size in one
+stacked elimination. Every instance gets the bits its own check gives.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import ClassVar
 
 import numpy as np
 
-from .info import Distribution
-from .markov import Channel, _audit, _stationary_distributions, data_processing_check
-from .thermo import IDENTITY_TOLERANCE, EnergyLandscape, check_szilard_landauer
+from .info import Distribution, _probability_rows
+from .markov import Channel, _audit, _data_processing_rows, _stationary_distributions
+from .thermo import DEFAULT_BOLTZMANN, IDENTITY_TOLERANCE, EnergyLandscape
+from .thermo import _check_landscape_rows, _identity_rows
 
 DEFAULT_SEED = 0xC0FFEE
-# The monotonicity sweep draws and solves this many instances at a time, so
-# its stacked arrays stay the same size however many instances it runs.
-_CHUNK = 128
+# A sweep draws and checks its instances in chunks, so that what it holds at
+# once stays bounded however many instances it runs: at most _CHUNK
+# instances, and no more than hold _CHUNK_ENTRIES numbers at the largest size
+# it can draw, which is 128 chains of 32 states and their starting
+# distributions. The first bound keeps a chunk of the identity and DPI
+# sweeps' small instances to about the memory of a chunk of chains; the
+# second keeps large instances from piling up.
+_CHUNK = 512
+_CHUNK_ENTRIES = 128 * 32 * 33
+
+
+def _chunks(instances: int, largest: int):
+    """Ranges of instance indices, in order, each of one chunk, where
+    largest is the count of numbers drawn for an instance of the largest
+    size."""
+    size = max(1, min(_CHUNK, _CHUNK_ENTRIES // largest))
+    for start in range(0, instances, size):
+        yield range(start, min(start + size, instances))
+
+
+def _by_size(drawn: list[tuple]):
+    """Yield (indices, arrays) once per size among drawn instances, each a
+    tuple whose first entry is a vector of that size: the indices of the
+    instances of that size, ascending, and each of their entries stacked
+    along a new first axis."""
+    by_size: dict[int, list[int]] = {}
+    for i, instance in enumerate(drawn):
+        by_size.setdefault(len(instance[0]), []).append(i)
+    for indices in by_size.values():
+        yield indices, [np.array(column) for column in zip(*(drawn[i] for i in indices))]
 
 
 def _instance_rng(seed: int, index: int) -> np.random.Generator:
@@ -76,26 +112,53 @@ class MonotonicitySweepResult(_SweepResult):
     non_detailed_balance: int  # how many audited chains lacked detailed balance
 
 
-def random_landscape_instance(
-    rng: np.random.Generator, max_states: int
-) -> tuple[EnergyLandscape, Distribution]:
+def _draw_landscape(rng: np.random.Generator,
+                    max_states: int) -> tuple[np.ndarray, float, np.ndarray]:
+    """(energies, temperature, probabilities) of a random landscape instance
+    of 2..max_states states, drawn in that order."""
     n = int(rng.integers(2, max_states + 1))
     try:
         energies = rng.uniform(-10.0, 10.0, n)
     except ValueError:  # more bytes than numpy can count: no memory holds it either
         raise MemoryError(f"Unable to allocate {n} energies") from None
-    landscape = EnergyLandscape(energies, temperature=float(rng.uniform(0.1, 10.0)))
-    return landscape, Distribution(rng.dirichlet(np.ones(n)))
+    temperature = float(rng.uniform(0.1, 10.0))
+    return energies, temperature, rng.dirichlet(np.ones(n))
+
+
+def random_landscape_instance(
+    rng: np.random.Generator, max_states: int
+) -> tuple[EnergyLandscape, Distribution]:
+    energies, temperature, probs = _draw_landscape(rng, max_states)
+    return EnergyLandscape(energies, temperature=temperature), Distribution(probs)
+
+
+def _draw_channel(rng: np.random.Generator, n: int, cycle_bias: bool = False) -> np.ndarray:
+    dense = rng.dirichlet(np.ones(n), size=n)
+    if cycle_bias:
+        rotation = np.roll(np.eye(n), 1, axis=1)
+        return 0.9 * rotation + 0.1 * dense
+    return dense
 
 
 def random_channel(rng: np.random.Generator, n: int, *, cycle_bias: bool = False) -> Channel:
     """A strictly positive random channel; with cycle_bias, a noisy rotation
     that strongly violates detailed balance while keeping entries positive."""
-    dense = rng.dirichlet(np.ones(n), size=n)
-    if cycle_bias:
-        rotation = np.roll(np.eye(n), 1, axis=1)
-        return Channel(0.9 * rotation + 0.1 * dense)
-    return Channel(dense)
+    return Channel(_draw_channel(rng, n, cycle_bias))
+
+
+def _identity_checks(drawn: list[tuple[np.ndarray, float, np.ndarray]]):
+    """(residual / scale, the proof step's residual / scale, available) of
+    check_szilard_landauer on each drawn (energies, temperature,
+    probabilities), bit for bit: the instances of one size are validated as
+    EnergyLandscape and Distribution validate them and checked together."""
+    identity, proof, available = np.empty((3, len(drawn)))
+    for indices, (energies, temperatures, probs) in _by_size(drawn):
+        kT = _check_landscape_rows(energies, temperatures, DEFAULT_BOLTZMANN)
+        rows = _identity_rows(energies, kT, _probability_rows(probs, "distribution"))
+        identity[indices] = rows.residual / rows.scale
+        proof[indices] = np.abs(rows.free_energy_gibbs + kT * rows.log_partition) / rows.scale
+        available[indices] = rows.available
+    return identity, proof, available
 
 
 def identity_sweep(
@@ -103,27 +166,22 @@ def identity_sweep(
     max_states: int = 64,
     seed: int = DEFAULT_SEED,
 ) -> IdentitySweepResult:
+    """Check the Szilard-Landauer identity, its proof step F(π) = -kT log Z
+    and F(p) >= F(π) on random landscapes of 2..max_states states, the
+    instances of each size in a chunk at once."""
     identity_failures = proof_failures = optimality_failures = 0
     identity_worst = proof_worst = 0.0
-    min_available = np.inf
-    for i in range(instances):
-        rng = _instance_rng(seed, i)
-        landscape, p = random_landscape_instance(rng, max_states)
-        report = check_szilard_landauer(landscape, p)
-        identity_rel = report.residual / report.scale
-        proof_rel = (
-            abs(report.free_energy_gibbs + landscape.kT * report.log_partition)
-            / report.scale
-        )
-        identity_worst = max(identity_worst, identity_rel)
-        proof_worst = max(proof_worst, proof_rel)
-        min_available = min(min_available, report.available)
-        if identity_rel > IDENTITY_TOLERANCE:
-            identity_failures += 1
-        if proof_rel > IDENTITY_TOLERANCE:
-            proof_failures += 1
-        if report.available < 0.0:
-            optimality_failures += 1
+    min_available = math.inf
+    for chunk in _chunks(instances, 2 * max_states + 1):
+        identity, proof, available = _identity_checks(
+            [_draw_landscape(_instance_rng(seed, i), max_states) for i in chunk])
+        # in instance order, so that ties keep the first instance's bits
+        identity_worst = max(identity_worst, *identity.tolist())
+        proof_worst = max(proof_worst, *proof.tolist())
+        min_available = min(min_available, *available.tolist())
+        identity_failures += int(np.count_nonzero(identity > IDENTITY_TOLERANCE))
+        proof_failures += int(np.count_nonzero(proof > IDENTITY_TOLERANCE))
+        optimality_failures += int(np.count_nonzero(available < 0.0))
     return IdentitySweepResult(
         instances=instances,
         identity_failures=identity_failures,
@@ -131,8 +189,30 @@ def identity_sweep(
         proof_failures=proof_failures,
         proof_worst=proof_worst,
         optimality_failures=optimality_failures,
-        min_available=float(min_available),
+        min_available=min_available,
     )
+
+
+def _draw_dpi(rng: np.random.Generator, max_states: int) -> tuple[np.ndarray, ...]:
+    """(p, q, K) of a random data-processing instance, drawn in that order."""
+    n = int(rng.integers(2, max_states + 1))
+    p = rng.dirichlet(np.ones(n))
+    q = rng.dirichlet(np.ones(n))
+    return p, q, _draw_channel(rng, n)
+
+
+def _dpi_checks(drawn: list[tuple[np.ndarray, ...]]):
+    """(before, after, ok) of data_processing_check on each drawn (p, q, K),
+    bit for bit: the instances of one size are validated as Distribution and
+    Channel validate them and checked together."""
+    before, after = np.empty((2, len(drawn)))
+    ok = np.empty(len(drawn), dtype=bool)
+    for indices, (p, q, matrices) in _by_size(drawn):
+        n = p.shape[1]
+        matrices = _probability_rows(matrices.reshape(-1, n), "channel").reshape(-1, n, n)
+        before[indices], after[indices], ok[indices] = _data_processing_rows(
+            _probability_rows(p, "distribution"), _probability_rows(q, "distribution"), matrices)
+    return before, after, ok
 
 
 def dpi_sweep(
@@ -140,19 +220,16 @@ def dpi_sweep(
     max_states: int = 8,
     seed: int = DEFAULT_SEED,
 ) -> DpiSweepResult:
+    """Check D(pK‖qK) <= D(p‖q) on random p, q and channels K of
+    2..max_states states, the instances of each size in a chunk at once."""
     failures = 0
-    worst = -np.inf
-    for i in range(instances):
-        rng = _instance_rng(seed, i)
-        n = int(rng.integers(2, max_states + 1))
-        p = Distribution(rng.dirichlet(np.ones(n)))
-        q = Distribution(rng.dirichlet(np.ones(n)))
-        channel = random_channel(rng, n)
-        result = data_processing_check(p, q, channel)
-        worst = max(worst, result.after - result.before)
-        if not result.ok:
-            failures += 1
-    return DpiSweepResult(instances=instances, failures=failures, worst_excess=float(worst))
+    worst = -math.inf
+    for chunk in _chunks(instances, max_states * (max_states + 2)):
+        before, after, ok = _dpi_checks([_draw_dpi(_instance_rng(seed, i), max_states)
+                                         for i in chunk])
+        worst = max(worst, *(after - before).tolist())
+        failures += int(np.count_nonzero(~ok))
+    return DpiSweepResult(instances=instances, failures=failures, worst_excess=worst)
 
 
 def monotonicity_sweep(
@@ -166,9 +243,9 @@ def monotonicity_sweep(
     failures = 0
     worst = 0.0
     non_db = 0
-    for start in range(0, instances, _CHUNK):
+    for chunk in _chunks(instances, max_states * (max_states + 1)):
         drawn = []
-        for i in range(start, min(start + _CHUNK, instances)):
+        for i in chunk:
             rng = _instance_rng(seed, i)
             n = int(rng.integers(2, max_states + 1))
             channel = random_channel(rng, n, cycle_bias=(i % 5 == 4))

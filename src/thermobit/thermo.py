@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, ShapeError
 from .info import Distribution, InfoQuantity, shannon_entropy
+from .info import _kl_rows, _renormalised_rows
 
 DEFAULT_BOLTZMANN = 1.0
 SI_BOLTZMANN = 1.380649e-23  # J/K
@@ -55,21 +57,9 @@ class EnergyLandscape:
         arr = np.array(self.energies, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ShapeError("energies must be a non-empty vector")
-        lo, hi = float(arr.min()), float(arr.max())
-        if not -math.inf < lo <= hi < math.inf:
-            raise DomainError("energies must be finite")
+        _check_landscape_rows(arr[None], np.array([self.temperature]), self.boltzmann)
         arr.setflags(write=False)
         object.__setattr__(self, "energies", arr)
-        _check_kT(self.temperature, self.boltzmann)
-        kT, n = self.kT, arr.size
-        top, spread, entropy = max(-lo, hi), hi - lo, kT * math.log(n)  # kT·H(p) <= kT log n
-        for name, value in (("-E/kT", top / kT),
-                            ("the energy spread over kT", spread / kT),
-                            (f"max|E| + kT log {n}", top + entropy),
-                            (f"the energy spread + kT log {n}", spread + entropy)):
-            if value == math.inf:
-                raise DomainError(f"{name} overflows for energies in [{lo!r}, {hi!r}] "
-                                  f"at kT = {kT!r}")
 
     @property
     def kT(self) -> float:
@@ -77,6 +67,34 @@ class EnergyLandscape:
 
     def __len__(self) -> int:
         return int(self.energies.size)
+
+
+def _check_landscape_rows(energies: np.ndarray, temperatures: np.ndarray,
+                          boltzmann: float) -> np.ndarray:
+    """Raise DomainError, as EnergyLandscape does, unless each row of a 2-D
+    array of energies makes a landscape at its temperature and this
+    Boltzmann constant; return each row's kT. The fault of the first bad row
+    is reported."""
+    lo, hi = energies.min(axis=1), energies.max(axis=1)
+    if not ((-math.inf < lo) & (lo <= hi) & (hi < math.inf)).all():
+        raise DomainError("energies must be finite")
+    n = energies.shape[1]
+    with np.errstate(over="ignore"):
+        kT = boltzmann * temperatures
+        if not ((0.0 < temperatures) & (temperatures < math.inf)
+                & (0.0 < kT) & (kT < math.inf)).all():
+            for temperature in temperatures.tolist():
+                _check_kT(temperature, boltzmann)
+        # kT·H(p) <= kT log n
+        top, spread, entropy = np.maximum(-lo, hi), hi - lo, kT * math.log(n)
+        overflows = np.array([top / kT, spread / kT, top + entropy, spread + entropy]) == math.inf
+    if overflows.any():
+        row, which = np.argwhere(overflows.T)[0].tolist()
+        name = ("-E/kT", "the energy spread over kT", f"max|E| + kT log {n}",
+                f"the energy spread + kT log {n}")[which]
+        raise DomainError(f"{name} overflows for energies in [{lo[row].item()!r}, "
+                          f"{hi[row].item()!r}] at kT = {kT[row].item()!r}")
+    return kT
 
 
 @dataclass(frozen=True)
@@ -117,29 +135,44 @@ class ThermoReport:
         }
 
 
-def _log_weights(landscape: EnergyLandscape) -> np.ndarray:
-    return -landscape.energies / landscape.kT
+def _gibbs_rows(energies: np.ndarray, kT: np.ndarray):
+    """(-E/kT, log Z, Gibbs distribution) of each row of a 2-D array of
+    energies at its kT, shift-stably: the max of each row's log weights is
+    taken out before exponentiating, and log Z is math.log of the shifted
+    sum plus the max."""
+    log_weights = -energies / kT[:, None]
+    top = log_weights.max(axis=1)
+    weights = np.exp(log_weights - top[:, None])
+    sums = weights.sum(axis=1)
+    log_z = top + np.array([math.log(total) for total in sums.tolist()])
+    gibbs = weights / sums[:, None]
+    return log_weights, log_z, _renormalised_rows(gibbs, gibbs.sum(axis=1))
+
+
+def _one_row(landscape: EnergyLandscape) -> tuple[np.ndarray, np.ndarray]:
+    """The landscape's energies and kT as one row, for the row kernels."""
+    return landscape.energies[None], np.array([landscape.kT], dtype=float)
 
 
 def log_partition_function(landscape: EnergyLandscape) -> float:
     """log Z via max-shifted summation; no overflow for |E/kT| up to 1e6 and beyond."""
-    a = _log_weights(landscape)
-    m = float(a.max())
-    return m + math.log(float(np.sum(np.exp(a - m))))
+    return _gibbs_rows(*_one_row(landscape))[1].item()
 
 
 def gibbs_distribution(landscape: EnergyLandscape) -> Distribution:
     """The equilibrium distribution π_i ∝ exp(−E_i/kT), computed shift-stably."""
-    a = _log_weights(landscape)
-    w = np.exp(a - float(a.max()))
-    return Distribution(w / w.sum())
+    return Distribution(_gibbs_rows(*_one_row(landscape))[2][0])
 
 
-def average_energy(landscape: EnergyLandscape, p: Distribution) -> float:
+def _check_states(landscape: EnergyLandscape, p: Distribution) -> None:
     if len(p) != len(landscape):
         raise ShapeError(
             f"distribution of length {len(p)} against {len(landscape)} energies"
         )
+
+
+def average_energy(landscape: EnergyLandscape, p: Distribution) -> float:
+    _check_states(landscape, p)
     return float(np.dot(p.probs, landscape.energies))
 
 
@@ -148,29 +181,70 @@ def free_energy(landscape: EnergyLandscape, p: Distribution) -> float:
     return average_energy(landscape, p) - landscape.kT * shannon_entropy(p).nats
 
 
+class _IdentityRows(NamedTuple):
+    """What check_szilard_landauer computes, one entry or row per instance."""
+
+    log_partition: np.ndarray
+    gibbs: np.ndarray
+    average_energy: np.ndarray
+    free_energy_p: np.ndarray
+    free_energy_gibbs: np.ndarray
+    available: np.ndarray
+    kl_nats: np.ndarray
+    residual: np.ndarray
+    scale: np.ndarray
+
+
+def _average_energies(probs: np.ndarray, energies: np.ndarray) -> np.ndarray:
+    """np.dot of each row of probs with the same row of energies: a (1, n) @
+    (n, 1) product per row, which runs that dot for n >= 2. For n = 1 the dot
+    is the one product, whose -0.0 the matmul would give as +0.0."""
+    if probs.shape[1] == 1:
+        return probs[:, 0] * energies[:, 0]
+    return np.matmul(probs[:, None], energies[:, :, None])[:, 0, 0]
+
+
+def _identity_rows(energies: np.ndarray, kT: np.ndarray, probs: np.ndarray) -> _IdentityRows:
+    """check_szilard_landauer on each row of 2-D arrays of energies and of
+    probabilities, at each row's kT: every entry is bit for bit what the
+    check of that row alone gives. Each entropy is -D(p‖1), D against all
+    ones, and D(p‖π) takes log π = -E/kT - log Z, both summed over p's
+    support by _kl_rows."""
+    log_weights, log_z, gibbs = _gibbs_rows(energies, kT)
+    kl, neg_entropy_p, neg_entropy_gibbs = np.empty((3, len(probs)))
+    _kl_rows(probs, log_weights - log_z[:, None], kl)
+    counting = np.zeros(energies.shape[1])
+    _kl_rows(probs, counting, neg_entropy_p)
+    _kl_rows(gibbs, counting, neg_entropy_gibbs)
+    avg = _average_energies(probs, energies)
+    f_p = avg - kT * (-neg_entropy_p + 0.0)
+    f_gibbs = _average_energies(gibbs, energies) - kT * (-neg_entropy_gibbs + 0.0)
+    available = f_p - f_gibbs
+    return _IdentityRows(
+        log_partition=log_z,
+        gibbs=gibbs,
+        average_energy=avg,
+        free_energy_p=f_p,
+        free_energy_gibbs=f_gibbs,
+        available=available,
+        kl_nats=kl,
+        residual=np.abs(available - kT * kl),
+        scale=np.maximum(np.maximum(1.0, np.abs(f_p)), np.abs(f_gibbs)),
+    )
+
+
 def check_szilard_landauer(landscape: EnergyLandscape, p: Distribution) -> ThermoReport:
     """Evaluate both sides of F(p) − F(π) = kT·D(p‖π) and report the residual.
 
     The left side comes from the free-energy definition applied to p and to
     the Gibbs distribution; the right side evaluates D(p‖π) with log π taken
     directly in log space from the energies. The two routes share no
-    arithmetic beyond the landscape itself. average_energy checks that p
-    and the landscape have the same states.
+    arithmetic beyond the landscape itself. The check runs _identity_rows,
+    which the identity sweep runs on many instances at once, on one row.
     """
-    kT = landscape.kT
-    log_z = log_partition_function(landscape)
-    gibbs = gibbs_distribution(landscape)
-
-    avg = average_energy(landscape, p)
-    f_p = avg - kT * shannon_entropy(p).nats
-    f_gibbs = free_energy(landscape, gibbs)
-    available = f_p - f_gibbs
-
-    log_pi = _log_weights(landscape) - log_z
-    mask = p.probs > 0.0
-    kl = float(np.sum(p.probs[mask] * (np.log(p.probs[mask]) - log_pi[mask]))) + 0.0
-
-    scale = max(1.0, abs(f_p), abs(f_gibbs))
+    _check_states(landscape, p)
+    rows = _identity_rows(*_one_row(landscape), p.probs[None])
+    log_z = rows.log_partition.item()
     with np.errstate(over="ignore"):
         # Z itself can exceed float range for extreme landscapes; log Z is
         # the robust field and inf/0 here is honest saturation.
@@ -178,14 +252,14 @@ def check_szilard_landauer(landscape: EnergyLandscape, p: Distribution) -> Therm
     return ThermoReport(
         partition_value=partition_value,
         log_partition=log_z,
-        gibbs=gibbs,
-        average_energy=avg,
-        free_energy_p=f_p,
-        free_energy_gibbs=f_gibbs,
-        available=available,
-        kl_nats=InfoQuantity(kl),
-        residual=abs(available - kT * kl),
-        scale=scale,
+        gibbs=Distribution(rows.gibbs[0]),
+        average_energy=rows.average_energy.item(),
+        free_energy_p=rows.free_energy_p.item(),
+        free_energy_gibbs=rows.free_energy_gibbs.item(),
+        available=rows.available.item(),
+        kl_nats=InfoQuantity(rows.kl_nats.item()),
+        residual=rows.residual.item(),
+        scale=rows.scale.item(),
     )
 
 

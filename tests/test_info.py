@@ -173,11 +173,28 @@ def _kl_rows_case(seed, n, rows, zero_rows, zero_ref):
     return block, q
 
 
+def _kl_nats(p, q):
+    """D(p‖q) of two probability arrays of one length, as relative_entropy
+    computed it before it ran _kl_rows on one row: the oracle of _kl_rows."""
+    mask = p > 0.0
+    ps = p[mask]
+    qs = q[mask]
+    if np.any(qs == 0.0):
+        return math.inf
+    return float(np.sum(ps * (np.log(ps) - np.log(qs)))) + 0.0
+
+
 def _kl_rows_bitwise(block, q):
+    """_kl_rows against q, one reference for every row (1-D) or one per row
+    (2-D), matches _kl_nats row by row, and relative_entropy gives the same."""
     out = np.empty(len(block))
-    info._kl_rows(block, q, out)
-    expected = np.array([info._kl_nats(row, q) for row in block])
+    info._kl_rows(block, info._log_reference(q), out)
+    references = q if q.ndim == 2 else [q] * len(block)
+    expected = np.array([_kl_nats(row, ref) for row, ref in zip(block, references)])
     assert out.tobytes() == expected.tobytes()
+    for row, ref, d in zip(block, references, out.tolist()):
+        got = relative_entropy(Distribution(row), Distribution(ref)).nats
+        assert np.float64(got).tobytes() == np.float64(d).tobytes()
 
 
 @settings(max_examples=150, deadline=None)
@@ -196,6 +213,24 @@ def test_kl_rows_matches_kl_nats_bitwise(seed, n, rows, zero_share, zero_ref, bl
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(info, "_KL_BLOCK_ENTRIES", block_rows * n)
         _kl_rows_bitwise(block, q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 300),
+    rows=st.integers(1, 40),
+    zero_share=st.floats(0.0, 1.0),
+    block_rows=st.integers(1, 41),
+)
+def test_kl_rows_against_one_reference_per_row_matches_kl_nats_bitwise(
+        seed, n, rows, zero_share, block_rows):
+    # the references are rows of a second case, so they hold zeros too
+    block, _ = _kl_rows_case(seed, n, rows, round(zero_share * rows), False)
+    references, _ = _kl_rows_case(seed + 1, n, rows, round(zero_share * rows), False)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(info, "_KL_BLOCK_ENTRIES", block_rows * n)
+        _kl_rows_bitwise(block, references)
 
 
 def test_kl_rows_spans_several_default_blocks():
