@@ -214,14 +214,17 @@ def self_information(p: float) -> InfoQuantity:
 
 def shannon_entropy(p: Distribution) -> InfoQuantity:
     """Expected self-information of p; zero-probability terms contribute 0."""
-    pp = p.probs[p.probs > 0.0]
-    return InfoQuantity(float(-np.sum(pp * np.log(pp))) + 0.0)
+    return InfoQuantity(_entropy_rows(p.probs[None]).item())
+
+
+def _check_same_length(p: Distribution, q: Distribution) -> None:
+    if len(p) != len(q):
+        raise ShapeError(f"distributions differ in length: {len(p)} vs {len(q)}")
 
 
 def relative_entropy(p: Distribution, q: Distribution) -> InfoQuantity:
     """D(p‖q) in nats; +inf when some p_i > 0 has q_i = 0."""
-    if len(p) != len(q):
-        raise ShapeError(f"distributions differ in length: {len(p)} vs {len(q)}")
+    _check_same_length(p, q)
     out = np.empty(1)
     _kl_rows(p.probs[None], _log_reference(q.probs), out)
     return InfoQuantity(out.item())
@@ -286,6 +289,14 @@ def _kl_rows(rows: np.ndarray, log_q: np.ndarray, out: np.ndarray) -> None:
             terms -= reference
             terms *= kept
             block_out[members] = terms.sum(axis=1) + 0.0
+
+
+def _entropy_rows(rows: np.ndarray) -> np.ndarray:
+    """H of each row of a 2-D array in nats: -D(rows[i]‖1), D against all
+    ones by _kl_rows, which sums only the positive entries, plus 0.0."""
+    out = np.empty(len(rows))
+    _kl_rows(rows, np.zeros(rows.shape[1]), out)
+    return -out + 0.0
 
 
 def mutual_information(j: JointDistribution) -> InfoQuantity:

@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .info import LOG2, Distribution
-from .info import _kl_rows, _log_reference, _probability_rows, _renormalise_first_astray
+from .info import _check_same_length, _kl_rows, _log_reference, _probability_rows
+from .info import _renormalise_first_astray
 
 # How far apart, relative to the larger, the fluxes pi_i K_ij and pi_j K_ji of
 # a reversible chain may come out, per n^2 states. GTH gives each entry of pi
@@ -436,8 +437,7 @@ def data_processing_check(
     p: Distribution, q: Distribution, channel: Channel
 ) -> DataProcessingResult:
     """Check D(pK‖qK) <= D(p‖q), the inequality behind the Second-Law audit."""
-    if len(p) != len(q):
-        raise ShapeError(f"distributions differ in length: {len(p)} vs {len(q)}")
+    _check_same_length(p, q)
     _check_length(p, channel)
     before, after, ok = _data_processing_rows(p.probs[None], q.probs[None], channel.matrix[None])
     return DataProcessingResult(before=before.item(), after=after.item(), ok=ok.item())

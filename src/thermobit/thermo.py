@@ -15,8 +15,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .info import Distribution, InfoQuantity, shannon_entropy
-from .info import _kl_rows, _renormalised_rows
+from .info import Distribution, InfoQuantity
+from .info import _entropy_rows, _kl_rows, _renormalised_rows
 
 DEFAULT_BOLTZMANN = 1.0
 SI_BOLTZMANN = 1.380649e-23  # J/K
@@ -81,10 +81,9 @@ def _check_landscape_rows(energies: np.ndarray, temperatures: np.ndarray,
     n = energies.shape[1]
     with np.errstate(over="ignore"):
         kT = boltzmann * temperatures
-        if not ((0.0 < temperatures) & (temperatures < math.inf)
-                & (0.0 < kT) & (kT < math.inf)).all():
-            for temperature in temperatures.tolist():
-                _check_kT(temperature, boltzmann)
+        bad = ~((0.0 < temperatures) & (temperatures < math.inf) & (0.0 < kT) & (kT < math.inf))
+        if bad.any():  # _check_kT raises, with the message of the first bad row
+            _check_kT(temperatures[np.argmax(bad)].item(), boltzmann)
         # kT·H(p) <= kT log n
         top, spread, entropy = np.maximum(-lo, hi), hi - lo, kT * math.log(n)
         overflows = np.array([top / kT, spread / kT, top + entropy, spread + entropy]) == math.inf
@@ -173,12 +172,13 @@ def _check_states(landscape: EnergyLandscape, p: Distribution) -> None:
 
 def average_energy(landscape: EnergyLandscape, p: Distribution) -> float:
     _check_states(landscape, p)
-    return float(np.dot(p.probs, landscape.energies))
+    return _average_energies(p.probs[None], landscape.energies[None]).item()
 
 
 def free_energy(landscape: EnergyLandscape, p: Distribution) -> float:
     """F(p) = <E>_p − kT·H(p)."""
-    return average_energy(landscape, p) - landscape.kT * shannon_entropy(p).nats
+    _check_states(landscape, p)
+    return _free_energy_rows(*_one_row(landscape), p.probs[None])[1].item()
 
 
 class _IdentityRows(NamedTuple):
@@ -204,21 +204,25 @@ def _average_energies(probs: np.ndarray, energies: np.ndarray) -> np.ndarray:
     return np.matmul(probs[:, None], energies[:, :, None])[:, 0, 0]
 
 
+def _free_energy_rows(energies: np.ndarray, kT: np.ndarray, probs: np.ndarray):
+    """(<E>, F = <E> - kT·H) of each row of probabilities against the same
+    row of energies at its kT, as average_energy and shannon_entropy give
+    them on that row alone."""
+    avg = _average_energies(probs, energies)
+    return avg, avg - kT * _entropy_rows(probs)
+
+
 def _identity_rows(energies: np.ndarray, kT: np.ndarray, probs: np.ndarray) -> _IdentityRows:
     """check_szilard_landauer on each row of 2-D arrays of energies and of
     probabilities, at each row's kT: every entry is bit for bit what the
-    check of that row alone gives. Each entropy is -D(p‖1), D against all
-    ones, and D(p‖π) takes log π = -E/kT - log Z, both summed over p's
-    support by _kl_rows."""
+    check of that row alone gives. Both free energies come from
+    _free_energy_rows, and D(p‖π) takes log π = -E/kT - log Z, summed over
+    p's support by _kl_rows."""
     log_weights, log_z, gibbs = _gibbs_rows(energies, kT)
-    kl, neg_entropy_p, neg_entropy_gibbs = np.empty((3, len(probs)))
+    kl = np.empty(len(probs))
     _kl_rows(probs, log_weights - log_z[:, None], kl)
-    counting = np.zeros(energies.shape[1])
-    _kl_rows(probs, counting, neg_entropy_p)
-    _kl_rows(gibbs, counting, neg_entropy_gibbs)
-    avg = _average_energies(probs, energies)
-    f_p = avg - kT * (-neg_entropy_p + 0.0)
-    f_gibbs = _average_energies(gibbs, energies) - kT * (-neg_entropy_gibbs + 0.0)
+    avg, f_p = _free_energy_rows(energies, kT, probs)
+    f_gibbs = _free_energy_rows(energies, kT, gibbs)[1]
     available = f_p - f_gibbs
     return _IdentityRows(
         log_partition=log_z,

@@ -233,6 +233,30 @@ def test_kl_rows_against_one_reference_per_row_matches_kl_nats_bitwise(
         _kl_rows_bitwise(block, references)
 
 
+def _entropy_1d(p):
+    """H(p) of a probability array as shannon_entropy computed it before it
+    ran _kl_rows on one row: the oracle of _entropy_rows."""
+    ps = p[p > 0.0]
+    return float(-np.sum(ps * np.log(ps))) + 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 300),
+    rows=st.integers(1, 40),
+    zero_share=st.floats(0.0, 1.0),
+)
+def test_entropy_rows_match_the_1d_sum_bitwise(seed, n, rows, zero_share):
+    # D against all ones is -H: shannon_entropy runs _kl_rows on one row
+    block, _ = _kl_rows_case(seed, n, rows, round(zero_share * rows), False)
+    expected = np.array([_entropy_1d(row) for row in block])
+    assert info._entropy_rows(block).tobytes() == expected.tobytes()
+    for row, h in zip(block, expected.tolist()):
+        got = shannon_entropy(Distribution(row)).nats
+        assert np.float64(got).tobytes() == np.float64(h).tobytes()
+
+
 def test_kl_rows_spans_several_default_blocks():
     n = 300
     rows = 3 * (info._KL_BLOCK_ENTRIES // n) + 7

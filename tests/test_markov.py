@@ -27,7 +27,7 @@ from thermobit import (
     second_law_audit,
     stationary_distribution,
 )
-from thermobit import dsl, markov
+from thermobit import dsl, info, markov
 
 DATA = Path(__file__).parent / "data" / "demo.tbit"
 LOG2 = math.log(2.0)
@@ -696,30 +696,37 @@ def test_evolve_stops_at_a_renormalised_fixed_point():
 
 
 def _count_kl_rows(monkeypatch):
-    calls = []
-    kl_rows = markov._kl_rows
+    """The row counts of the _kl_rows calls markov makes itself, and of those
+    made through info (by relative_entropy and every other info function)."""
+    calls, through_info = [], []
+    kl_rows = info._kl_rows
 
-    def counting(rows, log_q, out):
-        calls.append(len(rows))
-        return kl_rows(rows, log_q, out)
+    def counting(log):
+        def wrapper(rows, log_q, out):
+            log.append(len(rows))
+            return kl_rows(rows, log_q, out)
+        return wrapper
 
-    monkeypatch.setattr(markov, "_kl_rows", counting)
-    return calls
+    monkeypatch.setattr(markov, "_kl_rows", counting(calls))
+    monkeypatch.setattr(info, "_kl_rows", counting(through_info))
+    return calls, through_info
 
 
 def test_audit_of_positive_rows_computes_d_in_one_pass(monkeypatch):
-    calls = _count_kl_rows(monkeypatch)
+    calls, through_info = _count_kl_rows(monkeypatch)
     # a noisy rotation from a positive p0 never settles, and every row is positive
     noisy = Channel(0.9 * np.roll(np.eye(3), 1, axis=1) + 0.1 / 3)
     verdict = second_law_audit(Distribution([0.5, 0.3, 0.2]), noisy, 10_000)
     probs = verdict.trajectory.probs
     assert _first_repeat(probs) is None
     assert calls == [10_001]
+    assert through_info == []
     # rows with a zero go in the same pass, grouped by the states they occupy
     calls.clear()
     rotation = Channel(np.roll(np.eye(3), 1, axis=1))
     evolve(Distribution([0.6, 0.4, 0.0]), rotation, 1_000)
     assert calls == [1_001]
+    assert through_info == []
 
 
 def _audit_case(case):
@@ -742,11 +749,12 @@ def _audit_case(case):
 @pytest.mark.parametrize("case", ["transient", "two-class"])
 def test_audit_of_reducible_chains_computes_d_in_one_pass(case, monkeypatch):
     p0, channel = _audit_case(case)
-    calls = _count_kl_rows(monkeypatch)
+    calls, through_info = _count_kl_rows(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", StationaryMultiplicityWarning)
         verdict = second_law_audit(p0, channel, 600)
     assert len(calls) == 1
+    assert through_info == []
     trajectory = verdict.trajectory
     probs, d_nats = _step_by_step(p0, channel, 600, verdict.stationary)
     assert np.array_equal(trajectory.probs, probs)

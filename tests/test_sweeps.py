@@ -13,11 +13,10 @@ from thermobit import (
     EnergyLandscape,
     check_szilard_landauer,
     data_processing_check,
-    shannon_entropy,
 )
 from thermobit import sweeps, thermo
 
-from test_info import _kl_nats
+from test_info import _entropy_1d, _kl_nats
 
 
 def _rows_with_subnormals(rng, shape):
@@ -72,8 +71,8 @@ def _identity_oracle(energies, kT, probs):
     weights = np.exp(a - top)
     gibbs = Distribution(weights / weights.sum())
     avg = float(np.dot(probs, energies))
-    f_p = avg - kT * shannon_entropy(Distribution(probs)).nats
-    f_gibbs = float(np.dot(gibbs.probs, energies)) - kT * shannon_entropy(gibbs).nats
+    f_p = avg - kT * _entropy_1d(probs)
+    f_gibbs = float(np.dot(gibbs.probs, energies)) - kT * _entropy_1d(gibbs.probs)
     available = f_p - f_gibbs
     log_pi = a - log_z
     mask = probs > 0.0

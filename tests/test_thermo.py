@@ -22,6 +22,8 @@ from thermobit import (
     shannon_entropy,
 )
 
+from test_info import _entropy_1d
+
 LOG2 = math.log(2.0)
 SI_KB = 1.380649e-23
 
@@ -280,3 +282,21 @@ def test_free_energy_matches_definition():  # F(p) = <E>_p - kT H(p)
     p = Distribution([0.25, 0.75])
     expected = average_energy(landscape, p) - landscape.kT * shannon_entropy(p).nats
     assert free_energy(landscape, p) == expected
+
+
+def test_average_and_free_energy_match_the_1d_arithmetic_bitwise():
+    # both run the identity check's row kernels on one row, which must give
+    # what np.dot and the 1-D entropy sum give, zeros and tiny entries included
+    rng = np.random.default_rng(41)
+    for n in range(1, 201):
+        probs = rng.dirichlet(np.full(n, 0.05))
+        probs[rng.random(n) < 0.2] = 0.0
+        if probs.sum() == 0.0:
+            probs[rng.integers(n)] = 1.0
+        p = Distribution(probs / probs.sum())
+        landscape = EnergyLandscape(rng.uniform(-10.0, 10.0, n),
+                                    temperature=float(rng.uniform(0.1, 10.0)))
+        avg = float(np.dot(p.probs, landscape.energies))
+        f = avg - landscape.kT * _entropy_1d(p.probs)
+        assert np.float64(average_energy(landscape, p)).tobytes() == np.float64(avg).tobytes()
+        assert np.float64(free_energy(landscape, p)).tobytes() == np.float64(f).tobytes()
