@@ -236,7 +236,7 @@ def _cmd_audit(args) -> int:
     if args.trajectory_csv:
         try:
             with open(args.trajectory_csv, "w", encoding="utf-8") as handle:
-                handle.write(verdict.trajectory.to_csv())
+                verdict.trajectory.to_csv(handle)
         except OSError as exc:
             raise ThermobitError(f"cannot write {args.trajectory_csv}: {exc}") from None
     if args.format == "json":

@@ -8,9 +8,10 @@ chain has one) cannot increase, detailed balance or not.
 from __future__ import annotations
 
 import sys
+import threading
 import warnings
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, field
+from typing import NamedTuple, TextIO
 
 import numpy as np
 
@@ -29,6 +30,8 @@ _BALANCE_SLACK = 8 * np.finfo(float).eps
 # How far a relative entropy may rise, in nats, by rounding alone: the slack of
 # both the Second-Law audit and the data-processing check.
 _ENTROPY_SLACK = 1e-12
+# Serialises the first read of a Trajectory array, which writes its tail.
+_FILL_LOCK = threading.Lock()
 
 
 class StationaryMultiplicityWarning(UserWarning):
@@ -67,34 +70,53 @@ class Trajectory:
     """Distributions p_0..p_T under repeated channel application.
 
     Row t of `probs`, a read-only (T+1, n) array, is p_t; `d_nats[t]` is
-    D(p_t‖reference) in nats.
+    D(p_t‖reference) in nats. Rows from `settled` on repeat row settled - 1,
+    the chain's floating-point fixed point (settled is T + 1 for a chain
+    that did not settle). evolve writes only the rows before it; each
+    array writes its repeated tail the first time it is read, so holding a
+    Trajectory costs the rows computed, not T.
     """
 
-    probs: np.ndarray
-    d_nats: np.ndarray
+    _probs: np.ndarray = field(repr=False)
+    _d_nats: np.ndarray = field(repr=False)
     reference: Distribution
+    settled: int
+
+    @property
+    def probs(self) -> np.ndarray:
+        return self._filled(self._probs)
+
+    @property
+    def d_nats(self) -> np.ndarray:
+        return self._filled(self._d_nats)
+
+    def _filled(self, rows: np.ndarray) -> np.ndarray:
+        # an array is writable until its tail is written; the lock keeps two
+        # threads' first reads from setting it read-only under each other
+        if rows.flags.writeable:
+            with _FILL_LOCK:
+                if rows.flags.writeable:
+                    rows[self.settled:] = rows[self.settled - 1]
+                    rows.setflags(write=False)
+        return rows
 
     def __len__(self) -> int:
-        return len(self.d_nats)
+        return len(self._d_nats)
 
-    def to_csv(self) -> str:
-        """Columns: step, p_1..p_n, D_nats, D_bits."""
-        n = self.probs.shape[1]
-        lines = ["step," + ",".join(f"p_{i + 1}" for i in range(n)) + ",D_nats,D_bits"]
-        # A row whose p_t and D are byte for byte the previous row's (as once a
-        # chain settles) reuses its text: bytes, not ==, so -0.0 is not 0.0.
-        same = np.ones(len(self.d_nats) - 1, dtype=bool)
-        for cells in (self.probs, self.d_nats[:, None]):
-            cells = np.ascontiguousarray(cells)
-            rows = cells.view(np.dtype((np.void, cells.itemsize * cells.shape[1])))[:, 0]
-            same &= rows[1:] == rows[:-1]
-        text = ""
-        for t, repeat in enumerate([False, *same.tolist()]):
-            if not repeat:
-                d = self.d_nats[t].item()
-                text = ",".join(map(repr, self.probs[t].tolist())) + f",{d!r},{d / LOG2!r}"
-            lines.append(f"{t},{text}")
-        return "\n".join(lines) + "\n"
+    def to_csv(self, handle: TextIO) -> None:
+        """Write the rows to a text handle. Columns: step, p_1..p_n, D_nats, D_bits.
+
+        The rows evolve computed are formatted one by one; every row after
+        them repeats the last one's text, so neither the full arrays nor
+        the whole text are built."""
+        n = self._probs.shape[1]
+        write = handle.write
+        write("step," + ",".join(f"p_{i + 1}" for i in range(n)) + ",D_nats,D_bits\n")
+        for t in range(len(self)):
+            if t < self.settled:
+                d = self._d_nats[t].item()
+                text = ",".join(map(repr, self._probs[t].tolist())) + f",{d!r},{d / LOG2!r}"
+            write(f"{t},{text}\n")
 
 
 class DetailedBalanceCheck(NamedTuple):
@@ -327,10 +349,14 @@ def evolve(
     returns its input bit for bit, the remaining rows are that row and the
     remaining D values are its D. This is exact, not a tolerance: the step
     and the KL depend only on the bits of their inputs, so running on would
-    reproduce the same bits. A long run therefore costs the steps until p_t
-    stops changing, not `steps`; a chain that never settles (a rotation)
-    runs every step. The D values are computed after the loop, in one pass
-    over the rows it produced, bit for bit what a per-step KL would give.
+    reproduce the same bits. Both (steps + 1)-row arrays are reserved up
+    front, so a step count that no memory holds fails here at once, but
+    only the rows before the fixed point are written: the Trajectory writes
+    the repeated tail when an array is first read. A long run therefore
+    costs the steps until p_t stops changing, in time and in resident
+    memory, not `steps`; a chain that never settles (a rotation) runs every
+    step. The D values are computed after the loop, in one pass over the
+    rows it produced, bit for bit what a per-step KL would give.
     """
     if steps < 0:
         raise DomainError(f"steps must be non-negative, got {steps}")
@@ -381,12 +407,8 @@ def evolve(
             end = r if last == probs[r - 1].tobytes() else steps + 1
             t, size, fixed = r, r - fixed, r
         t += 1
-    probs[end:] = probs[end - 1]
     _kl_rows(probs[:end], _log_reference(ref), d_nats[:end])
-    d_nats[end:] = d_nats[end - 1]
-    probs.setflags(write=False)
-    d_nats.setflags(write=False)
-    return Trajectory(probs, d_nats, reference)
+    return Trajectory(probs, d_nats, reference, end)
 
 
 def _max_positive_jump(d: np.ndarray) -> float:
@@ -422,7 +444,8 @@ def _audit(
     """second_law_audit once the stationary pi of the channel is known."""
     balance = check_detailed_balance(channel, pi)
     trajectory = evolve(p0, channel, steps, pi if reference is None else reference)
-    max_violation = _max_positive_jump(trajectory.d_nats)
+    # every jump in the repeated tail is 0, so the computed rows decide
+    max_violation = _max_positive_jump(trajectory._d_nats[:trajectory.settled])
     return AuditVerdict(
         stationary=pi,
         detailed_balance=balance.holds,

@@ -729,6 +729,52 @@ def test_a_step_count_too_large_to_allocate_is_one_error_line(args):
     assert err.splitlines()[-1].split("error: ", 1)[1]
 
 
+# The child prints its own peak resident size, VmHWM in kB, as the last line
+# of stderr. ru_maxrss would not do: a child that subprocess starts by vfork
+# and exec inherits the launcher's high-water mark in it.
+_PEAK_CHILD = """\
+import sys
+from thermobit import cli
+code = cli.main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    peak = next(line for line in status if line.startswith("VmHWM:"))
+print(peak.split()[1], file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def _drift_audit_peak_kb(steps, *extra):
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_CHILD, "audit", str(DATA), "--channel", "drift",
+         "--p0", "tilted", "--steps", str(steps), *extra],
+        capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stderr.decode().splitlines()[-1])
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_a_long_audit_holds_only_the_rows_before_the_chain_settles(tmp_path):
+    # the demo drift chain settles within a few thousand steps, so 5*10**6
+    # steps must cost no more memory than 2*10**5, CSV or not
+    steps = 5_000_000
+    for extra in ([], ["--trajectory-csv", str(tmp_path / "trajectory.csv")]):
+        short = _drift_audit_peak_kb(200_000, *extra)
+        long = _drift_audit_peak_kb(steps, *extra)
+        assert long - short <= 5 * 1024, (extra, short, long)
+    # the rows after the settle row repeat its text, up to the last step
+    lines, settle_line, settle_text, previous = 0, None, None, None
+    with open(tmp_path / "trajectory.csv", encoding="utf-8") as csv:
+        for lines, line in enumerate(csv, 1):
+            text = line.split(",", 1)[1]
+            if settle_text is None and text == previous:
+                settle_line, settle_text = lines, text
+            previous, last = text, line
+    (tmp_path / "trajectory.csv").unlink()  # about 275 MB
+    assert lines == steps + 2
+    assert settle_line is not None and settle_line < 200_000
+    assert last == f"{steps},{settle_text}"
+
+
 # -- the exit-code contract, as a property ---------------------------------------------
 
 # Values for every kind of argument: degenerate integers and floats, unknown

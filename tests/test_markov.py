@@ -1,8 +1,10 @@
 """Tests for the Markov-chain engine and the Second-Law auditor."""
 
 import collections
+import io
 import math
 import sys
+import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -840,10 +842,16 @@ def test_trajectory_arrays_are_read_only():
         trajectory.d_nats[0] = 0.0
 
 
+def _csv_text(trajectory):
+    out = io.StringIO()
+    trajectory.to_csv(out)
+    return out.getvalue()
+
+
 def test_trajectory_csv_layout():
     channel = Channel([[0.75, 0.25], [0.25, 0.75]])
     trajectory = evolve(Distribution([1.0, 0.0]), channel, 2)
-    lines = trajectory.to_csv().strip().split("\n")
+    lines = _csv_text(trajectory).strip().split("\n")
     assert lines[0] == "step,p_1,p_2,D_nats,D_bits"
     assert len(lines) == 4
     assert lines[1].startswith("0,1.0,0.0,")
@@ -852,7 +860,72 @@ def test_trajectory_csv_layout():
 def test_trajectory_csv_renders_infinity():
     channel = Channel(np.eye(2))
     trajectory = evolve(Distribution([0.5, 0.5]), channel, 1, Distribution([1.0, 0.0]))
-    assert ",inf," in trajectory.to_csv()
+    assert ",inf," in _csv_text(trajectory)
+
+
+def _read_case(case, rng):
+    """(p0, channel, reference) for an audit whose trajectory is read back."""
+    n = int(rng.integers(2, 7))
+    if case == "settles":
+        return _random_dist(rng, n), _random_channel(rng, n), None
+    if case == "rotation":
+        return _random_dist(rng, n), Channel(np.roll(np.eye(n), 1, axis=1)), _random_dist(rng, n)
+    if case == "renormalised":
+        return Distribution([1.0, 0.0]), _SETTLES_RENORMALISED, None
+    assert case == "zero-reference"
+    # p0 is off the reference's zero, so D starts finite and jumps to inf
+    reference = Distribution(np.r_[0.0, rng.dirichlet(np.ones(n - 1))])
+    return Distribution(np.r_[0.0, rng.dirichlet(np.ones(n - 1))]), _random_channel(rng, n), reference
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(["settles", "rotation", "renormalised", "zero-reference"]),
+       steps=st.integers(1, 400), seed=st.integers(0, 2**32 - 1),
+       reads=st.sampled_from([("d_nats", "probs"), ("probs", "d_nats"),
+                              ("d_nats", "d_nats", "probs")]))
+def test_a_trajectory_reads_the_same_in_any_order(case, steps, seed, reads):
+    # evolve writes the rows up to the settle row; the rest appear on first read
+    p0, channel, reference = _read_case(case, np.random.default_rng(seed))
+    verdict = second_law_audit(p0, channel, steps, reference)
+    trajectory = verdict.trajectory
+    expected = dict(zip(("probs", "d_nats"),
+                        _step_by_step(p0, channel, steps, trajectory.reference)))
+    for name in reads:
+        array = getattr(trajectory, name)
+        assert array.shape == expected[name].shape
+        assert array.tobytes() == expected[name].tobytes()
+        assert not array.flags.writeable
+        assert array.flags.owndata and array.flags.c_contiguous
+    assert len(trajectory) == steps + 1
+    assert trajectory.settled == (_first_repeat(expected["probs"]) or steps + 1)
+    assert verdict.max_violation == markov._max_positive_jump(trajectory.d_nats)
+
+
+def test_threads_that_first_read_a_trajectory_together_all_get_its_rows():
+    p0 = Distribution([1.0, 0.0])
+    expected = evolve(p0, _TWO_STATE, 3_000)
+    expected = (expected.probs.tobytes(), expected.d_nats.tobytes())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(50):
+            trajectory = evolve(p0, _TWO_STATE, 3_000)
+            barrier = threading.Barrier(4)
+            reads = []
+
+            def read():
+                barrier.wait(timeout=10)
+                reads.append((trajectory.probs.tobytes(), trajectory.d_nats.tobytes()))
+
+            threads = [threading.Thread(target=read) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            assert reads == [expected] * 4
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # -- the audit ---------------------------------------------------------------------------
