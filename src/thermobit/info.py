@@ -28,28 +28,10 @@ SUM_TOLERANCE = 1e-9
 _RENORM_SKIP = 1e-12
 
 
-def _renormalised(arr: np.ndarray, total: float) -> np.ndarray:
-    """arr divided by its sum `total`, or arr itself when total is within
-    _RENORM_SKIP of 1."""
-    if abs(total - 1.0) > _RENORM_SKIP:
-        return arr / total
-    return arr
-
-
-def _renormalised_rows(arr: np.ndarray, sums: np.ndarray) -> np.ndarray:
-    """_renormalised applied to each row of a 2-D array, whose row sums are
-    `sums`; arr itself when no row needs it."""
-    fix = np.abs(sums - 1.0) > _RENORM_SKIP
-    if fix.any():
-        arr = arr.copy()
-        arr[fix] = arr[fix] / sums[fix, None]
-    return arr
-
-
 def _renormalise_first_astray(rows: np.ndarray, sums: np.ndarray) -> int:
-    """Renormalise, in place and as _renormalised would, the first row of a
-    2-D array whose sum strays from 1 by more than _RENORM_SKIP, and return
-    its index; len(rows) when no row strays.
+    """Renormalise, in place and as _probability_rows would, the first row
+    of a 2-D array whose sum strays from 1 by more than _RENORM_SKIP, and
+    return its index; len(rows) when no row strays.
 
     `sums` receives the row sums from one reduce along the rows, which gives
     each row the pairwise sum a 1-D call gives. They are then read as Python
@@ -64,39 +46,41 @@ def _renormalise_first_astray(rows: np.ndarray, sums: np.ndarray) -> int:
 
 
 def _probability_rows(arr: np.ndarray, what: str) -> np.ndarray:
-    """Each row of a 2-D float array checked as a probability vector, as a
-    Distribution's entries are, and renormalised by its rule: arr itself
-    when no row needs it. Raises DomainError on the first fault."""
+    """Hold each row of a 2-D float array to the probability rule, in place,
+    and return arr, which the caller owns (a fresh array or a view into one).
+
+    Entries must be finite, then non-negative, and each row must sum to 1
+    within SUM_TOLERANCE, or DomainError names the fault (and the first bad
+    row, if there are others). A row whose sum strays from 1 by more than
+    _RENORM_SKIP is divided by that sum; every other row keeps its bits."""
     if not np.isfinite(arr).all():
         raise DomainError(f"{what} entries must be finite")
     if (arr < 0.0).any():
         raise DomainError(f"{what} entries must be non-negative")
     sums = arr.sum(axis=1)
-    bad = np.abs(sums - 1.0) > SUM_TOLERANCE
-    if bad.any():
-        i = int(np.argmax(bad))
+    astray = np.abs(sums - 1.0)
+    worst = astray.max()
+    if worst > SUM_TOLERANCE:
+        i = int(np.argmax(astray > SUM_TOLERANCE))
+        row = f" row {i}" if len(arr) > 1 else ""
         raise DomainError(
-            f"{what} row {i} must sum to 1 within {SUM_TOLERANCE:g}, got {float(sums[i])!r}"
+            f"{what}{row} must sum to 1 within {SUM_TOLERANCE:g}, got {float(sums[i])!r}"
         )
-    return _renormalised_rows(arr, sums)
+    if worst > _RENORM_SKIP:
+        np.divide(arr, sums[:, None], out=arr, where=(astray > _RENORM_SKIP)[:, None])
+    return arr
 
 
 def _as_prob_array(values, what: str, ndim: int) -> np.ndarray:
+    """values as a read-only float array of `ndim` dimensions, held to
+    _probability_rows as one row: a memory-order view, so the array keeps
+    its layout and is summed as arr.sum() sums it."""
     arr = np.array(values, dtype=float)
     if arr.ndim != ndim:
         raise ShapeError(f"{what} must be {ndim}-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise ShapeError(f"{what} needs at least one entry")
-    if not np.isfinite(arr).all():
-        raise DomainError(f"{what} entries must be finite")
-    if (arr < 0.0).any():
-        raise DomainError(f"{what} entries must be non-negative")
-    total = float(arr.sum())
-    if abs(total - 1.0) > SUM_TOLERANCE:
-        raise DomainError(
-            f"{what} must sum to 1 within {SUM_TOLERANCE:g}, got {total!r}"
-        )
-    arr = _renormalised(arr, total)
+    _probability_rows(arr.ravel(order="K")[None], what)
     arr.setflags(write=False)
     return arr
 
@@ -105,9 +89,9 @@ def _as_prob_array(values, what: str, ndim: int) -> np.ndarray:
 class Distribution:
     """A probability vector over a finite state space.
 
-    Entries are validated non-negative and summing to 1 within
-    SUM_TOLERANCE, then normalized. Instances are immutable and safe to
-    share.
+    Entries are held to _probability_rows: finite, non-negative and summing
+    to 1 within SUM_TOLERANCE, then renormalised unless the sum is within
+    _RENORM_SKIP of 1. Instances are immutable and safe to share.
     """
 
     probs: np.ndarray
@@ -117,10 +101,15 @@ class Distribution:
 
     @classmethod
     def uniform(cls, n: int) -> "Distribution":
-        return cls(np.full(n, 1.0 / n))
+        # n < 1 states get the constructor's ShapeError for no entries
+        return cls(np.full(n, 1.0 / n) if n >= 1 else [])
 
     @classmethod
     def degenerate(cls, n: int, index: int) -> "Distribution":
+        if n < 1:
+            return cls([])
+        if not 0 <= index < n:
+            raise DomainError(f"index must lie in [0, {n}), got {index!r}")
         probs = np.zeros(n)
         probs[index] = 1.0
         return cls(probs)

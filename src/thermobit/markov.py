@@ -41,7 +41,11 @@ class StationaryMultiplicityWarning(UserWarning):
 
 @dataclass(frozen=True, eq=False)
 class Channel:
-    """A row-stochastic matrix: row i is the next-state distribution from i."""
+    """A row-stochastic matrix: row i is the next-state distribution from i.
+
+    Each row is held to _probability_rows, as a Distribution is, and
+    renormalised in place, so the matrix keeps the layout it was given in.
+    """
 
     matrix: np.ndarray
 
@@ -49,7 +53,7 @@ class Channel:
         arr = np.array(self.matrix, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise ShapeError(f"channel matrix must be square, got shape {arr.shape}")
-        arr = _probability_rows(arr, "channel")
+        _probability_rows(arr, "channel")
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
 
@@ -334,11 +338,11 @@ def evolve(
     p0: Distribution,
     channel: Channel,
     steps: int,
-    pi_ref: Distribution | str = "auto",
+    reference: Distribution | None = None,
 ) -> Trajectory:
-    """Run the chain for `steps` steps, recording D(p_t‖pi_ref) along the way.
+    """Run the chain for `steps` steps, recording D(p_t‖reference) along the way.
 
-    pi_ref="auto" resolves the reference via stationary_distribution. The
+    With reference=None the stationary distribution is used. The
     inputs are checked once; the steps run on plain arrays, renormalised by
     Distribution's rule, so row t is bit for bit what apply_channel builds.
     A step is one product and one byte compare: the sums are tested in
@@ -360,12 +364,8 @@ def evolve(
     """
     if steps < 0:
         raise DomainError(f"steps must be non-negative, got {steps}")
-    if isinstance(pi_ref, str):
-        if pi_ref != "auto":
-            raise DomainError(f"pi_ref must be a Distribution or 'auto', got {pi_ref!r}")
+    if reference is None:
         reference = stationary_distribution(channel)
-    else:
-        reference = pi_ref
     if not len(p0) == len(reference) == len(channel):
         raise ShapeError(f"p0 and reference of lengths {len(p0)}, {len(reference)} "
                          f"against a {len(channel)}-state channel")

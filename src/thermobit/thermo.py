@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .info import Distribution, InfoQuantity
-from .info import _entropy_rows, _kl_rows, _renormalised_rows
+from .info import _entropy_rows, _kl_rows, _probability_rows
 
 DEFAULT_BOLTZMANN = 1.0
 SI_BOLTZMANN = 1.380649e-23  # J/K
@@ -145,7 +145,7 @@ def _gibbs_rows(energies: np.ndarray, kT: np.ndarray):
     sums = weights.sum(axis=1)
     log_z = top + np.array([math.log(total) for total in sums.tolist()])
     gibbs = weights / sums[:, None]
-    return log_weights, log_z, _renormalised_rows(gibbs, gibbs.sum(axis=1))
+    return log_weights, log_z, _probability_rows(gibbs, "gibbs distribution")
 
 
 def _one_row(landscape: EnergyLandscape) -> tuple[np.ndarray, np.ndarray]:

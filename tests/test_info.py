@@ -8,17 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermobit import (
+    Channel,
     Distribution,
     DomainError,
+    EnergyLandscape,
     JointDistribution,
     ShapeError,
     decompose_information,
+    gibbs_distribution,
     mutual_information,
     relative_entropy,
     self_information,
     shannon_entropy,
 )
-from thermobit import info
+from thermobit import info, thermo
 
 LOG2 = math.log(2.0)
 
@@ -348,6 +351,222 @@ def test_distribution_is_immutable():
     d = Distribution([0.5, 0.5])
     with pytest.raises(ValueError):
         d.probs[0] = 0.3
+
+
+_SUM_OFF = "must sum to 1 within 1e-09, got 1.0000000020000002"
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Distribution([[0.5, 0.5]]), ShapeError,
+     "distribution must be 1-dimensional, got shape (1, 2)"),
+    (lambda: Distribution([]), ShapeError, "distribution needs at least one entry"),
+    (lambda: Distribution([math.nan, 1.0]), DomainError, "distribution entries must be finite"),
+    (lambda: Distribution([math.inf, 0.0]), DomainError, "distribution entries must be finite"),
+    (lambda: Distribution([1.2, -0.2]), DomainError, "distribution entries must be non-negative"),
+    (lambda: Distribution([0.5 + 2e-9, 0.5]), DomainError, f"distribution {_SUM_OFF}"),
+    (lambda: JointDistribution([0.5, 0.5]), ShapeError,
+     "joint distribution must be 2-dimensional, got shape (2,)"),
+    (lambda: JointDistribution(np.zeros((2, 0))), ShapeError,
+     "joint distribution needs at least one entry"),
+    (lambda: JointDistribution([[math.nan, 1.0]]), DomainError,
+     "joint distribution entries must be finite"),
+    (lambda: JointDistribution([[0.5], [-math.inf]]), DomainError,
+     "joint distribution entries must be finite"),
+    (lambda: JointDistribution([[1.2], [-0.2]]), DomainError,
+     "joint distribution entries must be non-negative"),
+    (lambda: JointDistribution([[0.5 + 2e-9], [0.5]]), DomainError,
+     f"joint distribution {_SUM_OFF}"),
+    (lambda: Channel([0.5, 0.5]), ShapeError, "channel matrix must be square, got shape (2,)"),
+    (lambda: Channel(np.zeros((0, 0))), ShapeError,
+     "channel matrix must be square, got shape (0, 0)"),
+    (lambda: Channel([[1.0, 0.0], [math.nan, 1.0]]), DomainError, "channel entries must be finite"),
+    (lambda: Channel([[1.0, 0.0], [0.0, math.inf]]), DomainError, "channel entries must be finite"),
+    (lambda: Channel([[1.2, -0.2], [0.0, 1.0]]), DomainError,
+     "channel entries must be non-negative"),
+    (lambda: Channel([[1.0, 0.0], [0.5 + 2e-9, 0.5]]), DomainError, f"channel row 1 {_SUM_OFF}"),
+    # one row is named only when there are others to tell it from
+    (lambda: Channel([[0.5 + 2e-9 + 0.5]]), DomainError, f"channel {_SUM_OFF}"),
+    (lambda: Distribution.uniform(0), ShapeError, "distribution needs at least one entry"),
+    (lambda: Distribution.uniform(-2), ShapeError, "distribution needs at least one entry"),
+    (lambda: Distribution.degenerate(3, 5), DomainError, "index must lie in [0, 3), got 5"),
+    (lambda: Distribution.degenerate(3, -1), DomainError, "index must lie in [0, 3), got -1"),
+], ids=[f"{kind}-{fault}" for kind in ("distribution", "joint", "channel")
+        for fault in ("ndim", "empty", "nan", "inf", "negative", "sum")]
+    + ["channel-one-state-sum", "uniform-0", "uniform-negative", "degenerate-past-end",
+       "degenerate-negative"])
+def test_probability_faults_have_one_message_each(build, error, message):
+    with pytest.raises(error) as caught:
+        build()
+    assert str(caught.value) == message
+
+
+# -- parity with the rule as three separate helpers had it -------------------------
+#
+# Before _probability_rows became the one home of the probability rule, a
+# Distribution or joint ran its own copy of the checks and renormalised by
+# _renormalised, and channel and Gibbs rows ran _renormalised_rows, which
+# copied the array before dividing. These copies of that code are the
+# oracle: every construction must give the same bits, shape and flags, or
+# the same error.
+
+def _oracle_renormalised(arr, total):
+    if abs(total - 1.0) > 1e-12:
+        return arr / total
+    return arr
+
+
+def _oracle_renormalised_rows(arr, sums):
+    fix = np.abs(sums - 1.0) > 1e-12
+    if fix.any():
+        arr = arr.copy()
+        arr[fix] = arr[fix] / sums[fix, None]
+    return arr
+
+
+def _oracle_probability_rows(arr, what):
+    if not np.isfinite(arr).all():
+        raise DomainError(f"{what} entries must be finite")
+    if (arr < 0.0).any():
+        raise DomainError(f"{what} entries must be non-negative")
+    sums = arr.sum(axis=1)
+    bad = np.abs(sums - 1.0) > 1e-9
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(f"{what} row {i} must sum to 1 within 1e-09, got {float(sums[i])!r}")
+    return _oracle_renormalised_rows(arr, sums)
+
+
+def _oracle_as_prob_array(values, what, ndim):
+    arr = np.array(values, dtype=float)
+    if arr.ndim != ndim:
+        raise ShapeError(f"{what} must be {ndim}-dimensional, got shape {arr.shape}")
+    if arr.size == 0:
+        raise ShapeError(f"{what} needs at least one entry")
+    if not np.isfinite(arr).all():
+        raise DomainError(f"{what} entries must be finite")
+    if (arr < 0.0).any():
+        raise DomainError(f"{what} entries must be non-negative")
+    total = float(arr.sum())
+    if abs(total - 1.0) > 1e-9:
+        raise DomainError(f"{what} must sum to 1 within 1e-09, got {total!r}")
+    arr = _oracle_renormalised(arr, total)
+    arr.setflags(write=False)
+    return arr
+
+
+def _oracle_channel(matrix):
+    arr = np.array(matrix, dtype=float)
+    try:
+        arr = _oracle_probability_rows(arr, "channel")
+    except DomainError as error:
+        if len(arr) > 1:
+            raise
+        # the one deliberate change: a lone row is not named
+        raise DomainError(str(error).replace("channel row 0 ", "channel ")) from None
+    arr.setflags(write=False)
+    return arr
+
+
+def _oracle_gibbs_rows(energies, kT):
+    log_weights = -energies / kT[:, None]
+    top = log_weights.max(axis=1)
+    weights = np.exp(log_weights - top[:, None])
+    gibbs = weights / weights.sum(axis=1)[:, None]
+    return _oracle_renormalised_rows(gibbs, gibbs.sum(axis=1))
+
+
+def _outcome(build):
+    """What build() gives: an array's bytes in memory order, shape and flags,
+    or the type and message of the error it raises."""
+    try:
+        arr = build()
+    except (DomainError, ShapeError) as error:
+        return type(error), str(error)
+    flags = arr.flags
+    return (arr.tobytes(order="A"), arr.shape, flags.writeable, flags.owndata,
+            flags.c_contiguous, flags.f_contiguous)
+
+
+_PARITY_OFFSETS = (0.0, 1e-13, 3e-12, 4e-10, 2e-9)
+
+
+def _parity_values(rng, shape, rows):
+    """Random probabilities of `shape` with zeros and subnormals, each of
+    `rows` rows (or the whole array) scaled to sum to 1 off by one of
+    _PARITY_OFFSETS either way; one case in twenty has a nan, an inf or a
+    negative entry."""
+    values = rng.random(shape)
+    values[rng.random(shape) < 0.3] = 0.0
+    values[rng.random(shape) < 0.1] = 5e-324 * float(rng.integers(1, 10**6))
+    flat = values.reshape(rows, -1)
+    flat[np.arange(rows), rng.integers(flat.shape[1], size=rows)] += 0.5
+    offsets = rng.choice(_PARITY_OFFSETS, size=(rows, 1)) * rng.choice([-1.0, 1.0], size=(rows, 1))
+    flat *= (1.0 + offsets) / flat.sum(axis=1, keepdims=True)
+    if rng.random() < 0.05:
+        flat.flat[rng.integers(flat.size)] = rng.choice([math.nan, math.inf, -0.25])
+    return values
+
+
+def _parity_case(rng, kind):
+    """(input, new construction, oracle construction) of one random case."""
+    n = int(rng.integers(1, 9))
+    if kind == "distribution":
+        values = _parity_values(rng, n, 1)
+        return (values, lambda: Distribution(values).probs,
+                lambda: _oracle_as_prob_array(values, "distribution", 1))
+    if kind.startswith("joint"):
+        values = _parity_values(rng, (n, int(rng.integers(1, 9))), 1)
+        values = {"joint-C": values, "joint-F": np.asfortranarray(values),
+                  "joint-T": values.T}[kind]
+        return (values, lambda: JointDistribution(values).probs,
+                lambda: _oracle_as_prob_array(values, "joint distribution", 2))
+    if kind == "channel":
+        values = _parity_values(rng, (n, n), n)
+        return values, lambda: Channel(values).matrix, lambda: _oracle_channel(values)
+    assert kind == "gibbs"
+    energies = rng.normal(size=(int(rng.integers(1, 4)), n)) * rng.choice([1.0, 50.0, 700.0, 1e4])
+    kT = rng.uniform(0.1, 10.0, size=len(energies))
+    return (None, lambda: thermo._gibbs_rows(energies, kT)[2],
+            lambda: _oracle_gibbs_rows(energies, kT))
+
+
+@pytest.mark.parametrize("kind", ["distribution", "joint-C", "joint-F", "joint-T",
+                                  "channel", "gibbs"])
+def test_probability_rule_matches_the_three_helper_oracle(kind):
+    rng = np.random.default_rng(18)
+    seen = set()
+    for _ in range(2_000):
+        values, build, oracle = _parity_case(rng, kind)
+        expected = _outcome(oracle)
+        assert _outcome(build) == expected
+        if isinstance(expected[0], type):
+            seen.add(expected[0])
+        elif values is not None:
+            seen.add("kept" if expected[0] == np.array(values).tobytes(order="A")
+                     else "renormalised")
+    if kind != "gibbs":
+        assert seen == {"kept", "renormalised", DomainError}
+
+
+def test_gibbs_distribution_matches_the_oracle_bitwise():
+    rng = np.random.default_rng(19)
+    for _ in range(500):
+        energies = rng.normal(size=int(rng.integers(1, 40))) * rng.choice([1.0, 700.0, 1e4])
+        temperature = float(rng.uniform(0.1, 10.0))
+        expected = _oracle_as_prob_array(
+            _oracle_gibbs_rows(energies[None], np.array([temperature]))[0], "distribution", 1)
+        pi = gibbs_distribution(EnergyLandscape(energies, temperature)).probs
+        assert _outcome(lambda: pi) == _outcome(lambda: expected)
+
+
+def test_channel_keeps_the_layout_it_was_given():
+    # rows summing to 1 + 4e-10 are renormalised in place, so a Fortran-ordered
+    # matrix stays Fortran-ordered, with the bits of the C-ordered one
+    matrix = np.array([[0.25, 0.75 + 4e-10], [0.5, 0.5]])
+    given = Channel(np.asfortranarray(matrix)).matrix
+    assert given.flags.f_contiguous and not given.flags.c_contiguous
+    assert np.array_equal(given, Channel(matrix).matrix)
+    assert given[0].sum() != matrix[0].sum()
 
 
 # -- joints and mutual information ------------------------------------------------

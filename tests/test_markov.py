@@ -533,7 +533,7 @@ def test_evolve_rotation_keeps_divergence_constant():
 
 def test_evolve_auto_reference_resolves_stationary():
     channel = Channel([[0.9, 0.1], [0.2, 0.8]])
-    trajectory = evolve(Distribution([1.0, 0.0]), channel, 5, "auto")
+    trajectory = evolve(Distribution([1.0, 0.0]), channel, 5, reference=None)
     pi = stationary_distribution(channel)
     assert trajectory.reference == pi
 
@@ -593,23 +593,23 @@ def _evolve_case(case, rng):
         reference = Distribution(np.r_[0.0, rng.dirichlet(np.ones(10))])
         return _sparse(rng, 11, 4), channel, 300, reference
     if case == "two-state":
-        return Distribution([1.0, 0.0]), _TWO_STATE, 20_000, "auto"
+        return Distribution([1.0, 0.0]), _TWO_STATE, 20_000, None
     if case == "dense-128":
-        return _random_dist(rng, 128), _doubly_stochastic(rng, 128), 1_000, "auto"
+        return _random_dist(rng, 128), _doubly_stochastic(rng, 128), 1_000, None
     if case == "stationary-p0":
-        return Distribution([0.5, 0.5]), Channel([[0.75, 0.25], [0.25, 0.75]]), 50, "auto"
+        return Distribution([0.5, 0.5]), Channel([[0.75, 0.25], [0.25, 0.75]]), 50, None
     if case.startswith("drift"):
         # every row sums to 1 + drift, kept as stored, so products stray and
         # are renormalised every few steps
         rows = np.full((4, 4), 0.25)
         rows[:, 0] += float(case.removeprefix("drift"))
-        return Distribution([0.4, 0.3, 0.2, 0.1]), Channel(rows), 10_000, "auto"
+        return Distribution([0.4, 0.3, 0.2, 0.1]), Channel(rows), 10_000, None
     if case == "renormalised-fixed-point":
-        return Distribution([1.0, 0.0]), _SETTLES_RENORMALISED, 50, "auto"
+        return Distribution([1.0, 0.0]), _SETTLES_RENORMALISED, 50, None
     if case == "no-steps":
-        return Distribution([1.0, 0.0]), _TWO_STATE, 0, "auto"
+        return Distribution([1.0, 0.0]), _TWO_STATE, 0, None
     if case == "one-step":
-        return Distribution([1.0, 0.0]), _TWO_STATE, 1, "auto"
+        return Distribution([1.0, 0.0]), _TWO_STATE, 1, None
     assert case == "nonstationary-reference"
     return Distribution([1.0, 0.0]), _TWO_STATE, 5_000, Distribution([0.5, 0.5])
 
@@ -635,13 +635,13 @@ def _renormalised_steps(probs, channel):
                                   "renormalised-fixed-point", "no-steps", "one-step"])
 def test_evolve_matches_step_by_step_reference_bitwise(case):
     rng = np.random.default_rng(23)
-    p0, channel, steps, pi_ref = _evolve_case(case, rng)
-    trajectory = evolve(p0, channel, steps, pi_ref)
+    p0, channel, steps, given = _evolve_case(case, rng)
+    trajectory = evolve(p0, channel, steps, given)
     reference = trajectory.reference
-    if isinstance(pi_ref, str):
+    if given is None:
         assert np.array_equal(reference.probs, stationary_distribution(channel).probs)
     else:
-        assert reference is pi_ref
+        assert reference is given
     probs, d_nats = _step_by_step(p0, channel, steps, reference)
     assert np.array_equal(trajectory.probs, probs)
     assert np.array_equal(trajectory.d_nats, d_nats)
