@@ -28,10 +28,10 @@ header line and contains indented `key value...` lines:
 
 Numbers are finite decimals with an optional exponent. Names must be
 unique within their kind, every reference must resolve, and dimensions
-must be consistent; probability vectors and channel rows obey the core
-modules' normalization tolerance, SUM_TOLERANCE. The parser recovers at
-block granularity and reports every diagnostic in one pass; it never
-raises on malformed input.
+must be consistent. A `probs` line and each `from` row are held to the
+rule a Distribution is held to, and a fault is reported in its words at
+that line. The parser recovers at block granularity and reports every
+diagnostic in one pass; it never raises on malformed input.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bitops
-from .errors import DomainError, ShapeError
-from .info import SUM_TOLERANCE, Distribution
+from .errors import DomainError
+from .info import Distribution, _probability_rows
 from .markov import Channel
 from .thermo import REPORT_FORMATS, EnergyLandscape
 
@@ -390,9 +390,10 @@ class _Parser:
                 probs = self.non_negative_numbers(line, "probability")
         if len(self.diagnostics) > mark:
             return None
-        total = float(np.sum(probs))
-        if abs(total - 1.0) > SUM_TOLERANCE:
-            self.error(probs_line, 0, f"probabilities sum to {total:g}")
+        try:
+            dist = Distribution(probs)
+        except DomainError as exc:
+            self.error(probs_line, 0, str(exc))
         system = self.system_of(block, over, decls)
         if system is None:
             return None
@@ -402,11 +403,6 @@ class _Parser:
                                       f"{len(system.states)} states")
             return None
         if len(self.diagnostics) > mark:
-            return None
-        try:
-            dist = Distribution(probs)
-        except (DomainError, ShapeError) as exc:
-            self.error(probs_line, 0, str(exc))
             return None
         return DistDecl(name=block.name, system=system.name, dist=dist)
 
@@ -462,21 +458,17 @@ class _Parser:
                 else:
                     seen_targets.add(target)
                     matrix[i, index[target]] = value
-            row_sum = float(matrix[i].sum())
-            if abs(row_sum - 1.0) > SUM_TOLERANCE:
-                self.error(line, 1, f"row for state {source!r} sums to {row_sum:g}")
+            try:
+                _probability_rows(matrix[i][None], f"row for state {source!r}")
+            except DomainError as exc:
+                self.error(line, 1, str(exc))
         for label in system.states:
             if label not in seen_rows:
                 self.block_error(block, f"channel {block.name!r} is missing a 'from' row "
                                         f"for state {label!r}")
         if len(self.diagnostics) > mark:
             return None
-        try:
-            channel = Channel(matrix)
-        except (DomainError, ShapeError) as exc:
-            self.block_error(block, str(exc))
-            return None
-        return ChannelDecl(name=block.name, system=system.name, channel=channel)
+        return ChannelDecl(name=block.name, system=system.name, channel=Channel(matrix))
 
     def build_protocol(self, block: _RawBlock, decls: dict) -> ProtocolDecl:
         directives: list[Directive] = []

@@ -51,13 +51,18 @@ def _probability_rows(arr: np.ndarray, what: str) -> np.ndarray:
 
     Entries must be finite, then non-negative, and each row must sum to 1
     within SUM_TOLERANCE, or DomainError names the fault (and the first bad
-    row, if there are others). A row whose sum strays from 1 by more than
-    _RENORM_SKIP is divided by that sum; every other row keeps its bits."""
-    if not np.isfinite(arr).all():
+    row, if there are others); a sum too large for a float reads inf. A row
+    whose sum strays from 1 by more than _RENORM_SKIP is divided by that
+    sum; every other row keeps its bits."""
+    if ((arr >= 0.0) & (arr <= 1.0 + SUM_TOLERANCE)).all():  # no sum can overflow
+        sums = arr.sum(axis=1)
+    elif not np.isfinite(arr).all():
         raise DomainError(f"{what} entries must be finite")
-    if (arr < 0.0).any():
+    elif (arr < 0.0).any():
         raise DomainError(f"{what} entries must be non-negative")
-    sums = arr.sum(axis=1)
+    else:  # an entry above 1 fails its row, whose sum may overflow
+        with np.errstate(over="ignore"):
+            sums = arr.sum(axis=1)
     astray = np.abs(sums - 1.0)
     worst = astray.max()
     if worst > SUM_TOLERANCE:
@@ -72,15 +77,15 @@ def _probability_rows(arr: np.ndarray, what: str) -> np.ndarray:
 
 
 def _as_prob_array(values, what: str, ndim: int) -> np.ndarray:
-    """values as a read-only float array of `ndim` dimensions, held to
-    _probability_rows as one row: a memory-order view, so the array keeps
-    its layout and is summed as arr.sum() sums it."""
-    arr = np.array(values, dtype=float)
+    """values as a read-only, C-ordered float array of `ndim` dimensions,
+    held to _probability_rows as one row, so it is summed as arr.sum() sums
+    it; the caller's layout never reaches a reduction or a product."""
+    arr = np.array(values, dtype=float, order="C")
     if arr.ndim != ndim:
         raise ShapeError(f"{what} must be {ndim}-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise ShapeError(f"{what} needs at least one entry")
-    _probability_rows(arr.ravel(order="K")[None], what)
+    _probability_rows(arr.reshape(1, -1), what)
     arr.setflags(write=False)
     return arr
 

@@ -43,14 +43,14 @@ class StationaryMultiplicityWarning(UserWarning):
 class Channel:
     """A row-stochastic matrix: row i is the next-state distribution from i.
 
-    Each row is held to _probability_rows, as a Distribution is, and
-    renormalised in place, so the matrix keeps the layout it was given in.
+    Each row of a C-ordered copy is held to _probability_rows, as a
+    Distribution is, so the layout the matrix was given in changes no bit.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.matrix, dtype=float)
+        arr = np.array(self.matrix, dtype=float, order="C")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise ShapeError(f"channel matrix must be square, got shape {arr.shape}")
         _probability_rows(arr, "channel")

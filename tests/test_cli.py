@@ -58,7 +58,7 @@ def test_check_malformed_file_exits_one(tmp_path, capsys):
     code, _, err = run_cli(["check", str(bad), "--dist", "d"], capsys)
     assert code == 1
     assert "line 3" in err
-    assert "probabilities sum to 1.1" in err
+    assert "distribution must sum to 1 within 1e-09, got 1.1" in err
 
 
 def test_check_unknown_dist_exits_one(capsys):
@@ -706,6 +706,17 @@ def test_check_reports_bad_probabilities_promptly(tmp_path, words, bad):
     assert proc.stderr.decode().splitlines() == [
         f"error: line 6, col {columns[i + 1]}: probability must be a number, got {words[i]!r}"
         for i in bad]
+
+
+def test_check_reports_an_overflowing_sum_as_one_error_line(tmp_path):
+    path = tmp_path / "huge.tbit"
+    path.write_text("system s\n  states a b\n  temperature 1\n\n"
+                    "dist d\n  over s\n  probs 1e308 1e308\n")
+    proc = _run_subprocess(["check", str(path), "--dist", "d"])
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert proc.stderr.decode() == (
+        "error: line 7, col 3: distribution must sum to 1 within 1e-09, got inf\n")
 
 
 # 10**17 steps need more bytes than any address space holds, so no machine

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermobit import check_szilard_landauer, dsl
+from thermobit import Channel, Distribution, DomainError, check_szilard_landauer, dsl
 
 import docgen
+from test_info import _parity_values
 
 LOG2 = math.log(2.0)
 
@@ -84,7 +85,7 @@ def test_probability_sum_diagnostic_carries_location():
     result = dsl.parse(source)
     assert not result.ok
     (diag,) = result.diagnostics
-    assert "probabilities sum to 1.1" in diag.message
+    assert diag.message == "distribution must sum to 1 within 1e-09, got 1.1"
     assert diag.line == 7
     assert diag.column == 3
 
@@ -96,7 +97,67 @@ def test_channel_row_sum_diagnostic():
     )
     result = dsl.parse(source)
     assert not result.ok
-    assert any("sums to 0.9" in d.message and d.line == 7 for d in result.diagnostics)
+    assert any(d.message == "row for state 'a' must sum to 1 within 1e-09, got 0.9"
+               and d.line == 7 for d in result.diagnostics)
+
+
+def _block_source(kind, values):
+    """A system s0..s(n-1) and one dist d or channel k that spells `values`,
+    each number in repr, so it parses back to the same float; the first
+    'probs' or 'from' line is line 7."""
+    states = [f"s{i}" for i in range(values.shape[-1])]
+    source = f"system s\n  states {' '.join(states)}\n  temperature 1\n\n"
+    if kind == "dist":
+        return source + f"dist d\n  over s\n  probs {' '.join(map(repr, values.tolist()))}\n"
+    return source + "channel k\n  over s\n" + "".join(
+        f"  from {label}: " + " ".join(f"{target} {value!r}"
+                                      for target, value in zip(states, row)) + "\n"
+        for label, row in zip(states, values.tolist()))
+
+
+@pytest.mark.parametrize("kind", ["dist", "channel"])
+def test_the_parser_holds_probabilities_to_the_core_rule(kind):
+    rng = np.random.default_rng(21)
+    seen = set()
+    for case in range(400):
+        n = int(rng.integers(1, 7))
+        values = _parity_values(rng, n, 1) if kind == "dist" else _parity_values(rng, (n, n), n)
+        if case % 25 == 0:  # a row of 1e308s, whose sum overflows once n > 1
+            rows = values.reshape(-1, n)
+            rows[rng.integers(len(rows))] = 1e308
+        try:
+            expected = (Distribution(values).probs if kind == "dist"
+                        else Channel(values).matrix)
+        except DomainError as error:
+            expected, message = None, str(error)
+        result = dsl.parse(_block_source(kind, values))
+        assert result.ok == (expected is not None)
+        if result.ok:
+            got = (result.document.dists["d"].dist.probs if kind == "dist"
+                   else result.document.channels["k"].channel.matrix)
+            assert got.tobytes() == expected.tobytes()
+            seen.add("kept" if got.tobytes() == values.tobytes() else "renormalised")
+            continue
+        seen.add("rejected")
+        words = np.isfinite(values).all() and (values >= 0.0).all()  # each a valid number
+        if kind == "dist":
+            (diag,) = result.diagnostics
+            assert diag.line == 7
+            assert not words or (diag.column, diag.message) == (3, message)
+            continue
+        # every row is held to the rule on its own, and faulted at its own line in
+        # the words the core uses for a distribution
+        bad = {}
+        for i, row in enumerate(values):
+            try:
+                Distribution(row)
+            except DomainError as error:
+                bad[7 + i] = str(error).replace("distribution", f"row for state 's{i}'")
+        assert {d.line for d in result.diagnostics} <= bad.keys()
+        if words:
+            assert {(d.line, d.column, d.message) for d in result.diagnostics} == {
+                (line, 8, message) for line, message in bad.items()}
+    assert seen == {"kept", "renormalised", "rejected"}
 
 
 def test_missing_channel_row_diagnostic():

@@ -386,14 +386,19 @@ _SUM_OFF = "must sum to 1 within 1e-09, got 1.0000000020000002"
     (lambda: Channel([[1.0, 0.0], [0.5 + 2e-9, 0.5]]), DomainError, f"channel row 1 {_SUM_OFF}"),
     # one row is named only when there are others to tell it from
     (lambda: Channel([[0.5 + 2e-9 + 0.5]]), DomainError, f"channel {_SUM_OFF}"),
+    # a sum past the largest float is judged as inf, with no overflow warning
+    (lambda: Distribution([1e308, 1e308]), DomainError,
+     "distribution must sum to 1 within 1e-09, got inf"),
+    (lambda: Channel([[0.0, 1.0], [1e308, 1e308]]), DomainError,
+     "channel row 1 must sum to 1 within 1e-09, got inf"),
     (lambda: Distribution.uniform(0), ShapeError, "distribution needs at least one entry"),
     (lambda: Distribution.uniform(-2), ShapeError, "distribution needs at least one entry"),
     (lambda: Distribution.degenerate(3, 5), DomainError, "index must lie in [0, 3), got 5"),
     (lambda: Distribution.degenerate(3, -1), DomainError, "index must lie in [0, 3), got -1"),
 ], ids=[f"{kind}-{fault}" for kind in ("distribution", "joint", "channel")
         for fault in ("ndim", "empty", "nan", "inf", "negative", "sum")]
-    + ["channel-one-state-sum", "uniform-0", "uniform-negative", "degenerate-past-end",
-       "degenerate-negative"])
+    + ["channel-one-state-sum", "distribution-overflow", "channel-overflow", "uniform-0",
+       "uniform-negative", "degenerate-past-end", "degenerate-negative"])
 def test_probability_faults_have_one_message_each(build, error, message):
     with pytest.raises(error) as caught:
         build()
@@ -405,9 +410,9 @@ def test_probability_faults_have_one_message_each(build, error, message):
 # Before _probability_rows became the one home of the probability rule, a
 # Distribution or joint ran its own copy of the checks and renormalised by
 # _renormalised, and channel and Gibbs rows ran _renormalised_rows, which
-# copied the array before dividing. These copies of that code are the
-# oracle: every construction must give the same bits, shape and flags, or
-# the same error.
+# copied the array before dividing. These copies of that code, copying in C
+# order as every constructor now does, are the oracle: every construction
+# must give the same bits, shape and flags, or the same error.
 
 def _oracle_renormalised(arr, total):
     if abs(total - 1.0) > 1e-12:
@@ -437,7 +442,7 @@ def _oracle_probability_rows(arr, what):
 
 
 def _oracle_as_prob_array(values, what, ndim):
-    arr = np.array(values, dtype=float)
+    arr = np.array(values, dtype=float, order="C")
     if arr.ndim != ndim:
         raise ShapeError(f"{what} must be {ndim}-dimensional, got shape {arr.shape}")
     if arr.size == 0:
@@ -455,7 +460,7 @@ def _oracle_as_prob_array(values, what, ndim):
 
 
 def _oracle_channel(matrix):
-    arr = np.array(matrix, dtype=float)
+    arr = np.array(matrix, dtype=float, order="C")
     try:
         arr = _oracle_probability_rows(arr, "channel")
     except DomainError as error:
@@ -559,14 +564,17 @@ def test_gibbs_distribution_matches_the_oracle_bitwise():
         assert _outcome(lambda: pi) == _outcome(lambda: expected)
 
 
-def test_channel_keeps_the_layout_it_was_given():
-    # rows summing to 1 + 4e-10 are renormalised in place, so a Fortran-ordered
-    # matrix stays Fortran-ordered, with the bits of the C-ordered one
-    matrix = np.array([[0.25, 0.75 + 4e-10], [0.5, 0.5]])
-    given = Channel(np.asfortranarray(matrix)).matrix
-    assert given.flags.f_contiguous and not given.flags.c_contiguous
-    assert np.array_equal(given, Channel(matrix).matrix)
-    assert given[0].sum() != matrix[0].sum()
+def test_layout_of_a_joint_changes_no_bit_of_its_mutual_information():
+    rng = np.random.default_rng(20)
+    for _ in range(20):
+        m = rng.random((8, 8)) * (rng.random((8, 8)) > 0.2)
+        m *= (1.0 + 4e-10) / m.sum()  # renormalised on construction
+        results = set()
+        for given in (m, np.asfortranarray(m), np.ascontiguousarray(m.T).T):
+            joint = JointDistribution(given)
+            assert joint.probs.flags.c_contiguous
+            results.add((joint.probs.tobytes(), mutual_information(joint).nats))
+        assert len(results) == 1
 
 
 # -- joints and mutual information ------------------------------------------------

@@ -829,6 +829,23 @@ def test_a_product_written_into_a_row_has_the_bits_of_a_new_product():
         assert probs[1].tobytes() == (probs[0] @ matrix).tobytes()
 
 
+@pytest.mark.parametrize("n", [3, 8, 32, 128])
+def test_layout_of_a_channel_changes_no_bit_of_what_it_computes(n):
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        matrix = rng.dirichlet(np.ones(n), size=n)
+        matrix *= 1.0 + 4e-10  # every row renormalised on construction
+        p = _random_dist(rng, n)
+        given, fortran = Channel(matrix), Channel(np.asfortranarray(matrix))
+        assert fortran.matrix.flags.c_contiguous
+        assert fortran.matrix.tobytes() == given.matrix.tobytes()
+        assert apply_channel(p, fortran) == apply_channel(p, given)
+        assert stationary_distribution(fortran) == stationary_distribution(given)
+        ran, ran_fortran = evolve(p, given, 50), evolve(p, fortran, 50)
+        assert ran_fortran.probs.tobytes() == ran.probs.tobytes()
+        assert ran_fortran.d_nats.tobytes() == ran.d_nats.tobytes()
+
+
 def test_evolve_rejects_mismatched_lengths():
     with pytest.raises(ShapeError):
         evolve(Distribution.uniform(3), Channel(np.eye(2)), 0, Distribution.uniform(2))
