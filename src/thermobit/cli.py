@@ -182,7 +182,7 @@ def _cmd_check(args) -> int:
     if doc is None:
         return EXIT_USAGE
     decl = _lookup(doc.dists, "dist", args.dist, args.file)
-    report = check_szilard_landauer(doc.systems[decl.system].to_landscape(), decl.dist)
+    report = check_szilard_landauer(doc.systems[decl.system].landscape, decl.dist)
     passed = report.passes(args.tolerance)
     if args.format == "json":
         payload = report.to_json_dict()

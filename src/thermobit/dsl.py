@@ -28,10 +28,10 @@ header line and contains indented `key value...` lines:
 
 Numbers are finite decimals with an optional exponent. Names must be
 unique within their kind, every reference must resolve, and dimensions
-must be consistent. A `probs` line and each `from` row are held to the
-rule a Distribution is held to, and a fault is reported in its words at
-that line. The parser recovers at block granularity and reports every
-diagnostic in one pass; it never raises on malformed input.
+must be consistent. A system is held to EnergyLandscape's rule at its
+header, a `probs` line and each `from` row to Distribution's at that line,
+each in the core's words. The parser recovers at block granularity and
+reports every diagnostic in one pass; it never raises on malformed input.
 """
 
 from __future__ import annotations
@@ -107,18 +107,11 @@ class ParseDiagnostic:
 
 @dataclass(frozen=True)
 class SystemDecl:
+    """A system block: its state labels and the landscape its lines spell."""
+
     name: str
     states: tuple[str, ...]
-    temperature: float
-    boltzmann: float
-    energies: tuple[float, ...]
-
-    def to_landscape(self) -> EnergyLandscape:
-        return EnergyLandscape(
-            np.array(self.energies),
-            temperature=self.temperature,
-            boltzmann=self.boltzmann,
-        )
+    landscape: EnergyLandscape
 
 
 @dataclass(frozen=True)
@@ -288,19 +281,16 @@ class _Parser:
     # -- word helpers -------------------------------------------------------
 
     def number(self, line: _Line, index: int, what: str,
-               sign: str | None = None) -> float | None:
-        """The finite value word `index` of `line` spells, or None once the
-        reason is reported.
-
-        `sign` ("positive" or "non-negative") narrows the accepted values.
-        """
+               non_negative: bool = False) -> float | None:
+        """The finite (and, if asked, non-negative) value word `index` of `line`
+        spells, or None once the reason is reported; the rest is the core's rule."""
         text = line.words[index]
         if not _NUMBER_RE.fullmatch(text):
             problem = f"a number, got {text!r}"
         elif not math.isfinite(value := float(text)):
             problem = f"finite, got {text!r}"
-        elif sign and (value < 0.0 or value == 0.0 and sign == "positive"):
-            problem = sign
+        elif non_negative and value < 0.0:
+            problem = "non-negative"
         else:
             return value
         self.error(line, index, f"{what} must be {problem}")
@@ -308,7 +298,7 @@ class _Parser:
 
     def non_negative_numbers(self, line: _Line, what: str) -> list[float] | None:
         """The values of `line`'s arguments, each checked as `number` checks
-        it with sign "non-negative": in one pass, and word by word only to
+        a non-negative value: in one pass, and word by word only to
         report what is wrong (then None)."""
         args = line.words[1:]
         if all(map(_NUMBER_RE.fullmatch, args)):
@@ -316,7 +306,7 @@ class _Parser:
             if all(map(math.isfinite, values)) and min(values) >= 0.0:
                 return values
         for index in range(1, len(line.words)):
-            self.number(line, index, what, "non-negative")
+            self.number(line, index, what, non_negative=True)
         return None
 
     def count(self, line: _Line, index: int, what: str) -> int | None:
@@ -349,7 +339,7 @@ class _Parser:
     def build_system(self, block: _RawBlock, decls: dict) -> SystemDecl | None:
         mark = len(self.diagnostics)
         states: dict[str, float] = {}  # label -> energy
-        values = {"boltzmann": 1.0}
+        values: dict[str, float | None] = {}  # temperature and, if given, boltzmann
         energies: list[tuple[_Line, float | None]] = []
         for line, key, args in self.lines(block):
             if key == "states":
@@ -363,7 +353,7 @@ class _Parser:
             elif key == "energy":
                 energies.append((line, self.number(line, 2, "energy value")))
             else:
-                values[key] = self.number(line, 1, key, "positive")
+                values[key] = self.number(line, 1, key)
         if len(self.diagnostics) > mark:
             return None
         assigned: set[str] = set()
@@ -376,69 +366,72 @@ class _Parser:
             else:
                 assigned.add(label)
                 states[label] = value
-        return SystemDecl(name=block.name, states=tuple(states),
-                          temperature=values["temperature"], boltzmann=values["boltzmann"],
-                          energies=tuple(states.values()))
+        try:
+            landscape = EnergyLandscape(list(states.values()), **values)
+        except DomainError as exc:
+            self.block_error(block, str(exc))
+            return None
+        return SystemDecl(name=block.name, states=tuple(states), landscape=landscape)
 
     def build_dist(self, block: _RawBlock, decls: dict) -> DistDecl | None:
         mark = len(self.diagnostics)
+        over = probs = None
         for line, key, args in self.lines(block):
             if key == "over":
                 over = line
             else:
                 probs_line = line
                 probs = self.non_negative_numbers(line, "probability")
-        if len(self.diagnostics) > mark:
-            return None
-        try:
-            dist = Distribution(probs)
-        except DomainError as exc:
-            self.error(probs_line, 0, str(exc))
-        system = self.system_of(block, over, decls)
-        if system is None:
-            return None
-        if len(probs) != len(system.states):
+        if probs is not None:
+            try:
+                dist = Distribution(probs)
+            except DomainError as exc:
+                self.error(probs_line, 0, str(exc))
+        system = self.system_of(block, over, decls) if over else None
+        if system and probs is not None and len(probs) != len(system.states):
             self.error(probs_line, 0, f"dist {block.name!r} has {len(probs)} probabilities "
                                       f"but system {system.name!r} has "
                                       f"{len(system.states)} states")
-            return None
         if len(self.diagnostics) > mark:
             return None
         return DistDecl(name=block.name, system=system.name, dist=dist)
 
     def build_channel(self, block: _RawBlock, decls: dict) -> ChannelDecl | None:
         mark = len(self.diagnostics)
-        # each 'from' line, with the (word index of the target, value) of its pairs;
-        # word 1 is the source label and its ':'
-        rows: list[tuple[_Line, list[tuple[int, float]]]] = []
+        # each 'from' line that names its source (word 1, with its ':'), with the
+        # (word index, value) of its targets, nan for a bad value, and whether
+        # all its words are good
+        rows: list[tuple[_Line, list[tuple[int, float]], bool]] = []
+        over, placed = None, True  # placed: every 'from' line names its source
         for line, key, args in self.lines(block):
             if key == "over":
                 over = line
                 continue
             if not args or not args[0].endswith(":"):
                 self.error(line, 0, "'from' needs a source label followed by ':'")
+                placed = False
                 continue
             if args[0] == ":":
                 self.error(line, 1, "'from' needs a source label before ':'")
+                placed = False
                 continue
             if len(args) == 1 or len(args) % 2 == 0:
                 self.error(line, 0, "'from' row needs (target, value) pairs")
+                rows.append((line, [], False))
                 continue
-            row = []
+            row_mark, row = len(self.diagnostics), []
             for index in range(2, len(line.words), 2):
-                value = self.number(line, index + 1, "transition probability", "non-negative")
-                if value is not None and self.check_label(line, index):
-                    row.append((index, value))
-            rows.append((line, row))
-        if len(self.diagnostics) > mark:
-            return None
-        system = self.system_of(block, over, decls)
+                value = self.number(line, index + 1, "transition probability", non_negative=True)
+                if self.check_label(line, index):
+                    row.append((index, math.nan if value is None else value))
+            rows.append((line, row, len(self.diagnostics) == row_mark))
+        system = self.system_of(block, over, decls) if over else None
         if system is None:
             return None
         index = {label: i for i, label in enumerate(system.states)}
         matrix = np.zeros((len(index), len(index)))
         seen_rows: set[str] = set()
-        for line, row in rows:
+        for line, row, whole in rows:
             source = line.words[1][:-1]
             i = index.get(source)
             if i is None:
@@ -458,11 +451,13 @@ class _Parser:
                 else:
                     seen_targets.add(target)
                     matrix[i, index[target]] = value
+            if not whole:  # its bad words are reported; its sum is not checked
+                continue
             try:
                 _probability_rows(matrix[i][None], f"row for state {source!r}")
             except DomainError as exc:
                 self.error(line, 1, str(exc))
-        for label in system.states:
+        for label in system.states if placed else ():
             if label not in seen_rows:
                 self.block_error(block, f"channel {block.name!r} is missing a 'from' row "
                                         f"for state {label!r}")
@@ -532,9 +527,9 @@ def format_document(doc: ProtocolSpec) -> str:
     for system in doc.systems.values():
         lines = [f"system {system.name}"]
         lines.append("  states " + " ".join(system.states))
-        lines.append(f"  temperature {_fmt(system.temperature)}")
-        lines.append(f"  boltzmann {_fmt(system.boltzmann)}")
-        for label, energy in zip(system.states, system.energies):
+        lines.append(f"  temperature {_fmt(system.landscape.temperature)}")
+        lines.append(f"  boltzmann {_fmt(system.landscape.boltzmann)}")
+        for label, energy in zip(system.states, system.landscape.energies):
             lines.append(f"  energy {label} {_fmt(energy)}")
         chunks.append("\n".join(lines))
     for dist in doc.dists.values():

@@ -47,6 +47,7 @@ class EnergyLandscape:
     quantity the identity check forms from them is finite. So must
     max|E| + kT·log n, which bounds |F(p)| for every p over n states, and
     the spread plus kT·log n, which bounds F(p) − F(π) and kT·D(p‖π).
+    It is the whole rule of a `.tbit` system. Equality is by value.
     """
 
     energies: np.ndarray
@@ -67,6 +68,12 @@ class EnergyLandscape:
 
     def __len__(self) -> int:
         return int(self.energies.size)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EnergyLandscape):
+            return NotImplemented
+        return (np.array_equal(self.energies, other.energies)
+                and (self.temperature, self.boltzmann) == (other.temperature, other.boltzmann))
 
 
 def _check_landscape_rows(energies: np.ndarray, temperatures: np.ndarray,

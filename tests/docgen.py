@@ -5,6 +5,7 @@ import numpy as np
 from thermobit import bitops, dsl
 from thermobit.info import Distribution
 from thermobit.markov import Channel
+from thermobit.thermo import EnergyLandscape
 
 BITOPS = list(bitops.OPS)
 FORMATS = list(dsl.REPORT_FORMATS)
@@ -28,12 +29,14 @@ def random_document(rng: np.random.Generator) -> dsl.ProtocolSpec:
         n = int(rng.integers(1, 5))
         name = f"sys{si}"
         states = tuple(f"s{si}x{j}" for j in range(n))
+        # drawn in this order: a seed's document depends on it
+        temperature = float(np.exp(rng.uniform(-2.0, 2.0)))
+        boltzmann = float(rng.choice([1.0, 1.380649e-23]))
+        energies = rng.uniform(-5.0, 5.0, n)
         systems[name] = dsl.SystemDecl(
             name=name,
             states=states,
-            temperature=float(np.exp(rng.uniform(-2.0, 2.0))),
-            boltzmann=float(rng.choice([1.0, 1.380649e-23])),
-            energies=tuple(float(x) for x in rng.uniform(-5.0, 5.0, n)),
+            landscape=EnergyLandscape(energies, temperature=temperature, boltzmann=boltzmann),
         )
     system_names = list(systems)
 

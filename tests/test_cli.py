@@ -195,15 +195,14 @@ def test_a_ratio_whose_reciprocal_overflows_is_named(ratio, capsys):
 ], ids=["spread", "log-weights", "log-weights-opposite-signs", "flat-free-energy"])
 def test_check_names_a_landscape_that_overflows(temperature, energies, overflow, tmp_path,
                                                 capsys):
+    # no dist: one over the rejected system would add an "unknown system" line
     states = [f"s{i}" for i in range(len(energies))]
-    probs = " ".join([repr(1 / len(states))] * len(states))
     path = tmp_path / "system.tbit"
     path.write_text(f"system s\n  states {' '.join(states)}\n  temperature {temperature}\n"
-                    + "".join(f"  energy {name} {e}\n" for name, e in zip(states, energies))
-                    + f"\ndist d\n  over s\n  probs {probs}\n")
+                    + "".join(f"  energy {name} {e}\n" for name, e in zip(states, energies)))
     code, out, err = run_cli(["check", str(path), "--dist", "d"], capsys)
     assert (code, out) == (1, "")
-    assert err.startswith(f"error: {overflow} overflows for energies in ")
+    assert err.startswith(f"error: line 1, col 1: {overflow} overflows for energies in ")
     assert err.count("\n") == 1
 
 
@@ -625,6 +624,15 @@ def test_a_file_that_is_not_utf8_is_one_error_line(args, capsys, tmp_path):
     assert (code, out) == (1, "")
     assert err.startswith(f"error: cannot read {path}: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args", [["fmt"], ["check", "--dist", "d"]], ids=["fmt", "check"])
+def test_a_system_the_core_rejects_is_one_located_error(args, capsys, tmp_path):
+    path = tmp_path / "system.tbit"
+    path.write_text("system s\n  states a\n  temperature 1e-300\n  boltzmann 1e-300\n")
+    code, out, err = run_cli([args[0], str(path), *args[1:]], capsys)
+    assert (code, out, err) == (
+        1, "", "error: line 1, col 1: kT must be finite and positive, got 0.0\n")
 
 
 def test_fmt_bad_file_exits_one(capsys, tmp_path):

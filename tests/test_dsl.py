@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermobit import Channel, Distribution, DomainError, check_szilard_landauer, dsl
+from thermobit import (Channel, Distribution, DomainError, EnergyLandscape,
+                       check_szilard_landauer, dsl)
 
 import docgen
 from test_info import _parity_values
@@ -52,8 +53,7 @@ def test_parse_good_document():
     doc = _parse_ok(GOOD_SOURCE)
     assert list(doc.systems) == ["coin"]
     assert doc.systems["coin"].states == ("heads", "tails")
-    assert doc.systems["coin"].boltzmann == 1.0  # default
-    assert doc.systems["coin"].energies == (0.0, 0.0)  # default
+    assert doc.systems["coin"].landscape == EnergyLandscape([0.0, 0.0], temperature=1.0)
     assert list(doc.dists) == ["sharp"]
     assert list(doc.channels) == ["mix"]
     assert doc.protocols["demo"].directives[0] == dsl.Directive("check-correspondence")
@@ -62,7 +62,7 @@ def test_parse_good_document():
 
 def test_parsed_document_feeds_the_correspondence_check():
     doc = _parse_ok(GOOD_SOURCE)
-    landscape = doc.systems["coin"].to_landscape()
+    landscape = doc.systems["coin"].landscape
     report = check_szilard_landauer(landscape, doc.dists["sharp"].dist)
     assert report.available == pytest.approx(landscape.kT * LOG2, rel=1e-14)
 
@@ -160,6 +160,64 @@ def test_the_parser_holds_probabilities_to_the_core_rule(kind):
     assert seen == {"kept", "renormalised", "rejected"}
 
 
+# (energies, temperature, boltzmann) of system blocks on either side of the
+# EnergyLandscape rule: kT out of range, T or k_B not positive, each overflow
+_SYSTEM_CASES = {
+    "kT-underflow": ([0.0], 1e-300, 1e-300),
+    "kT-overflow": ([0.0], 1e200, 1e200),
+    "zero-temperature": ([0.0, 1.0], 0.0, 1.0),
+    "negative-temperature": ([0.0, 1.0], -1.0, 1.0),
+    "negative-boltzmann": ([0.0, 1.0], 1.0, -2.0),
+    "spread": ([1e308, -1e308], 1.0, 1.0),
+    "log-weights": ([1e300, 0.0], 1e-10, 1.0),
+    "free-energy": ([0.0] * 8, 1e308, 1.0),
+    "one-state": ([-3.5], 2.0, 1.0),
+    "si": ([4e-21, -2.5e-21, 0.0], 300.0, 1.380649e-23),
+}
+
+
+@pytest.mark.parametrize("energies, temperature, boltzmann", _SYSTEM_CASES.values(),
+                         ids=_SYSTEM_CASES)
+def test_the_parser_holds_systems_to_the_core_rule(energies, temperature, boltzmann):
+    try:
+        expected = EnergyLandscape(energies, temperature=temperature, boltzmann=boltzmann)
+    except DomainError as error:
+        expected, message = None, str(error)
+    states = [f"s{i}" for i in range(len(energies))]
+    result = dsl.parse(
+        f"system s\n  states {' '.join(states)}\n  temperature {temperature!r}\n"
+        f"  boltzmann {boltzmann!r}\n"
+        + "".join(f"  energy {label} {energy!r}\n" for label, energy in zip(states, energies)))
+    assert result.ok == (expected is not None)
+    if result.ok:
+        assert result.document.systems["s"].landscape == expected
+    else:
+        assert [(d.line, d.column, d.message) for d in result.diagnostics] == [(1, 1, message)]
+
+
+_SYSTEM_AB = "system s\n  states a b\n  temperature 1\n\n"
+
+
+@pytest.mark.parametrize("block, expected", [
+    ("channel k\n  over s\n  from a: a x b 0.5\n  from b: a 0.5 b 0.6\n",
+     [(7, 13, "transition probability must be a number, got 'x'"),
+      (8, 8, "row for state 'b' must sum to 1 within 1e-09, got 1.1")]),
+    ("channel k\n  over s\n  from a: a x z 0.5\n  from c: a 1\n  from b: b 1\n",
+     [(7, 13, "transition probability must be a number, got 'x'"),
+      (7, 15, "transition to unknown state 'z'"),
+      (8, 8, "'from' row for unknown state 'c'")]),
+    ("channel k\n  over nowhere\n  from a: a -1 b 0.5\n  from b: b 1\n",
+     [(7, 13, "transition probability must be non-negative"),
+      (6, 8, "channel 'k' refers to unknown system 'nowhere'")]),
+    ("dist d\n  over nowhere\n  probs 0.5 x\n",
+     [(7, 13, "probability must be a number, got 'x'"),
+      (6, 8, "dist 'd' refers to unknown system 'nowhere'")]),
+], ids=["row-sum", "unknown-source-and-target", "channel-system", "dist-system"])
+def test_a_bad_word_does_not_hide_the_other_faults_of_its_block(block, expected):
+    diagnostics = dsl.parse(_SYSTEM_AB + block).diagnostics
+    assert [(d.line, d.column, d.message) for d in diagnostics] == expected
+
+
 def test_missing_channel_row_diagnostic():
     source = "system s\n  states a b\n  temperature 1\n\nchannel k\n  over s\n  from a: a 1\n"
     result = dsl.parse(source)
@@ -232,8 +290,9 @@ def test_protocol_directive_validation():
 
 def test_temperature_must_be_positive():
     result = dsl.parse("system s\n  states a\n  temperature 0\n")
-    assert not result.ok
-    assert any("must be positive" in d.message for d in result.diagnostics)
+    assert [(d.line, d.column, d.message) for d in result.diagnostics] == [
+        (1, 1, "temperature must be finite and positive, got 0.0")
+    ]
 
 
 def test_duplicate_target_is_reported_even_when_its_first_value_is_zero():

@@ -222,6 +222,16 @@ def test_landscape_rejects_zero_temperature():
         EnergyLandscape([0.0], temperature=-1.0)
 
 
+def test_landscapes_are_equal_by_value():
+    landscape = EnergyLandscape([0.0, -1.5], temperature=2.0, boltzmann=SI_KB)
+    assert landscape == EnergyLandscape(np.array([0.0, -1.5]), temperature=2.0, boltzmann=SI_KB)
+    assert landscape != EnergyLandscape([0.0, -1.5], temperature=2.0)
+    assert landscape != EnergyLandscape([0.0, -1.5], temperature=3.0, boltzmann=SI_KB)
+    assert landscape != EnergyLandscape([0.0, 1.5], temperature=2.0, boltzmann=SI_KB)
+    assert landscape != EnergyLandscape([0.0], temperature=2.0, boltzmann=SI_KB)
+    assert landscape != [0.0, -1.5]
+
+
 def test_landscape_rejects_bad_boltzmann_and_energies():
     with pytest.raises(DomainError):
         EnergyLandscape([0.0], boltzmann=0.0)
