@@ -199,6 +199,8 @@ class _Parser:
     def __init__(self, source: str):
         self.source = source
         self.diagnostics: list[ParseDiagnostic] = []
+        # the first block of each (kind, name), whether or not it builds
+        self.declared: dict[tuple[str, str], _RawBlock] = {}
 
     def error(self, line: _Line, index: int, message: str):
         """Report `message` at word `index` of `line`."""
@@ -324,16 +326,19 @@ class _Parser:
         return True
 
     def system_of(self, block: _RawBlock, over: _Line, decls: dict) -> SystemDecl | None:
-        """The system that word 1 of the `over` line names."""
-        system = decls["system"].get(over.words[1])
-        if system is None:
+        """The system that word 1 of the `over` line names, or None: reported
+        if no system block declares that name, silent if its block was rejected."""
+        name = over.words[1]
+        system = decls["system"].get(name)
+        if system is None and ("system", name) not in self.declared:
             self.error(over, 1, f"{block.kind} {block.name!r} refers to unknown system "
-                                f"{over.words[1]!r}")
+                                f"{name!r}")
         return system
 
     # -- stage 3: per-block builders ----------------------------------------
-    # Each returns None where a reported problem leaves nothing more to check;
-    # build_document drops the declaration of any block that reported one.
+    # Each returns None where a reported problem, or a rejected system, leaves
+    # nothing more to check; build_document drops the declaration of any block
+    # that reported one.
     # `decls` holds the declarations built so far, by kind and name.
 
     def build_system(self, block: _RawBlock, decls: dict) -> SystemDecl | None:
@@ -392,7 +397,7 @@ class _Parser:
             self.error(probs_line, 0, f"dist {block.name!r} has {len(probs)} probabilities "
                                       f"but system {system.name!r} has "
                                       f"{len(system.states)} states")
-        if len(self.diagnostics) > mark:
+        if system is None or len(self.diagnostics) > mark:
             return None
         return DistDecl(name=block.name, system=system.name, dist=dist)
 
@@ -469,7 +474,7 @@ class _Parser:
         directives: list[Directive] = []
         for line, op, args in self.lines(block):
             arg = args[0] if args else None
-            if op == "apply" and arg not in decls["channel"]:
+            if op == "apply" and ("channel", arg) not in self.declared:
                 self.error(line, 1, f"'apply' refers to unknown channel {arg!r}")
             elif op in ("evolve", "audit"):
                 arg = self.count(line, 1, f"'{op}' step count")
@@ -481,22 +486,19 @@ class _Parser:
     # -- stage 4: document assembly ------------------------------------------
 
     def build_document(self, blocks: list[_RawBlock]) -> ProtocolSpec | None:
-        first: dict[tuple[str, str], _RawBlock] = {}
         for block in blocks:
-            key = (block.kind, block.name)
-            if key in first:
+            first = self.declared.setdefault((block.kind, block.name), block)
+            if first is not block:
                 self.block_error(block, f"duplicate {block.kind} name {block.name!r} "
-                                        f"(first declared on line {first[key].header.number})")
-            else:
-                first[key] = block
+                                        f"(first declared on line {first.header.number})")
         decls: dict[str, dict] = {kind: {} for kind in _GRAMMAR}
         # systems first, then what refers to a system, then what refers to a channel
         for stage in (("system",), ("dist", "channel"), ("protocol",)):
-            for block in first.values():
+            for block in self.declared.values():
                 if block.kind in stage:
                     mark = len(self.diagnostics)
                     decl = getattr(self, f"build_{block.kind}")(block, decls)
-                    if len(self.diagnostics) == mark:
+                    if decl is not None and len(self.diagnostics) == mark:
                         decls[block.kind][decl.name] = decl
         if self.diagnostics:
             return None

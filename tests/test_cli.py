@@ -195,11 +195,12 @@ def test_a_ratio_whose_reciprocal_overflows_is_named(ratio, capsys):
 ], ids=["spread", "log-weights", "log-weights-opposite-signs", "flat-free-energy"])
 def test_check_names_a_landscape_that_overflows(temperature, energies, overflow, tmp_path,
                                                 capsys):
-    # no dist: one over the rejected system would add an "unknown system" line
     states = [f"s{i}" for i in range(len(energies))]
+    probs = " ".join([repr(1 / len(states))] * len(states))
     path = tmp_path / "system.tbit"
     path.write_text(f"system s\n  states {' '.join(states)}\n  temperature {temperature}\n"
-                    + "".join(f"  energy {name} {e}\n" for name, e in zip(states, energies)))
+                    + "".join(f"  energy {name} {e}\n" for name, e in zip(states, energies))
+                    + f"\ndist d\n  over s\n  probs {probs}\n")
     code, out, err = run_cli(["check", str(path), "--dist", "d"], capsys)
     assert (code, out) == (1, "")
     assert err.startswith(f"error: line 1, col 1: {overflow} overflows for energies in ")

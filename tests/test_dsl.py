@@ -212,10 +212,32 @@ _SYSTEM_AB = "system s\n  states a b\n  temperature 1\n\n"
     ("dist d\n  over nowhere\n  probs 0.5 x\n",
      [(7, 13, "probability must be a number, got 'x'"),
       (6, 8, "dist 'd' refers to unknown system 'nowhere'")]),
-], ids=["row-sum", "unknown-source-and-target", "channel-system", "dist-system"])
+    # a row with no source names no row, so no row is reported missing
+    ("channel k\n  over s\n  from a a 1\n  from b: b 1\n",
+     [(7, 3, "'from' needs a source label followed by ':'")]),
+    # a row with an odd word is present, so 'a' is not reported missing
+    ("channel k\n  over s\n  from a: a 1 b\n  from b: b 1\n",
+     [(7, 3, "'from' row needs (target, value) pairs")]),
+], ids=["row-sum", "unknown-source-and-target", "channel-system", "dist-system",
+        "no-source", "odd-row"])
 def test_a_bad_word_does_not_hide_the_other_faults_of_its_block(block, expected):
     diagnostics = dsl.parse(_SYSTEM_AB + block).diagnostics
     assert [(d.line, d.column, d.message) for d in diagnostics] == expected
+
+
+@pytest.mark.parametrize("system, fault", [
+    ("  temperature hot\n", (3, 15, "temperature must be a number, got 'hot'")),
+    ("  temperature 1e-300\n  boltzmann 1e-300\n",
+     (1, 1, "kT must be finite and positive, got 0.0")),
+], ids=["bad-word", "core-rule"])
+def test_a_rejected_block_is_not_called_unknown(system, fault):
+    source = (f"system s\n  states a b\n{system}\ndist d\n  over s\n  probs 0.5 0.5\n"
+              "\nchannel k\n  over s\n  from a: a 1\n  from b: b x\n"
+              "\nprotocol p\n  apply k\n")
+    diagnostics = dsl.parse(source).diagnostics
+    bad_value = (len(source.splitlines()) - 3, 13,
+                 "transition probability must be a number, got 'x'")
+    assert [(d.line, d.column, d.message) for d in diagnostics] == [fault, bad_value]
 
 
 def test_missing_channel_row_diagnostic():
