@@ -12,6 +12,7 @@ from thermobit import (
     ContractError,
     Direction,
     Distribution,
+    DomainError,
     JointDistribution,
     PairRelation,
     ShapeError,
@@ -301,6 +302,19 @@ def test_strict_contract_of_copy_ops(op, accepted, pair):
 ], ids=["erase-lenient", "erase-strict", "copy-szilard-lenient", "randomize-first"])
 def test_bit_ops_reject_the_other_kind_of_state(call, message):
     with pytest.raises(ShapeError, match=f"^{message}$"):
+        call()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: erase(BitState.star(), mode="loose"),
+     DomainError, "mode must be 'strict' or 'lenient', got 'loose'"),
+    (lambda: BitState(Distribution([1 / 3, 1 / 3, 1 / 3])),
+     ShapeError, "a bit needs a 2-state distribution"),
+    (lambda: BitPairState(JointDistribution(np.full((2, 3), 1 / 6))),
+     ShapeError, "a bit pair needs a 2x2 joint distribution"),
+], ids=["mode", "bit-shape", "pair-shape"])
+def test_bad_modes_and_state_shapes_are_rejected(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
         call()
 
 

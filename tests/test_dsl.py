@@ -336,14 +336,29 @@ def test_duplicate_state_label_is_reported_once_at_its_column():
     ]
 
 
-@pytest.mark.parametrize("source, message", [
+@pytest.mark.parametrize("source, expected", [
     ("system s\n  states a\n  temperature hot\n",
-     "temperature must be a number, got 'hot'"),
-    ("system s\n  states a b\n  temperature 1\n\ndist d\n  over s\n  probs 0.5 x\n",
-     "probability must be a number, got 'x'"),
-], ids=["temperature", "probs"])
-def test_a_bad_value_is_not_also_reported_as_a_missing_line(source, message):
-    assert [d.message for d in dsl.parse(source).diagnostics] == [message]
+     (3, 15, "temperature must be a number, got 'hot'")),
+    (_SYSTEM_AB + "dist d\n  over s\n  probs 0.5 x\n",
+     (7, 13, "probability must be a number, got 'x'")),
+    (_SYSTEM_AB + "channel k\n  over s\n  from : a 1\n  from a: a 1\n  from b: b 1\n",
+     (7, 8, "'from' needs a source label before ':'")),
+    (_SYSTEM_AB + "channel k\n  over s\n  from a: a 1\n  from a: b 1\n  from b: b 1\n",
+     (8, 8, "duplicate 'from' row for state 'a'")),
+    (_SYSTEM_AB + "channel k\n  over s\n  from a: a 0.5 x:y 0.5\n  from b: b 1\n",
+     (7, 17, "invalid label 'x:y'")),
+    (_SYSTEM_AB + "dist d\n  over s\n  probs 0.2 0.3 0.5\n",
+     (7, 3, "dist 'd' has 3 probabilities but system 's' has 2 states")),
+    ("system s\n  states a b:c\n  temperature 1\n", (2, 12, "invalid label 'b:c'")),
+    ("system s\n  states a b\n  temperature 1\n  energy c 1\n",
+     (4, 10, "energy for unknown state 'c'")),
+    ("system s\n  states a b\n  temperature 1\n  energy a 1\n  energy a 2\n",
+     (5, 10, "duplicate energy for state 'a'")),
+], ids=["temperature", "probs", "from-no-source", "from-duplicate", "target-label",
+        "probs-count", "state-label", "energy-unknown-state", "energy-duplicate"])
+def test_a_bad_value_is_not_also_reported_as_a_missing_line(source, expected):
+    diagnostics = dsl.parse(source).diagnostics
+    assert [(d.line, d.column, d.message) for d in diagnostics] == [expected]
 
 
 @pytest.mark.parametrize("source, line, column, what", [

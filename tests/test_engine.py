@@ -1,6 +1,7 @@
 """Tests for the single-molecule engine work calculator and demon ledgers."""
 
 import math
+import re
 
 import pytest
 
@@ -182,3 +183,14 @@ def test_engine_config_validation():
         EngineConfig(steps=0)
     with pytest.raises(DomainError):
         EngineConfig(steps=1.5)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: pulley_yield(EngineConfig(), 2, 0), "bit_value and pulley_side must be 0 or 1"),
+    (lambda: demon_cycle(EngineConfig(), "szilard"), "unknown measurement kind 'szilard'"),
+    (lambda: exact_isothermal_work(EngineConfig(temperature=1e306), 1.0, 1e-300),
+     "the work at kT = 1e+306 is beyond the float range"),
+], ids=["pulley", "measurement", "work-overflow"])
+def test_engine_rejects_arguments_out_of_its_domain(call, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()

@@ -595,6 +595,19 @@ def _direct_mutual_info(matrix):
 def test_mutual_information_independent_is_zero():
     j = JointDistribution.from_product(Distribution([0.3, 0.7]), Distribution([0.6, 0.4]))
     assert mutual_information(j).nats == 0.0
+    # rounding in the marginals takes D(joint‖product) a little off 0, either
+    # way; a value below 0 is clamped to 0, and some of these joints reach it
+    rng = np.random.default_rng(20261019)
+    below_zero = 0
+    for _ in range(200):
+        p, q = (Distribution(rng.dirichlet(np.ones(int(rng.integers(2, 9))))) for _ in range(2))
+        j = JointDistribution.from_product(p, q)
+        product = JointDistribution.from_product(j.marginal_first(), j.marginal_second())
+        raw = relative_entropy(j.flatten(), product.flatten()).nats
+        assert abs(raw) < 1e-14
+        assert mutual_information(j).nats == max(raw, 0.0)
+        below_zero += raw < 0.0
+    assert below_zero > 0
 
 
 def test_mutual_information_correlated_uniform():

@@ -418,7 +418,7 @@ def test_stationary_matches_the_exact_pi_of_dyadic_chains(chain):
     asymmetry = max((abs(flux[i][j] - flux[j][i]) / max(flux[i][j], flux[j][i])
                      for i in range(n) for j in range(i) if flux[i][j] or flux[j][i]),
                     default=0)
-    holds = check_detailed_balance(channel, pi).holds
+    holds = check_detailed_balance(channel, pi)
     if asymmetry == 0:
         assert holds
     elif asymmetry >= Fraction(1, 2 ** 20):
@@ -429,22 +429,18 @@ def test_stationary_matches_the_exact_pi_of_dyadic_chains(chain):
 
 def test_detailed_balance_symmetric_channel():
     channel = Channel([[0.7, 0.3], [0.3, 0.7]])
-    result = check_detailed_balance(channel, Distribution.uniform(2))
-    assert result.holds
-    assert result.max_residual < 1e-15
+    assert check_detailed_balance(channel, Distribution.uniform(2))
 
 
 def test_detailed_balance_two_state_with_its_stationary():
     channel = Channel([[0.6, 0.4], [0.1, 0.9]])
     pi = stationary_distribution(channel)
-    assert check_detailed_balance(channel, pi).holds  # all 2-state chains are reversible
+    assert check_detailed_balance(channel, pi)  # all 2-state chains are reversible
 
 
 def test_detailed_balance_fails_for_rotation():
     rotation = Channel(np.roll(np.eye(3), 1, axis=1))
-    result = check_detailed_balance(rotation, Distribution.uniform(3))
-    assert not result.holds
-    assert result.max_residual == pytest.approx(1.0 / 3.0, rel=1e-12)
+    assert not check_detailed_balance(rotation, Distribution.uniform(3))
 
 
 def test_detailed_balance_fails_for_a_faint_one_way_cycle():
@@ -452,9 +448,10 @@ def test_detailed_balance_fails_for_a_faint_one_way_cycle():
     # 6e-12, below the absolute 1e-10 flux tolerance the check once used
     channel = Channel([[1.0 - 1e-11, 1e-11, 0.0, 0.0], [0.5, 0.0, 0.5, 0.0],
                        [0.5, 0.0, 0.0, 0.5], [0.5, 0.5, 0.0, 0.0]])
-    result = check_detailed_balance(channel, stationary_distribution(channel))
-    assert result.max_residual < 1e-10
-    assert not result.holds
+    pi = stationary_distribution(channel)
+    flux = pi.probs[:, None] * channel.matrix
+    assert np.abs(flux - flux.T).max() < 1e-10
+    assert not check_detailed_balance(channel, pi)
 
 
 def test_detailed_balance_fails_for_a_faint_two_way_cycle():
@@ -464,9 +461,9 @@ def test_detailed_balance_fails_for_a_faint_two_way_cycle():
     channel = Channel([[1 - 3 * e, 2 * e, e], [e, 1 - 3 * e, 2 * e], [2 * e, e, 1 - 3 * e]])
     pi = stationary_distribution(channel)
     assert np.allclose(pi.probs, 1 / 3, rtol=1e-15, atol=0.0)
-    result = check_detailed_balance(channel, pi)
-    assert result.max_residual < 1e-10
-    assert not result.holds
+    flux = pi.probs[:, None] * channel.matrix
+    assert np.abs(flux - flux.T).max() < 1e-10
+    assert not check_detailed_balance(channel, pi)
 
 
 def _two_cycles(a, back, forth):
@@ -483,16 +480,18 @@ def test_detailed_balance_is_exact_below_the_normal_range(back, forth, holds):
     channel = _two_cycles(1e-160, back, forth)
     pi = stationary_distribution(channel)
     assert pi.probs[1] * channel.matrix[1, 2] == pi.probs[2] * channel.matrix[2, 1] == 0.0
-    assert check_detailed_balance(channel, pi).holds is holds
+    assert check_detailed_balance(channel, pi) is holds
 
 
-def test_the_exact_flux_test_gives_the_verdict_of_the_float_one():
-    # in the normal range, comparing mantissas and exponents must change nothing
+def test_detailed_balance_holds_for_metropolis_rates_and_two_states_only():
+    # Metropolis rates against pi are reversible, and so is every 2-state
+    # chain; a dense random chain on more states is not
     rng = np.random.default_rng(20261018)
     for _ in range(300):
         n = int(rng.integers(2, 13))
         pi = rng.dirichlet(np.ones(n))
-        if rng.random() < 0.5:  # Metropolis rates against pi: reversible
+        metropolis = rng.random() < 0.5
+        if metropolis:
             matrix = np.minimum(1.0, pi[None, :] / pi[:, None]) / n
             np.fill_diagonal(matrix, 0.0)
             np.fill_diagonal(matrix, 1.0 - matrix.sum(axis=1))
@@ -500,9 +499,7 @@ def test_the_exact_flux_test_gives_the_verdict_of_the_float_one():
             matrix = rng.dirichlet(np.ones(n), size=n)
         channel = Channel(matrix)
         pi = stationary_distribution(channel)
-        slack = markov._BALANCE_SLACK * n ** 2
-        assert markov._fluxes_balance_exactly(pi.probs, channel.matrix, slack) \
-            == check_detailed_balance(channel, pi).holds
+        assert check_detailed_balance(channel, pi) is (metropolis or n == 2)
 
 
 # -- evolve ---------------------------------------------------------------------------
