@@ -10,6 +10,7 @@ so the engine's vessel has unit volume.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -35,8 +36,10 @@ class EngineConfig:
 
     def __post_init__(self):
         _check_kT(self.temperature, self.boltzmann)
-        if not isinstance(self.steps, int) or self.steps < 1:
+        steps = operator.index(self.steps) if hasattr(self.steps, "__index__") else 0
+        if steps < 1:
             raise DomainError(f"steps must be a positive integer, got {self.steps!r}")
+        object.__setattr__(self, "steps", steps)
 
     @property
     def kT(self) -> float:

@@ -25,24 +25,8 @@ SUM_TOLERANCE = 1e-9
 # Below this the vector counts as already normalized and is stored as-is,
 # which makes construction idempotent at the bit level (a renormalized
 # vector re-enters construction unchanged; the DSL round-trip relies on it).
+# markov.evolve takes a row's sum only where rounding may have moved it this far.
 _RENORM_SKIP = 1e-12
-
-
-def _renormalise_first_astray(rows: np.ndarray, sums: np.ndarray) -> int:
-    """Renormalise, in place and as _probability_rows would, the first row
-    of a 2-D array whose sum strays from 1 by more than _RENORM_SKIP, and
-    return its index; len(rows) when no row strays.
-
-    `sums` receives the row sums from one reduce along the rows, which gives
-    each row the pairwise sum a 1-D call gives. They are then read as Python
-    floats one at a time, which for the few rows between renormalisations
-    costs less than more numpy calls, and copies nothing of a long block."""
-    np.add.reduce(rows, 1, out=sums)
-    for i, total in enumerate(memoryview(sums)):
-        if abs(total - 1.0) > _RENORM_SKIP:
-            rows[i] /= total
-            return i
-    return len(rows)
 
 
 def _probability_rows(arr: np.ndarray, what: str) -> np.ndarray:
@@ -53,7 +37,8 @@ def _probability_rows(arr: np.ndarray, what: str) -> np.ndarray:
     within SUM_TOLERANCE, or DomainError names the fault (and the first bad
     row, if there are others); a sum too large for a float reads inf. A row
     whose sum strays from 1 by more than _RENORM_SKIP is divided by that
-    sum; every other row keeps its bits."""
+    sum; every other row keeps its bits. A row's sum has the bits of a 1-D
+    np.add.reduce of it, which markov.evolve relies on."""
     if ((arr >= 0.0) & (arr <= 1.0 + SUM_TOLERANCE)).all():  # no sum can overflow
         sums = arr.sum(axis=1)
     elif not np.isfinite(arr).all():

@@ -7,6 +7,7 @@ chain has one) cannot increase, detailed balance or not.
 
 from __future__ import annotations
 
+import operator
 import threading
 import warnings
 from dataclasses import dataclass, field
@@ -16,8 +17,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .info import LOG2, Distribution
-from .info import _check_same_length, _kl_rows, _log_reference, _probability_rows
-from .info import _renormalise_first_astray
+from .info import _RENORM_SKIP, _check_same_length, _kl_rows, _log_reference, _probability_rows
 
 # How far apart, relative to the larger, the fluxes pi_i K_ij and pi_j K_ji of
 # a reversible chain may come out, per n^2 states. GTH gives each entry of pi
@@ -315,6 +315,28 @@ def check_detailed_balance(channel: Channel, pi: Distribution) -> bool:
     return bool((np.abs(flux - back) <= slack * np.maximum(flux, back)).all())
 
 
+def _horizon(matrix: np.ndarray):
+    """A function of the computed sum S of a non-negative row p: how many of
+    the rows pK, pK^2, ... after it, each stepped from the one before, are
+    sure to sum to within _RENORM_SKIP of 1 as computed (below 0: none).
+
+    With u the unit roundoff, n the states and gamma_k = ku/(1 - ku)
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1
+    and 4.2): each entry of a product of non-negative p and K, summed in
+    any order, FMA or not, is within gamma_n of exact, and each computed
+    sum, r of a row of K included, within gamma_(n-1). So a step scales a
+    row's exact sum by a factor within D = max |r - 1| + (2n + 2)u of 1,
+    and the m = floor((_RENORM_SKIP - |S - 1| - 4nu) / D) rows after p sum
+    to within _RENORM_SKIP of 1. The slack over 2 gamma_(n-1) + mD covers
+    second-order terms, underflow (n^2 2^-1075 in all) and rounding m.
+    """
+    n = len(matrix)
+    unit = np.finfo(float).eps / 2
+    drift = float(np.abs(np.add.reduce(matrix, 1) - 1.0).max()) + (2 * n + 2) * unit
+    budget = _RENORM_SKIP - 4 * n * unit
+    return lambda total: int((budget - abs(total - 1.0)) // drift)
+
+
 def evolve(
     p0: Distribution,
     channel: Channel,
@@ -326,9 +348,8 @@ def evolve(
     With reference=None the stationary distribution is used. The
     inputs are checked once; the steps run on plain arrays, renormalised by
     Distribution's rule, so row t is bit for bit what apply_channel builds.
-    A step is one product and one byte compare: the sums are tested in
-    blocks of rows, one reduce each, and the chain is stepped on again from
-    the first row that is renormalised.
+    A step is one product and one byte compare; a row's sum is taken only
+    where _horizon says it may stray, and then sets the next row to test.
 
     The loop stops at the chain's floating-point fixed point: once a step
     returns its input bit for bit, the remaining rows are that row and the
@@ -343,8 +364,10 @@ def evolve(
     step. The D values are computed after the loop, in one pass over the
     rows it produced, bit for bit what a per-step KL would give.
     """
-    if steps < 0:
-        raise DomainError(f"steps must be non-negative, got {steps}")
+    count = operator.index(steps) if hasattr(steps, "__index__") else -1
+    if count < 0:
+        raise DomainError(f"steps must be a non-negative integer, got {steps!r}")
+    steps = count
     if reference is None:
         reference = stationary_distribution(channel)
     if not len(p0) == len(reference) == len(channel):
@@ -360,34 +383,22 @@ def evolve(
     probs[0] = p0.probs
     prev = probs[0]
     last = prev.tobytes()
+    horizon = _horizon(matrix)
+    check = 1 + horizon(np.add.reduce(prev))  # the next row whose sum is taken
     end = steps + 1  # rows from end on repeat row end - 1
-    # A block of steps ends at its size or at a repeated row; then its row
-    # sums, held in d_nats until the KL pass, are tested. The first row whose
-    # sum strays is renormalised, and the rows after it, stepped from its
-    # unrenormalised bits, are stepped again. A block that needs nothing
-    # doubles the next; a renormalisation sizes the next by the gap since the
-    # one before, so a chain that renormalises every few steps wastes few.
-    t = size = 1
-    fixed = 0  # the last renormalised row
-    while t < end:
-        start = t
-        for t in range(start, min(start + size, end)):
-            row = probs[t]
-            prev.dot(matrix, row)
-            now = row.tobytes()
-            if now == last:
-                end = t
-                break
-            prev, last = row, now
-        r = start + _renormalise_first_astray(probs[start:t + 1], d_nats[start:t + 1])
-        if r > t:
-            size *= 2
-        else:
-            prev = probs[r]
-            last = prev.tobytes()
-            end = r if last == probs[r - 1].tobytes() else steps + 1
-            t, size, fixed = r, r - fixed, r
-        t += 1
+    for t, row in enumerate(probs[1:], 1):
+        prev.dot(matrix, row)
+        if t >= check:
+            total = np.add.reduce(row)
+            if abs(total - 1.0) > _RENORM_SKIP:
+                row /= total
+                total = np.add.reduce(row)
+            check = t + 1 + horizon(total)
+        now = row.tobytes()
+        if now == last:
+            end = t
+            break
+        prev, last = row, now
     _kl_rows(probs[:end], _log_reference(ref), d_nats[:end])
     return Trajectory(probs, d_nats, reference, end)
 

@@ -3,6 +3,7 @@
 import math
 import re
 
+import numpy as np
 import pytest
 
 from thermobit import (
@@ -183,6 +184,15 @@ def test_engine_config_validation():
         EngineConfig(steps=0)
     with pytest.raises(DomainError):
         EngineConfig(steps=1.5)
+
+
+def test_engine_config_takes_any_integral_step_count():
+    cfg = EngineConfig(steps=np.int64(10))
+    assert cfg.steps == 10 and type(cfg.steps) is int
+    assert isothermal_work(cfg, 1.0, 0.5) == isothermal_work(EngineConfig(steps=10), 1.0, 0.5)
+    for steps in (10.0, np.float64(10.0), np.int64(0), -3, "10"):
+        with pytest.raises(DomainError, match="^steps must be a positive integer, got "):
+            EngineConfig(steps=steps)
 
 
 @pytest.mark.parametrize("call, message", [

@@ -540,6 +540,15 @@ def test_evolve_rejects_negative_steps():
         evolve(Distribution.uniform(2), Channel(np.eye(2)), -1)
 
 
+def test_evolve_takes_an_integral_step_count_and_rejects_any_other():
+    p0, channel = Distribution([1.0, 0.0]), _TWO_STATE
+    trajectory = evolve(p0, channel, np.int64(3))
+    assert trajectory.probs.tobytes() == evolve(p0, channel, 3).probs.tobytes()
+    for steps in (3.0, np.float64(3.0), -1, "3", None):
+        with pytest.raises(DomainError, match="^steps must be a non-negative integer, got "):
+            evolve(p0, channel, steps)
+
+
 def _step_by_step(p0, channel, steps, reference):
     """evolve as a chain of validated Distributions, one relative_entropy each."""
     dists = [p0]
@@ -626,10 +635,12 @@ def _renormalised_steps(probs, channel):
     return np.flatnonzero(np.abs(sums - 1.0) > 1e-12) + 1
 
 
-@pytest.mark.parametrize("case", ["reducible", "rotation", "zero-reference", "two-state",
-                                  "dense-128", "stationary-p0", "nonstationary-reference",
-                                  "drift+5e-13", "drift+9e-13", "drift-1e-13",
-                                  "renormalised-fixed-point", "no-steps", "one-step"])
+_EVOLVE_CASES = ["reducible", "rotation", "zero-reference", "two-state", "dense-128",
+                 "stationary-p0", "nonstationary-reference", "drift+5e-13", "drift+9e-13",
+                 "drift-1e-13", "renormalised-fixed-point", "no-steps", "one-step"]
+
+
+@pytest.mark.parametrize("case", _EVOLVE_CASES)
 def test_evolve_matches_step_by_step_reference_bitwise(case):
     rng = np.random.default_rng(23)
     p0, channel, steps, given = _evolve_case(case, rng)
@@ -692,6 +703,118 @@ def test_evolve_stops_at_a_renormalised_fixed_point():
         lambda: evolve(Distribution([1.0, 0.0]), _SETTLES_RENORMALISED, 50_000))
     assert calls < 20
     assert np.array_equal(trajectory.probs[-1], trajectory.probs[3])
+
+
+@pytest.mark.parametrize("case", _EVOLVE_CASES)
+def test_evolve_steps_no_row_twice(case):
+    p0, channel, steps, reference = _evolve_case(case, np.random.default_rng(23))
+    if reference is None:  # solved before the count: the solve may call dot
+        reference = stationary_distribution(channel)
+    trajectory, calls = _count_products(lambda: evolve(p0, channel, steps, reference))
+    assert calls == min(trajectory.settled, steps)
+
+
+def _summing_to(rows, offsets):
+    """rows scaled so that each sums to about 1 + its offset."""
+    return rows * ((1.0 + np.asarray(offsets)) / rows.sum(axis=1))[:, None]
+
+
+def _rotation_biased(rng, n, mix):
+    # a noisy rotation: slow to mix, so p_t mostly never settles
+    return (1.0 - mix) * np.roll(np.eye(n), 1, axis=1) + mix * rng.dirichlet(np.ones(n), size=n)
+
+
+# an offset from 1 anywhere within 1e-12, or (1 - 2^-k) 1e-12 of it
+_EDGE_OFFSET = st.one_of(
+    st.floats(-1e-12, 1e-12),
+    st.builds(lambda k, sign: sign * (1.0 - 2.0**-k) * 1e-12,
+              st.integers(1, 60), st.sampled_from([-1.0, 1.0])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.one_of(st.integers(1, 8), st.just(32)), steps=st.integers(0, 300),
+       seed=st.integers(0, 2**32 - 1), mix=st.floats(0.0, 0.2),
+       offsets=st.lists(_EDGE_OFFSET, min_size=129, max_size=129))
+@example(n=128, steps=300, seed=7, mix=0.05, offsets=[(1.0 - 2.0**-30) * 1e-12] * 129)
+def test_evolve_matches_step_by_step_at_the_renormalisation_edge(n, steps, seed, mix, offsets):
+    # K's rows and p0 sum to anywhere within 1e-12 of 1, so a product may
+    # stray past 1e-12 after any number of steps, or never
+    rng = np.random.default_rng(seed)
+    channel = Channel(_summing_to(_rotation_biased(rng, n, mix), offsets[:n]))
+    p0 = Distribution(_summing_to(rng.dirichlet(np.ones(n))[None], offsets[n:n + 1])[0])
+    reference = _random_dist(rng, n)
+    trajectory = evolve(p0, channel, steps, reference)
+    probs, d_nats = _step_by_step(p0, channel, steps, reference)
+    assert trajectory.probs.tobytes() == probs.tobytes()
+    assert trajectory.d_nats.tobytes() == d_nats.tobytes()
+
+
+def _unrenormalised_sums(p0, matrix, steps):
+    """The computed sums of p0 and of p0 K^t for t up to steps, stepped with
+    no renormalisation."""
+    sums, row = [np.add.reduce(p0)], p0
+    for _ in range(steps):
+        row = row.dot(matrix)
+        sums.append(np.add.reduce(row))
+    return np.array(sums)
+
+
+def _widest_horizon(p0, matrix, steps):
+    """The widest horizon from any row of an unrenormalised run, asserting
+    from each row that every row within its horizon sums to within 1e-12
+    of 1."""
+    horizon, sums = markov._horizon(matrix), _unrenormalised_sums(p0, matrix, steps)
+    widest = 0
+    for t, total in enumerate(sums):
+        ahead = horizon(total)
+        assert np.all(np.abs(sums[t + 1:t + 1 + max(ahead, 0)] - 1.0) <= 1e-12)
+        widest = max(widest, ahead)
+    return widest
+
+
+@pytest.mark.parametrize("case", ["drift+5e-13", "drift+9e-13", "drift-1e-13"])
+def test_the_horizon_holds_on_rows_that_drift(case):
+    p0, channel, _, _ = _evolve_case(case, np.random.default_rng(23))
+    assert _widest_horizon(p0.probs, channel.matrix, 400) >= 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.sampled_from([1, 2, 3, 5, 8, 32]), seed=st.integers(0, 2**32 - 1),
+       mix=st.floats(0.0, 0.2), offsets=st.lists(_EDGE_OFFSET, min_size=33, max_size=33),
+       shrink=st.sampled_from([1.0, 1e-1, 1e-2, 1e-3, 1e-4]))
+def test_the_horizon_holds_at_the_renormalisation_edge(n, seed, mix, offsets, shrink):
+    # shrink brings the rows' drift down so that the horizon spans many steps
+    rng = np.random.default_rng(seed)
+    matrix = _summing_to(_rotation_biased(rng, n, mix), np.array(offsets[:n]) * shrink)
+    p0 = _summing_to(rng.dirichlet(np.ones(n))[None], offsets[n:n + 1])[0]
+    _widest_horizon(p0, matrix, 300)
+
+
+def _exact_row_sum_chain(rng, n):
+    """p0 and a rotation-biased chain whose stored rows sum to exactly 1, as
+    Fractions, though summed as doubles they may round: all but one entry
+    are multiples of 2^-60 below 2^-14, with a total that is a multiple of
+    2^-53, so the last, 1 less that total, is a double."""
+    rows = np.zeros((n + 1, n))
+    for i, big in enumerate([(i + 1) % n for i in range(n)] + [0]):
+        units = [int(w) for w in rng.integers(128, 2**46, size=n)]
+        units[big] = 0
+        units[(big + 1) % n] -= sum(units) % 128
+        units[big] = 2**60 - sum(units)
+        rows[i] = [math.ldexp(w, -60) for w in units]
+        assert sum(map(Fraction, rows[i].tolist())) == 1
+    return rows[n], rows[:n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16, 32, 64, 100, 128])
+def test_the_horizon_of_an_exact_row_sum_chain_spans_many_steps(n):
+    unit = np.finfo(float).eps / 2
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        p0, matrix = _exact_row_sum_chain(rng, n)
+        assert np.array_equal(Channel(matrix).matrix, matrix)
+        horizon = markov._horizon(matrix)(np.add.reduce(p0))
+        assert horizon >= 1e-12 / ((6 * n + 2) * unit) - 1
 
 
 def _count_kl_rows(monkeypatch):
