@@ -401,7 +401,7 @@ def _szilard_arguments(szilard: argparse.ArgumentParser) -> None:
     from .thermo import REPORT_FORMATS
 
     szilard.add_argument("--ratio", type=float, default=2.0)
-    szilard.add_argument("--steps", type=int, default=EngineConfig().steps)
+    szilard.add_argument("--steps", type=_int_at_least(1), default=EngineConfig().steps)
     szilard.add_argument("--temperature", type=float, default=1.0)
     szilard.add_argument("--kB", type=float, default=None)
     szilard.add_argument("--units", choices=("natural", "si"), default="natural")

@@ -51,7 +51,6 @@ from .thermo import REPORT_FORMATS, EnergyLandscape
 
 # No two parts of the pattern can take the same digit, so a word matches in one way.
 _NUMBER_RE = re.compile(r"[+-]?(?:\d+\.\d*|\d+|\.\d+)(?:[eE][+-]?\d+)?")
-_COUNT_RE = re.compile(r"^\d+$")
 
 
 class _Key(NamedTuple):
@@ -311,13 +310,6 @@ class _Parser:
             self.number(line, index, what, non_negative=True)
         return None
 
-    def count(self, line: _Line, index: int, what: str) -> int | None:
-        text = line.words[index]
-        if not _COUNT_RE.match(text):
-            self.error(line, index, f"{what} must be a non-negative integer, got {text!r}")
-            return None
-        return int(text)
-
     def check_label(self, line: _Line, index: int) -> bool:
         label = line.words[index]
         if ":" in label:
@@ -477,9 +469,12 @@ class _Parser:
             if op == "apply" and ("channel", arg) not in self.declared:
                 self.error(line, 1, f"'apply' refers to unknown channel {arg!r}")
             elif op in ("evolve", "audit"):
-                arg = self.count(line, 1, f"'{op}' step count")
-                if op == "audit" and arg == 0:
-                    self.error(line, 1, "'audit' needs at least one step")
+                least = int(op == "audit")  # the rule and message of errors._count
+                if arg.isdecimal() and int(arg) >= least:
+                    arg = int(arg)
+                else:
+                    self.error(line, 1, f"'{op}' step count must be an integer of at least "
+                                        f"{least}, got {arg!r}")
             directives.append(Directive(op, arg))
         return ProtocolDecl(name=block.name, directives=tuple(directives))
 

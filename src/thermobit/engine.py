@@ -10,7 +10,6 @@ so the engine's vessel has unit volume.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -18,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from . import bitops
-from .errors import DomainError
+from .errors import DomainError, _count
 from .info import LOG2
 from .thermo import _check_kT
 
@@ -36,10 +35,7 @@ class EngineConfig:
 
     def __post_init__(self):
         _check_kT(self.temperature, self.boltzmann)
-        steps = operator.index(self.steps) if hasattr(self.steps, "__index__") else 0
-        if steps < 1:
-            raise DomainError(f"steps must be a positive integer, got {self.steps!r}")
-        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "steps", _count("steps", self.steps, 1))
 
     @property
     def kT(self) -> float:
@@ -208,6 +204,7 @@ def convergence_table(
 ) -> list[tuple[int, float, float]]:
     """Rows of (steps, work, abs error) for compressing the unit vessel to
     1/ratio while halving the step count, for convergence-order inspection."""
+    levels = _count("levels", levels, 1)
     if not 0.0 < ratio < math.inf:
         raise DomainError(f"ratio must be finite and positive, got {ratio!r}")
     v_end = 1.0 / ratio
@@ -215,12 +212,8 @@ def convergence_table(
         raise DomainError(f"ratio {ratio!r} is too small: 1/ratio overflows")
     exact = exact_isothermal_work(cfg, 1.0, v_end)
     rows = []
-    n = cfg.steps
-    for _ in range(levels):
-        if n < 1:
-            break
-        sub = EngineConfig(cfg.temperature, cfg.boltzmann, n)
-        work = isothermal_work(sub, 1.0, v_end)
+    for level in range(min(levels, cfg.steps.bit_length())):  # until the count halves to 0
+        n = cfg.steps >> level
+        work = isothermal_work(EngineConfig(cfg.temperature, cfg.boltzmann, n), 1.0, v_end)
         rows.append((n, work, abs(work - exact)))
-        n //= 2
     return rows

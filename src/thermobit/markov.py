@@ -7,15 +7,14 @@ chain has one) cannot increase, detailed balance or not.
 
 from __future__ import annotations
 
-import operator
-import threading
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TextIO
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import ShapeError, _count
 from .info import LOG2, Distribution
 from .info import _RENORM_SKIP, _check_same_length, _kl_rows, _log_reference, _probability_rows
 
@@ -29,8 +28,6 @@ _BALANCE_SLACK = 8 * np.finfo(float).eps
 # How far a relative entropy may rise, in nats, by rounding alone: the slack of
 # both the Second-Law audit and the data-processing check.
 _ENTROPY_SLACK = 1e-12
-# Serialises the first read of a Trajectory array, which writes its tail.
-_FILL_LOCK = threading.Lock()
 
 
 class StationaryMultiplicityWarning(UserWarning):
@@ -75,9 +72,9 @@ class Trajectory:
     Row t of `probs`, a read-only (T+1, n) array, is p_t; `d_nats[t]` is
     D(p_t‖reference) in nats. Rows from `settled` on repeat row settled - 1,
     the chain's floating-point fixed point (settled is T + 1 for a chain
-    that did not settle). evolve writes only the rows before it; each
-    array writes its repeated tail the first time it is read, so holding a
-    Trajectory costs the rows computed, not T.
+    that did not settle). evolve computes only the rows before it; each
+    array is built once, on its first read, from those rows, so holding a
+    Trajectory that is never read costs the rows computed, not T.
     """
 
     _probs: np.ndarray = field(repr=False)
@@ -85,23 +82,23 @@ class Trajectory:
     reference: Distribution
     settled: int
 
-    @property
+    @cached_property
     def probs(self) -> np.ndarray:
-        return self._filled(self._probs)
+        return self._repeat_tail(self._probs)
 
-    @property
+    @cached_property
     def d_nats(self) -> np.ndarray:
-        return self._filled(self._d_nats)
+        return self._repeat_tail(self._d_nats)
 
-    def _filled(self, rows: np.ndarray) -> np.ndarray:
-        # an array is writable until its tail is written; the lock keeps two
-        # threads' first reads from setting it read-only under each other
-        if rows.flags.writeable:
-            with _FILL_LOCK:
-                if rows.flags.writeable:
-                    rows[self.settled:] = rows[self.settled - 1]
-                    rows.setflags(write=False)
-        return rows
+    def _repeat_tail(self, rows: np.ndarray) -> np.ndarray:
+        """rows if the chain never settled, else a new read-only array with its tail repeated."""
+        if self.settled == len(rows):
+            return rows
+        full = np.empty_like(rows)
+        full[:self.settled] = rows[:self.settled]
+        full[self.settled:] = rows[self.settled - 1]
+        full.setflags(write=False)
+        return full
 
     def __len__(self) -> int:
         return len(self._d_nats)
@@ -357,17 +354,14 @@ def evolve(
     and the KL depend only on the bits of their inputs, so running on would
     reproduce the same bits. Both (steps + 1)-row arrays are reserved up
     front, so a step count that no memory holds fails here at once, but
-    only the rows before the fixed point are written: the Trajectory writes
-    the repeated tail when an array is first read. A long run therefore
+    only the rows before the fixed point are written; the Trajectory builds
+    each full array from them on its first read. A long run therefore
     costs the steps until p_t stops changing, in time and in resident
     memory, not `steps`; a chain that never settles (a rotation) runs every
     step. The D values are computed after the loop, in one pass over the
     rows it produced, bit for bit what a per-step KL would give.
     """
-    count = operator.index(steps) if hasattr(steps, "__index__") else -1
-    if count < 0:
-        raise DomainError(f"steps must be a non-negative integer, got {steps!r}")
-    steps = count
+    steps = _count("steps", steps, 0)
     if reference is None:
         reference = stationary_distribution(channel)
     if not len(p0) == len(reference) == len(channel):
@@ -400,6 +394,8 @@ def evolve(
             break
         prev, last = row, now
     _kl_rows(probs[:end], _log_reference(ref), d_nats[:end])
+    probs.setflags(write=False)
+    d_nats.setflags(write=False)
     return Trajectory(probs, d_nats, reference, end)
 
 
@@ -421,8 +417,7 @@ def second_law_audit(
     reference lets callers demonstrate that monotonicity can fail against
     non-stationary references.
     """
-    if steps < 1:
-        raise DomainError(f"audit needs at least one step, got {steps}")
+    steps = _count("steps", steps, 1)
     return _audit(p0, channel, steps, stationary_distribution(channel), reference)
 
 

@@ -20,6 +20,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from .errors import _count
 from .info import Distribution, _probability_rows
 from .markov import Channel, _audit, _data_processing_rows, _stationary_distributions
 from .thermo import DEFAULT_BOLTZMANN, IDENTITY_TOLERANCE, EnergyLandscape
@@ -169,6 +170,7 @@ def identity_sweep(
     """Check the Szilard-Landauer identity, its proof step F(π) = -kT log Z
     and F(p) >= F(π) on random landscapes of 2..max_states states, the
     instances of each size in a chunk at once."""
+    instances, max_states = _count("instances", instances, 1), _count("max_states", max_states, 2)
     identity_failures = proof_failures = optimality_failures = 0
     identity_worst = proof_worst = 0.0
     min_available = math.inf
@@ -222,6 +224,7 @@ def dpi_sweep(
 ) -> DpiSweepResult:
     """Check D(pK‖qK) <= D(p‖q) on random p, q and channels K of
     2..max_states states, the instances of each size in a chunk at once."""
+    instances, max_states = _count("instances", instances, 1), _count("max_states", max_states, 2)
     failures = 0
     worst = -math.inf
     for chunk in _chunks(instances, max_states * (max_states + 2)):
@@ -240,9 +243,10 @@ def monotonicity_sweep(
 ) -> MonotonicitySweepResult:
     """Audit random chains, one fifth of them noisy rotations (strongly
     non-reversible), for Second-Law monotonicity."""
-    failures = 0
+    instances, max_states = _count("instances", instances, 1), _count("max_states", max_states, 2)
+    steps = _count("steps", steps, 1)
+    failures = non_db = 0
     worst = 0.0
-    non_db = 0
     for chunk in _chunks(instances, max_states * (max_states + 1)):
         drawn = []
         for i in chunk:
@@ -254,11 +258,9 @@ def monotonicity_sweep(
         pis = _stationary_distributions([channel for channel, _ in drawn])
         for (channel, p0), pi in zip(drawn, pis):
             verdict = _audit(p0, channel, steps, pi)
-            if not verdict.detailed_balance:
-                non_db += 1
+            non_db += not verdict.detailed_balance
             worst = max(worst, verdict.max_violation)
-            if not verdict.monotone:
-                failures += 1
+            failures += not verdict.monotone
     return MonotonicitySweepResult(
         instances=instances,
         failures=failures,

@@ -116,6 +116,8 @@ def test_usage_error_exits_one(capsys):
     ["sweep", "--instances", "1", "--max-states", "99999999999999999999"],
     # the size drawn at this seed needs more bytes than numpy can count
     ["sweep", "--instances", "1", "--max-states", str(2**63 - 1), "--seed", "1"],
+    ["szilard", "--steps", "0"],
+    ["szilard", "--steps", "-3"],
 ])
 def test_degenerate_counts_are_usage_errors(args, capsys):
     try:

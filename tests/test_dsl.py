@@ -298,8 +298,8 @@ def test_protocol_directive_validation():
     base = "system s\n  states a\n  temperature 1\n\nprotocol p\n"
     for bad_line, needle in [
         ("  apply ghost", "unknown channel"),
-        ("  evolve x", "non-negative integer"),
-        ("  audit 0", "at least one step"),
+        ("  evolve x", "'evolve' step count must be an integer of at least 0, got 'x'"),
+        ("  audit 0", "'audit' step count must be an integer of at least 1, got '0'"),
         ("  bitop explode", "'bitop' takes one of"),
         ("  report yaml", "'report' takes one of"),
         ("  check-correspondence now", "takes no arguments"),

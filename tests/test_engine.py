@@ -191,7 +191,7 @@ def test_engine_config_takes_any_integral_step_count():
     assert cfg.steps == 10 and type(cfg.steps) is int
     assert isothermal_work(cfg, 1.0, 0.5) == isothermal_work(EngineConfig(steps=10), 1.0, 0.5)
     for steps in (10.0, np.float64(10.0), np.int64(0), -3, "10"):
-        with pytest.raises(DomainError, match="^steps must be a positive integer, got "):
+        with pytest.raises(DomainError, match="^steps must be an integer of at least 1, got "):
             EngineConfig(steps=steps)
 
 

@@ -3,6 +3,7 @@
 import collections
 import io
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -544,8 +545,8 @@ def test_evolve_takes_an_integral_step_count_and_rejects_any_other():
     p0, channel = Distribution([1.0, 0.0]), _TWO_STATE
     trajectory = evolve(p0, channel, np.int64(3))
     assert trajectory.probs.tobytes() == evolve(p0, channel, 3).probs.tobytes()
-    for steps in (3.0, np.float64(3.0), -1, "3", None):
-        with pytest.raises(DomainError, match="^steps must be a non-negative integer, got "):
+    for steps in (3.0, np.float64(3.0), -1, "3", None, np.array([3, 4])):
+        with pytest.raises(DomainError, match="^steps must be an integer of at least 0, got "):
             evolve(p0, channel, steps)
 
 
@@ -1021,7 +1022,7 @@ def _read_case(case, rng):
        reads=st.sampled_from([("d_nats", "probs"), ("probs", "d_nats"),
                               ("d_nats", "d_nats", "probs")]))
 def test_a_trajectory_reads_the_same_in_any_order(case, steps, seed, reads):
-    # evolve writes the rows up to the settle row; the rest appear on first read
+    # evolve writes the rows up to the settle row; each array is built on first read
     p0, channel, reference = _read_case(case, np.random.default_rng(seed))
     verdict = second_law_audit(p0, channel, steps, reference)
     trajectory = verdict.trajectory
@@ -1033,6 +1034,9 @@ def test_a_trajectory_reads_the_same_in_any_order(case, steps, seed, reads):
         assert array.tobytes() == expected[name].tobytes()
         assert not array.flags.writeable
         assert array.flags.owndata and array.flags.c_contiguous
+    # each array is built once, on its first read
+    assert trajectory.probs is trajectory.probs
+    assert trajectory.d_nats is trajectory.d_nats
     assert len(trajectory) == steps + 1
     assert trajectory.settled == (_first_repeat(expected["probs"]) or steps + 1)
     assert verdict.max_violation == markov._max_positive_jump(trajectory.d_nats)
@@ -1149,8 +1153,15 @@ def test_audit_and_sweep_share_one_monotonicity_slack(monkeypatch):
 
 
 def test_audit_requires_at_least_one_step():
-    with pytest.raises(DomainError):
-        second_law_audit(Distribution.uniform(2), Channel(np.eye(2)), 0)
+    for steps in ("3", 3.0, -1, None, 0):
+        message = f"steps must be an integer of at least 1, got {steps!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            second_law_audit(Distribution.uniform(2), Channel(np.eye(2)), steps)
+
+
+def test_audit_counts_its_steps_as_an_int():
+    verdict = second_law_audit(Distribution([1.0, 0.0]), _TWO_STATE, np.int64(3))
+    assert type(verdict.steps_checked) is int and verdict.steps_checked == 3
 
 
 # -- data processing inequality --------------------------------------------------------------

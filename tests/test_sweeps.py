@@ -1,20 +1,24 @@
 """The stacked identity and data-processing sweeps give every instance the
-bits of its own check, and the numpy facts they rely on for that."""
+bits of its own check, and the numpy facts they rely on for that; no sweep
+passes without checking an instance."""
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermobit import (
     Channel,
     Distribution,
+    DomainError,
     EnergyLandscape,
+    EngineConfig,
     check_szilard_landauer,
     data_processing_check,
 )
-from thermobit import sweeps, thermo
+from thermobit import engine, sweeps, thermo
 
 from test_info import _entropy_1d, _kl_nats
 
@@ -164,3 +168,23 @@ def test_each_sweep_draws_its_chunks_in_order():
         for chunk in chunks:
             assert len(chunk) == 1 or len(chunk) * largest <= sweeps._CHUNK_ENTRIES
             assert len(chunk) <= sweeps._CHUNK
+
+
+@pytest.mark.parametrize("run, message", [
+    pytest.param(lambda: sweeps.identity_sweep(0),
+                 "instances must be an integer of at least 1, got 0", id="identity_sweep(0)"),
+    pytest.param(lambda: sweeps.identity_sweep(-3),
+                 "instances must be an integer of at least 1, got -3", id="identity_sweep(-3)"),
+    pytest.param(lambda: sweeps.dpi_sweep(0),
+                 "instances must be an integer of at least 1, got 0", id="dpi_sweep(0)"),
+    pytest.param(lambda: sweeps.monotonicity_sweep(5, steps=0),
+                 "steps must be an integer of at least 1, got 0", id="monotonicity_sweep(steps=0)"),
+    pytest.param(lambda: sweeps.identity_sweep(3, max_states=1),
+                 "max_states must be an integer of at least 2, got 1", id="max_states=1"),
+    pytest.param(lambda: engine.convergence_table(EngineConfig(), 2.0, levels=0),
+                 "levels must be an integer of at least 1, got 0", id="levels=0"),
+])
+def test_a_sweep_or_table_that_would_check_nothing_is_refused(run, message):
+    with pytest.raises(DomainError) as exc:
+        run()
+    assert str(exc.value) == message
