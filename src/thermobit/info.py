@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, _count
 
 LOG2 = math.log(2.0)
 
@@ -91,14 +91,13 @@ class Distribution:
 
     @classmethod
     def uniform(cls, n: int) -> "Distribution":
-        # n < 1 states get the constructor's ShapeError for no entries
-        return cls(np.full(n, 1.0 / n) if n >= 1 else [])
+        n = _count("n", n, 1)
+        return cls(np.full(n, 1.0 / n))
 
     @classmethod
     def degenerate(cls, n: int, index: int) -> "Distribution":
-        if n < 1:
-            return cls([])
-        if not 0 <= index < n:
+        n, index = _count("n", n, 1), _count("index", index, 0)
+        if index >= n:
             raise DomainError(f"index must lie in [0, {n}), got {index!r}")
         probs = np.zeros(n)
         probs[index] = 1.0

@@ -20,7 +20,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import _count
+from .errors import DomainError, _count
 from .info import Distribution, _probability_rows
 from .markov import Channel, _audit, _data_processing_rows, _stationary_distributions
 from .thermo import DEFAULT_BOLTZMANN, IDENTITY_TOLERANCE, EnergyLandscape
@@ -57,6 +57,17 @@ def _by_size(drawn: list[tuple]):
         by_size.setdefault(len(instance[0]), []).append(i)
     for indices in by_size.values():
         yield indices, [np.array(column) for column in zip(*(drawn[i] for i in indices))]
+
+
+def _sweep_counts(instances, max_states, seed) -> tuple[int, int, int]:
+    """instances, max_states and seed as ints, by the one rule for counts:
+    integers of at least 1, 2 and 0 (numpy seeds have no negative values).
+    Anything else is a DomainError."""
+    instances, max_states = _count("instances", instances, 1), _count("max_states", max_states, 2)
+    # numpy draws each size as an int64 below max_states + 1
+    if max_states > 2**63 - 1:
+        raise DomainError(f"max_states must be at most {2**63 - 1}, got {max_states!r}")
+    return instances, max_states, _count("seed", seed, 0)
 
 
 def _instance_rng(seed: int, index: int) -> np.random.Generator:
@@ -170,7 +181,7 @@ def identity_sweep(
     """Check the Szilard-Landauer identity, its proof step F(π) = -kT log Z
     and F(p) >= F(π) on random landscapes of 2..max_states states, the
     instances of each size in a chunk at once."""
-    instances, max_states = _count("instances", instances, 1), _count("max_states", max_states, 2)
+    instances, max_states, seed = _sweep_counts(instances, max_states, seed)
     identity_failures = proof_failures = optimality_failures = 0
     identity_worst = proof_worst = 0.0
     min_available = math.inf
@@ -224,7 +235,7 @@ def dpi_sweep(
 ) -> DpiSweepResult:
     """Check D(pK‖qK) <= D(p‖q) on random p, q and channels K of
     2..max_states states, the instances of each size in a chunk at once."""
-    instances, max_states = _count("instances", instances, 1), _count("max_states", max_states, 2)
+    instances, max_states, seed = _sweep_counts(instances, max_states, seed)
     failures = 0
     worst = -math.inf
     for chunk in _chunks(instances, max_states * (max_states + 2)):
@@ -243,7 +254,7 @@ def monotonicity_sweep(
 ) -> MonotonicitySweepResult:
     """Audit random chains, one fifth of them noisy rotations (strongly
     non-reversible), for Second-Law monotonicity."""
-    instances, max_states = _count("instances", instances, 1), _count("max_states", max_states, 2)
+    instances, max_states, seed = _sweep_counts(instances, max_states, seed)
     steps = _count("steps", steps, 1)
     failures = non_db = 0
     worst = 0.0

@@ -1,6 +1,7 @@
 """Tests for the information core: entropies, divergences, decomposition."""
 
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -23,19 +24,9 @@ from thermobit import (
 )
 from thermobit import info, thermo
 
+import exact
+
 LOG2 = math.log(2.0)
-
-
-def _direct_kl(p, q):
-    """Independent scalar-loop oracle for D(p||q)."""
-    total = 0.0
-    for pi, qi in zip(p, q):
-        if pi == 0.0:
-            continue
-        if qi == 0.0:
-            return math.inf
-        total += pi * math.log(pi / qi)
-    return total
 
 
 def _random_dist(rng, n):
@@ -154,7 +145,8 @@ def test_kl_nonnegative_and_matches_direct_oracle():
         p, q = _random_dist(rng, n), _random_dist(rng, n)
         got = relative_entropy(p, q).nats
         assert got >= 0.0
-        assert got == pytest.approx(_direct_kl(p.probs, q.probs), rel=1e-12, abs=1e-13)
+        want = exact.relative_entropy(p.probs, q.probs)
+        assert abs(Decimal(got) - want) <= max(1e-12 * float(want), 1e-13)
         assert got > 0.0  # random p == q has probability zero
 
 
@@ -391,14 +383,23 @@ _SUM_OFF = "must sum to 1 within 1e-09, got 1.0000000020000002"
      "distribution must sum to 1 within 1e-09, got inf"),
     (lambda: Channel([[0.0, 1.0], [1e308, 1e308]]), DomainError,
      "channel row 1 must sum to 1 within 1e-09, got inf"),
-    (lambda: Distribution.uniform(0), ShapeError, "distribution needs at least one entry"),
-    (lambda: Distribution.uniform(-2), ShapeError, "distribution needs at least one entry"),
+    # counts go by the one rule of errors._count
+    (lambda: Distribution.uniform(0), DomainError, "n must be an integer of at least 1, got 0"),
+    (lambda: Distribution.uniform(-2), DomainError, "n must be an integer of at least 1, got -2"),
     (lambda: Distribution.degenerate(3, 5), DomainError, "index must lie in [0, 3), got 5"),
-    (lambda: Distribution.degenerate(3, -1), DomainError, "index must lie in [0, 3), got -1"),
+    (lambda: Distribution.degenerate(3, -1), DomainError,
+     "index must be an integer of at least 0, got -1"),
+    (lambda: Distribution.uniform(2.5), DomainError, "n must be an integer of at least 1, got 2.5"),
+    (lambda: Distribution.uniform("3"), DomainError, "n must be an integer of at least 1, got '3'"),
+    (lambda: Distribution.degenerate(2.0, 0), DomainError,
+     "n must be an integer of at least 1, got 2.0"),
+    (lambda: Distribution.degenerate(3, 0.5), DomainError,
+     "index must be an integer of at least 0, got 0.5"),
 ], ids=[f"{kind}-{fault}" for kind in ("distribution", "joint", "channel")
         for fault in ("ndim", "empty", "nan", "inf", "negative", "sum")]
     + ["channel-one-state-sum", "distribution-overflow", "channel-overflow", "uniform-0",
-       "uniform-negative", "degenerate-past-end", "degenerate-negative"])
+       "uniform-negative", "degenerate-past-end", "degenerate-negative", "uniform-float",
+       "uniform-string", "degenerate-float-n", "degenerate-float-index"])
 def test_probability_faults_have_one_message_each(build, error, message):
     with pytest.raises(error) as caught:
         build()
@@ -579,19 +580,6 @@ def test_layout_of_a_joint_changes_no_bit_of_its_mutual_information():
 
 # -- joints and mutual information ------------------------------------------------
 
-def _direct_mutual_info(matrix):
-    """Oracle: D(p || p1 x p2) by scalar loops."""
-    m = np.asarray(matrix)
-    p1 = m.sum(axis=1)
-    p2 = m.sum(axis=0)
-    total = 0.0
-    for i in range(m.shape[0]):
-        for j in range(m.shape[1]):
-            if m[i, j] > 0:
-                total += m[i, j] * math.log(m[i, j] / (p1[i] * p2[j]))
-    return total
-
-
 def test_mutual_information_independent_is_zero():
     j = JointDistribution.from_product(Distribution([0.3, 0.7]), Distribution([0.6, 0.4]))
     assert mutual_information(j).nats == 0.0
@@ -612,8 +600,9 @@ def test_mutual_information_independent_is_zero():
 
 def test_mutual_information_correlated_uniform():
     j = JointDistribution([[0.5, 0.0], [0.0, 0.5]])
-    assert _direct_mutual_info(j.probs) == pytest.approx(LOG2, rel=1e-15)
-    assert mutual_information(j).nats == pytest.approx(LOG2, rel=1e-14)
+    want = exact.mutual_information(j.probs)
+    assert abs(want - Decimal(2).ln(exact.CONTEXT)) <= Decimal("1e-59")
+    assert abs(Decimal(mutual_information(j).nats) - want) <= 1e-14 * float(want)
 
 
 def test_mutual_information_anticorrelated_uniform():
@@ -628,7 +617,7 @@ def test_mutual_information_matches_oracle_on_random_joints():
         j = JointDistribution(rng.dirichlet(np.ones(shape[0] * shape[1])).reshape(shape))
         got = mutual_information(j).nats
         assert got >= 0.0
-        assert got == pytest.approx(_direct_mutual_info(j.probs), abs=1e-12)
+        assert abs(Decimal(got) - exact.mutual_information(j.probs)) <= 1e-12
 
 
 def test_joint_marginals_and_flatten():

@@ -1,6 +1,5 @@
 """Tests for the Markov-chain engine and the Second-Law auditor."""
 
-import collections
 import io
 import math
 import re
@@ -31,6 +30,8 @@ from thermobit import (
     stationary_distribution,
 )
 from thermobit import dsl, info, markov
+
+import exact
 
 DATA = Path(__file__).parent / "data" / "demo.tbit"
 LOG2 = math.log(2.0)
@@ -176,26 +177,6 @@ def _gth_outer(matrix):
     return x / x.sum()
 
 
-def _classes_by_search(support):
-    """Closed classes of a boolean support graph by breadth-first search, in
-    the order of their lowest state."""
-    n = len(support)
-    reach = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        reach[i, i] = True
-        queue = collections.deque([i])
-        while queue:
-            for k in np.flatnonzero(support[queue.popleft()] & ~reach[i]):
-                reach[i, k] = True
-                queue.append(k)
-    classes, assigned = [], np.zeros(n, dtype=bool)
-    for i in range(n):
-        if not assigned[i] and reach[reach[i], i].all():  # all i reaches reaches i
-            classes.append(np.flatnonzero(reach[i]))
-            assigned |= reach[i]
-    return classes
-
-
 def _oracle_chain(rng, kind, n):
     """A row-stochastic matrix of the given kind for the GTH and class oracles."""
     dense = rng.dirichlet(np.ones(n), size=n)
@@ -237,7 +218,7 @@ def test_stationary_matches_the_outer_product_gth_bit_for_bit(kind):
     rng = np.random.default_rng(101)
     for n in _ORACLE_SIZES[kind] * 3:
         matrix = Channel(_oracle_chain(rng, kind, n)).matrix
-        classes = _classes_by_search(matrix > 0.0)
+        classes = exact._classes_by_search(matrix > 0.0)
         assert len(classes) == (2 if kind == "two-class" else 1)
         recurrent = sum(len(members) for members in classes)
         expected = np.zeros(n)
@@ -325,57 +306,11 @@ def test_closed_classes_match_a_breadth_first_search():
         graphs.append(rng.random((n, n)) < rng.uniform(0.0, 3.0 / n))
     for support in graphs:
         got = markov._closed_classes(support.astype(float))
-        assert [c.tolist() for c in got] == [c.tolist() for c in _classes_by_search(support)]
-
-
-def _exact_solve(rows, rhs):
-    """Gauss-Jordan elimination in Fractions."""
-    m = [[*row, b] for row, b in zip(rows, rhs)]
-    for c in range(len(m)):
-        pivot = next(r for r in range(c, len(m)) if m[r][c] != 0)
-        m[c], m[pivot] = m[pivot], m[c]
-        for r in range(len(m)):
-            if r != c and m[r][c] != 0:
-                factor = m[r][c] / m[c][c]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[c])]
-    return [m[r][-1] / m[r][r] for r in range(len(m))]
-
-
-def _certify_stationary(k, pi):
-    """Exact global balance on the off-diagonal rates, as the audit-hard
-    benchmark certifies its closed forms: for every j,
-    sum_{i != j} pi_i K_ij == pi_j sum_{l != j} K_jl."""
-    n = len(pi)
-    assert sum(pi) == 1 and min(pi) >= 0
-    for j in range(n):
-        inflow = sum(pi[i] * k[i][j] for i in range(n) if i != j)
-        assert inflow == pi[j] * sum(k[j][l] for l in range(n) if l != j)
-
-
-def _exact_stationary(k, classes):
-    """The recurrent-share mixture of each closed class's exact pi."""
-    recurrent = sum(len(members) for members in classes)
-    pi = [Fraction(0)] * len(k)
-    for members in map(np.ndarray.tolist, classes):
-        # pi Q = 0 for the generator Q of the class's off-diagonal rates, with
-        # the last equation replaced by sum(pi) = 1
-        rows = [[k[i][j] if i != j else -sum(k[j][l] for l in members if l != j)
-                 for i in members] for j in members]
-        rows[-1] = [Fraction(1)] * len(members)
-        solution = _exact_solve(rows, [Fraction(0)] * (len(members) - 1) + [Fraction(1)])
-        for i, x in zip(members, solution):
-            pi[i] = x * Fraction(len(members), recurrent)
-    return pi
-
-
-_DYADIC_CHAINS = st.integers(2, 6).flatmap(lambda n: st.tuples(
-    st.lists(st.sampled_from([1, 2, 3, 10, 20, 40, 100, 300, 600, 997]), min_size=n, max_size=n),
-    st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=n, max_size=n),
-))
+        assert [c.tolist() for c in got] == [c.tolist() for c in exact._classes_by_search(support)]
 
 
 @settings(max_examples=300, deadline=None)
-@given(_DYADIC_CHAINS)
+@given(exact._DYADIC_CHAINS)
 # closed classes {0, 1} and {2, 3}, the second joined at 2^-43 and 3 * 2^-43;
 # state 4 is transient
 @example(([1, 1, 40, 40, 1], [[0, 3, 0, 0, 0], [1, 0, 0, 0, 0], [0, 0, 0, 3, 0],
@@ -390,7 +325,7 @@ def test_stationary_matches_the_exact_pi_of_dyadic_chains(chain):
     # row i moves to j != i with probability w_ij * 2^-(s_i + 3), down to
     # 2^-1000, and stays with the rest: every off-diagonal entry, and every
     # partial sum of them, is an exact double. The diagonal is rounded once
-    # s_i + 3 > 52; neither GTH nor the exact solve reads it.
+    # s_i + 3 > 52; neither the library's GTH nor the exact one reads it.
     scales, weights = chain
     n = len(scales)
     k = [[Fraction(w, 2 ** (s + 3)) for w in row] for s, row in zip(scales, weights)]
@@ -400,8 +335,8 @@ def test_stationary_matches_the_exact_pi_of_dyadic_chains(chain):
     channel = Channel(matrix)
     stored = [[Fraction(x) for x in row] for row in channel.matrix.tolist()]
     assert all(stored[i][j] == k[i][j] for i in range(n) for j in range(n) if i != j)
-    exact = _exact_stationary(k, _classes_by_search(matrix > 0.0))
-    _certify_stationary(k, exact)
+    exact_pi = exact.stationary(channel.matrix, exact._classes_by_search(matrix > 0.0))
+    exact._certify_stationary(k, exact_pi)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", StationaryMultiplicityWarning)
         pi = stationary_distribution(channel)
@@ -410,12 +345,12 @@ def test_stationary_matches_the_exact_pi_of_dyadic_chains(chain):
     # the bound is n^2 subnormal spacings, absolute.
     eps, smallest_normal = Fraction(np.finfo(float).eps), Fraction(np.finfo(float).tiny)
     spacing = Fraction(np.finfo(float).smallest_subnormal)
-    for got, want in zip(pi.probs.tolist(), exact):
+    for got, want in zip(pi.probs.tolist(), exact_pi):
         bound = n * n * (eps * want if want >= smallest_normal else spacing)
         assert abs(Fraction(got) - want) <= bound
     # so a reversible chain's flux pairs agree to 2 n^2 + 1 epsilons, within
     # the detailed-balance slack, and a coarse asymmetry is never missed
-    flux = [[exact[i] * k[i][j] for j in range(n)] for i in range(n)]
+    flux = [[exact_pi[i] * k[i][j] for j in range(n)] for i in range(n)]
     asymmetry = max((abs(flux[i][j] - flux[j][i]) / max(flux[i][j], flux[j][i])
                      for i in range(n) for j in range(i) if flux[i][j] or flux[j][i]),
                     default=0)

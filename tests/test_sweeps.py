@@ -183,6 +183,17 @@ def test_each_sweep_draws_its_chunks_in_order():
                  "max_states must be an integer of at least 2, got 1", id="max_states=1"),
     pytest.param(lambda: engine.convergence_table(EngineConfig(), 2.0, levels=0),
                  "levels must be an integer of at least 1, got 0", id="levels=0"),
+    # numpy draws each size as an int64 below max_states + 1
+    *(pytest.param(lambda sweep=sweep: sweep(1, max_states=2**70),
+                   f"max_states must be at most {2**63 - 1}, got {2**70}",
+                   id=f"{sweep.__name__}(max_states=2**70)")
+      for sweep in (sweeps.identity_sweep, sweeps.dpi_sweep, sweeps.monotonicity_sweep)),
+    pytest.param(lambda: sweeps.identity_sweep(1, seed=-1),
+                 "seed must be an integer of at least 0, got -1", id="seed=-1"),
+    pytest.param(lambda: sweeps.dpi_sweep(1, seed=2.5),
+                 "seed must be an integer of at least 0, got 2.5", id="seed=2.5"),
+    pytest.param(lambda: sweeps.monotonicity_sweep(1, seed="3"),
+                 "seed must be an integer of at least 0, got '3'", id="seed='3'"),
 ])
 def test_a_sweep_or_table_that_would_check_nothing_is_refused(run, message):
     with pytest.raises(DomainError) as exc:

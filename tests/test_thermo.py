@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from thermobit import (
     shannon_entropy,
 )
 
+import exact
 from test_info import _entropy_1d
 
 LOG2 = math.log(2.0)
@@ -53,6 +55,39 @@ def test_log_partition_survives_huge_energies():
     got = log_partition_function(EnergyLandscape([1e6, 1e6 + 1.0]))
     assert math.isfinite(got)
     assert got == pytest.approx(-1e6 + math.log(1.0 + math.exp(-1.0)), rel=1e-12)
+
+
+def _terms(energies, kT, probs):
+    """<|E|> + kT·H of probs: the size of the terms F is summed from."""
+    return (math.fsum(float(a) * abs(e) for a, e in zip(probs, energies))
+            - kT * float(exact.relative_entropy(probs, [1] * len(probs))))
+
+
+@settings(max_examples=50, deadline=None)
+@given(exact._HARD_LANDSCAPES)
+# F(π) = -kT log Z is 0.127 here, but the terms it is summed from, <E>_π and
+# kT·H(π), are 0.238 and 0.365
+@example(([0.0, 2.0], 1.0, 1.0, [1.0, 0.0]))
+# π_1 = 1 - 1.6e-45 is stored as 1, so the float H(π) lacks -π_1 ln π_1 = 1.6e-45
+@example(([10646.446345316315, 1.620264089768893e-253], 103.18161825304115, 1.0, [0.0, 1.0]))
+def test_log_z_free_energy_and_available_match_the_exact_oracle_on_hard_landscapes(case):
+    # each error is within (n + 2) eps of the size of the terms it is summed
+    # from; kT more covers H of a distribution rounded to floats: an entry's
+    # rounding moves its term p ln p by up to eps·p·(|ln p| + 1)
+    energies, temperature, boltzmann, probs = case
+    landscape, p = EnergyLandscape(energies, temperature, boltzmann), Distribution(probs)
+    probs, kT, bound = p.probs.tolist(), landscape.kT, (len(probs) + 2) * np.finfo(float).eps
+    log_z = exact.log_partition(energies, temperature, boltzmann)
+    f_p = exact.free_energy(energies, temperature, boltzmann, probs)
+    with localcontext(exact.CONTEXT):
+        available = f_p + Decimal(temperature) * Decimal(boltzmann) * log_z  # F(π) = -kT log Z
+    terms, gibbs_terms = (_terms(energies, kT, probs),
+                          _terms(energies, kT, exact.gibbs(energies, temperature, boltzmann)))
+    assert (abs(Decimal(log_partition_function(landscape)) - log_z)
+            <= bound * max(1.0, abs(float(log_z))))
+    assert abs(Decimal(free_energy(landscape, p)) - f_p) <= bound * (terms + kT)
+    assert (abs(Decimal(available_free_energy(landscape, p)) - available)
+            <= bound * (terms + gibbs_terms + kT))
 
 
 # -- Gibbs distribution --------------------------------------------------------
