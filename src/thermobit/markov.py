@@ -264,21 +264,19 @@ def stationary_distribution(channel: Channel) -> Distribution:
     return Distribution(pi)
 
 
-def _stationary_distributions(channels: list[Channel]) -> list[Distribution]:
-    """stationary_distribution of each channel, bit for bit. The chains of
-    one size with no zero entry, so one closed class over every state, are
-    solved in one stacked elimination; any other chain goes through
+def _stationary_distributions(stack: np.ndarray) -> np.ndarray:
+    """The probabilities of stationary_distribution of each chain of a
+    (B, n, n) stack of channel matrices, as (B, n) rows, bit for bit. The
+    chains with no zero entry, so one closed class over every state, are
+    solved in one stacked elimination and their rows held to the rule a
+    Distribution holds them to; any other chain goes through
     stationary_distribution, with its warning."""
-    pis: list[Distribution | None] = [None] * len(channels)
-    by_size: dict[int, list[int]] = {}
-    for i, channel in enumerate(channels):
-        by_size.setdefault(len(channel), []).append(i)
-    for indices in by_size.values():
-        stack = np.stack([channels[i].matrix for i in indices])
-        positive = (stack > 0.0).all(axis=(1, 2))
-        rows = iter(_gth_solve(stack[positive]))
-        for i, stacked in zip(indices, positive.tolist()):
-            pis[i] = Distribution(next(rows)) if stacked else stationary_distribution(channels[i])
+    positive = (stack > 0.0).all(axis=(1, 2))
+    pis = np.empty(stack.shape[:2])
+    if positive.any():
+        pis[positive] = _probability_rows(_gth_solve(stack[positive]), "distribution")
+    for b in np.flatnonzero(~positive):
+        pis[b] = stationary_distribution(Channel(stack[b])).probs
     return pis
 
 
@@ -299,17 +297,27 @@ def check_detailed_balance(channel: Channel, pi: Distribution) -> bool:
     hundreds of kT apart) read as not in balance.
     """
     _check_length(pi, channel)
-    matrix, probs = channel.matrix, pi.probs
-    flows = (probs > 0.0)[:, None] & (matrix > 0.0)
-    if not (flows == flows.T).all():
-        return False
-    m_pi, e_pi = np.frexp(probs)
-    m_k, e_k = np.frexp(matrix)
-    exponent = e_pi[:, None] + e_k
-    flux = np.ldexp(m_pi[:, None] * m_k, exponent - np.maximum(exponent, exponent.T))
-    back = flux.T
-    slack = _BALANCE_SLACK * len(channel) ** 2
-    return bool((np.abs(flux - back) <= slack * np.maximum(flux, back)).all())
+    return bool(_detailed_balance_rows(channel.matrix[None], pi.probs[None])[0])
+
+
+def _detailed_balance_rows(matrices: np.ndarray, pis: np.ndarray) -> np.ndarray:
+    """check_detailed_balance of each K of a (B, n, n) stack of channel
+    matrices against the same row of (B, n) stationary rows, as a bool per
+    chain. Every test is entrywise, so a chain's verdict does not depend on
+    the stack. The fluxes are not compared when no chain passes the sign
+    test, so a single chain that fails it stops there."""
+    flows = (pis > 0.0)[:, :, None] & (matrices > 0.0)
+    balanced = (flows == flows.transpose(0, 2, 1)).all(axis=(1, 2))
+    if not balanced.any():
+        return balanced
+    m_pi, e_pi = np.frexp(pis)
+    m_k, e_k = np.frexp(matrices)
+    exponent = e_pi[:, :, None] + e_k
+    flux = np.ldexp(m_pi[:, :, None] * m_k,
+                    exponent - np.maximum(exponent, exponent.transpose(0, 2, 1)))
+    back = flux.transpose(0, 2, 1)
+    slack = _BALANCE_SLACK * matrices.shape[1] ** 2
+    return balanced & (np.abs(flux - back) <= slack * np.maximum(flux, back)).all(axis=(1, 2))
 
 
 def _horizon(matrix: np.ndarray):
@@ -367,14 +375,24 @@ def evolve(
     if not len(p0) == len(reference) == len(channel):
         raise ShapeError(f"p0 and reference of lengths {len(p0)}, {len(reference)} "
                          f"against a {len(channel)}-state channel")
-    matrix, ref = channel.matrix, reference.probs
+    probs, d_nats, settled = _evolve_rows(p0.probs, channel.matrix, steps, reference.probs)
+    probs.setflags(write=False)
+    d_nats.setflags(write=False)
+    return Trajectory(probs, d_nats, reference, settled)
+
+
+def _evolve_rows(p0: np.ndarray, matrix: np.ndarray, steps: int, reference: np.ndarray):
+    """(probs, d_nats, settled) of evolve on checked arrays: the (steps + 1)
+    rows reserved for p_t and for D(p_t‖reference), of which those before
+    settled are written, and settled, where the chain reached its fixed
+    point (steps + 1 if it did not)."""
     try:
-        probs = np.empty((steps + 1, len(channel)))
+        probs = np.empty((steps + 1, len(matrix)))
     except ValueError:  # more bytes than numpy can count: no memory holds it either
-        raise MemoryError(f"Unable to allocate {steps + 1} rows of {len(channel)} "
+        raise MemoryError(f"Unable to allocate {steps + 1} rows of {len(matrix)} "
                           f"probabilities") from None
     d_nats = np.empty(steps + 1)
-    probs[0] = p0.probs
+    probs[0] = p0
     prev = probs[0]
     last = prev.tobytes()
     horizon = _horizon(matrix)
@@ -393,10 +411,8 @@ def evolve(
             end = t
             break
         prev, last = row, now
-    _kl_rows(probs[:end], _log_reference(ref), d_nats[:end])
-    probs.setflags(write=False)
-    d_nats.setflags(write=False)
-    return Trajectory(probs, d_nats, reference, end)
+    _kl_rows(probs[:end], _log_reference(reference), d_nats[:end])
+    return probs, d_nats, end
 
 
 def _max_positive_jump(d: np.ndarray) -> float:
@@ -418,17 +434,7 @@ def second_law_audit(
     non-stationary references.
     """
     steps = _count("steps", steps, 1)
-    return _audit(p0, channel, steps, stationary_distribution(channel), reference)
-
-
-def _audit(
-    p0: Distribution,
-    channel: Channel,
-    steps: int,
-    pi: Distribution,
-    reference: Distribution | None = None,
-) -> AuditVerdict:
-    """second_law_audit once the stationary pi of the channel is known."""
+    pi = stationary_distribution(channel)
     detailed_balance = check_detailed_balance(channel, pi)
     trajectory = evolve(p0, channel, steps, pi if reference is None else reference)
     # every jump in the repeated tail is 0, so the computed rows decide

@@ -536,15 +536,15 @@ def test_sweep_injected_violation_exits_two(capsys, monkeypatch):
     from thermobit import sweeps
     from thermobit.info import Distribution
 
-    audit = sweeps._audit
+    evolve_rows = sweeps._evolve_rows
 
-    def from_a_skewed_reference(p0, channel, steps, pi, reference=None):
+    def from_a_skewed_reference(p0, matrix, steps, reference):
         # a reference that is not stationary, and the chain starts on it
-        skew = np.linspace(1.0, 2.0, len(channel))
-        skewed = Distribution(skew / skew.sum())
-        return audit(skewed, channel, steps, pi, reference=skewed)
+        skew = np.linspace(1.0, 2.0, len(matrix))
+        skewed = Distribution(skew / skew.sum()).probs
+        return evolve_rows(skewed, matrix, steps, skewed)
 
-    monkeypatch.setattr(sweeps, "_audit", from_a_skewed_reference)
+    monkeypatch.setattr(sweeps, "_evolve_rows", from_a_skewed_reference)
     code, out, _ = run_cli(
         ["sweep", "--instances", "5", "--max-states", "4", "--format", "json"], capsys
     )

@@ -282,13 +282,15 @@ def test_solving_chains_together_gives_each_its_stationary_distribution():
     rng = np.random.default_rng(7)
     channels = [Channel(_oracle_chain(rng, kind, n))
                 for n in (2, 3, 5, 5, 8, 13) for kind in sorted(_ORACLE_SIZES)]
+    # stacked by size: the two-class chains go through stationary_distribution
     with pytest.warns(StationaryMultiplicityWarning) as together_warned:
-        together = markov._stationary_distributions(channels)
+        together = [row for n in (2, 3, 5, 8, 13) for row in markov._stationary_distributions(
+            np.stack([channel.matrix for channel in channels if len(channel) == n]))]
     with pytest.warns(StationaryMultiplicityWarning) as alone_warned:
         alone = [stationary_distribution(channel) for channel in channels]
     assert len(together_warned) == len(alone_warned) == 6  # one per two-class chain
-    for pi, expected in zip(together, alone):
-        assert pi.probs.tobytes() == expected.probs.tobytes()
+    for row, expected in zip(together, alone):
+        assert row.tobytes() == expected.probs.tobytes()
 
 
 def test_closed_classes_match_a_breadth_first_search():
@@ -436,6 +438,57 @@ def test_detailed_balance_holds_for_metropolis_rates_and_two_states_only():
         channel = Channel(matrix)
         pi = stationary_distribution(channel)
         assert check_detailed_balance(channel, pi) is (metropolis or n == 2)
+
+
+def _dyadic(chain):
+    """The matrix of one of exact._DYADIC_CHAINS' (scales, weights)."""
+    scales, weights = chain
+    return exact._stochastic([[w * 2.0 ** -(s + 3) for w in row]
+                              for s, row in zip(scales, weights)])
+
+
+def _one_way_cycle(n, coupling):
+    """0 -> 1 -> ... -> n-1 -> 0 at the coupling and never back: every flux
+    around the cycle runs one way."""
+    return exact._stochastic(coupling * np.roll(np.eye(n), 1, axis=1))
+
+
+def _reducible(first, second):
+    """Two closed classes, one chain each, and a last state that leaks into
+    both, so is transient."""
+    n1, n = len(first), len(first) + len(second) + 1
+    k = np.zeros((n, n))
+    k[:n1, :n1], k[n1:-1, n1:-1] = first, second
+    k[-1, [0, n1, -1]] = 0.25, 0.25, 0.5
+    return k
+
+
+_SMALL_CHAINS = st.one_of(exact._TINY_COUPLING_CHAINS, exact._METROPOLIS_CHAINS,
+                          exact._DYADIC_CHAINS.map(_dyadic))
+_BALANCE_CHAINS = st.one_of(
+    _SMALL_CHAINS,
+    st.builds(_one_way_cycle, st.integers(3, 8), st.sampled_from([0.5, 1e-5, 1e-200, 2.0 ** -1074])),
+    st.builds(_reducible, _SMALL_CHAINS, _SMALL_CHAINS),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_BALANCE_CHAINS, st.booleans()), min_size=1, max_size=12))
+def test_stacked_detailed_balance_gives_each_chain_its_own_verdict(chains):
+    # each chain against its exact pi, rounded, or that pi reversed, which
+    # balances few chains and can put a zero of pi where K moves out; the
+    # chains of one size are checked in one stack
+    by_size = {}
+    for matrix, reverse in chains:
+        channel = Channel(matrix)
+        pi = exact.stationary(channel.matrix, exact._classes_by_search(channel.matrix > 0.0))
+        pi = Distribution([float(x) for x in (pi[::-1] if reverse else pi)])
+        by_size.setdefault(len(channel), []).append((channel, pi))
+    for pairs in by_size.values():
+        stacked = markov._detailed_balance_rows(np.stack([c.matrix for c, _ in pairs]),
+                                                np.stack([pi.probs for _, pi in pairs]))
+        assert stacked.dtype == bool
+        assert stacked.tolist() == [check_detailed_balance(c, pi) for c, pi in pairs]
 
 
 # -- evolve ---------------------------------------------------------------------------
@@ -1083,7 +1136,8 @@ def test_audit_and_sweep_share_one_monotonicity_slack(monkeypatch):
     verdict = second_law_audit(uniform, channel, 1, reference=uniform)
     assert 1e-12 < verdict.max_violation <= 1e-10
     assert not verdict.monotone
-    monkeypatch.setattr(sweeps, "_audit", lambda *args, **kwargs: verdict)
+    # the sweep judges each chain's largest jump as the audit does
+    monkeypatch.setattr(sweeps, "_max_positive_jump", lambda d_nats: verdict.max_violation)
     assert sweeps.monotonicity_sweep(3, steps=1).failures == 3
 
 

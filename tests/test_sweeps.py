@@ -1,6 +1,6 @@
-"""The stacked identity and data-processing sweeps give every instance the
-bits of its own check, and the numpy facts they rely on for that; no sweep
-passes without checking an instance."""
+"""The stacked sweeps give every instance the bits of its own check, and
+the numpy facts they rely on for that; no sweep passes without checking an
+instance."""
 
 import math
 
@@ -17,6 +17,7 @@ from thermobit import (
     EngineConfig,
     check_szilard_landauer,
     data_processing_check,
+    second_law_audit,
 )
 from thermobit import engine, sweeps, thermo
 
@@ -158,6 +159,36 @@ def test_stacked_dpi_checks_give_each_instance_its_own_check(sizes, seed, zero_s
         assert ok[i] == result.ok
         assert _bits(result.before, result.after) == _bits(
             *_dpi_oracle(p.probs, q.probs, channel.matrix))
+
+
+def _monotonicity_reference(instances, max_states, steps, seed):
+    """(failures, non_detailed_balance, worst_violation) of the monotonicity
+    sweep from one public second_law_audit per instance, drawn in the
+    sweep's order: the size, the channel, then p0."""
+    failures = non_db = 0
+    worst = 0.0
+    for i in range(instances):
+        rng = np.random.default_rng([seed, i])
+        n = int(rng.integers(2, max_states + 1))
+        channel = sweeps.random_channel(rng, n, cycle_bias=(i % 5 == 4))
+        verdict = second_law_audit(Distribution(rng.dirichlet(np.ones(n))), channel, steps)
+        failures += not verdict.monotone
+        non_db += not verdict.detailed_balance
+        worst = max(worst, verdict.max_violation)
+    return failures, non_db, worst
+
+
+# the goldens in tests/data pin the default parameters only; these reach one
+# instance, one step, chains of two states only, and chunks of 32 chains
+@pytest.mark.parametrize("instances, max_states, steps, seed",
+                         [(1, 2, 1, 0), (7, 3, 7, 5), (257, 2, 200, 3), (130, 64, 20, 11)])
+def test_the_stacked_monotonicity_sweep_matches_an_audit_per_chain(instances, max_states,
+                                                                    steps, seed):
+    result = sweeps.monotonicity_sweep(instances, max_states, steps, seed)
+    failures, non_db, worst = _monotonicity_reference(instances, max_states, steps, seed)
+    assert result.instances == instances
+    assert (result.failures, result.non_detailed_balance) == (failures, non_db)
+    assert result.worst_violation.hex() == worst.hex()
 
 
 def test_each_sweep_draws_its_chunks_in_order():
