@@ -272,6 +272,8 @@ def _stationary_distributions(stack: np.ndarray) -> np.ndarray:
     Distribution holds them to; any other chain goes through
     stationary_distribution, with its warning."""
     positive = (stack > 0.0).all(axis=(1, 2))
+    if positive.all():
+        return _probability_rows(_gth_solve(stack), "distribution")
     pis = np.empty(stack.shape[:2])
     if positive.any():
         pis[positive] = _probability_rows(_gth_solve(stack[positive]), "distribution")
@@ -297,33 +299,42 @@ def check_detailed_balance(channel: Channel, pi: Distribution) -> bool:
     hundreds of kT apart) read as not in balance.
     """
     _check_length(pi, channel)
-    return bool(_detailed_balance_rows(channel.matrix[None], pi.probs[None])[0])
+    return bool(_detailed_balance_rows(channel.matrix, pi.probs))
 
 
 def _detailed_balance_rows(matrices: np.ndarray, pis: np.ndarray) -> np.ndarray:
-    """check_detailed_balance of each K of a (B, n, n) stack of channel
-    matrices against the same row of (B, n) stationary rows, as a bool per
-    chain. Every test is entrywise, so a chain's verdict does not depend on
-    the stack. The fluxes are not compared when no chain passes the sign
-    test, so a single chain that fails it stops there."""
-    flows = (pis > 0.0)[:, :, None] & (matrices > 0.0)
-    balanced = (flows == flows.transpose(0, 2, 1)).all(axis=(1, 2))
+    """check_detailed_balance of each K of a (..., n, n) stack of channel
+    matrices against the same row of (..., n) stationary rows, as a bool per
+    chain (a numpy bool for one chain's 2-D K). Every test is entrywise, so
+    a chain's verdict does not depend on the stack. The fluxes are not
+    compared when no chain passes the sign test, so a single chain that
+    fails it stops there; they are formed in place, so the check holds
+    about three arrays the size of the matrices beside them."""
+    flows = (pis > 0.0)[..., :, None] & (matrices > 0.0)
+    balanced = (flows == np.swapaxes(flows, -1, -2)).all(axis=(-2, -1))
     if not balanced.any():
         return balanced
     m_pi, e_pi = np.frexp(pis)
-    m_k, e_k = np.frexp(matrices)
-    exponent = e_pi[:, :, None] + e_k
-    flux = np.ldexp(m_pi[:, :, None] * m_k,
-                    exponent - np.maximum(exponent, exponent.transpose(0, 2, 1)))
-    back = flux.transpose(0, 2, 1)
-    slack = _BALANCE_SLACK * matrices.shape[1] ** 2
-    return balanced & (np.abs(flux - back) <= slack * np.maximum(flux, back)).all(axis=(1, 2))
+    flux, exponent = np.frexp(matrices)
+    flux *= m_pi[..., :, None]
+    exponent += e_pi[..., :, None]
+    exponent -= np.maximum(exponent, np.swapaxes(exponent, -1, -2))
+    np.ldexp(flux, exponent, flux)
+    del exponent
+    back = np.swapaxes(flux, -1, -2)
+    gap = np.subtract(flux, back)
+    np.abs(gap, gap)
+    bound = np.maximum(flux, back)
+    bound *= _BALANCE_SLACK * matrices.shape[-1] ** 2
+    return balanced & (gap <= bound).all(axis=(-2, -1))
 
 
-def _horizon(matrix: np.ndarray):
+def _horizon(matrices: np.ndarray):
     """A function of the computed sum S of a non-negative row p: how many of
     the rows pK, pK^2, ... after it, each stepped from the one before, are
-    sure to sum to within _RENORM_SKIP of 1 as computed (below 0: none).
+    sure to sum to within _RENORM_SKIP of 1 as computed (below 0: none). For
+    a (B, n, n) stack of matrices it takes B sums, one per K, and gives an
+    int64 array.
 
     With u the unit roundoff, n the states and gamma_k = ku/(1 - ku)
     (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1
@@ -335,11 +346,14 @@ def _horizon(matrix: np.ndarray):
     to within _RENORM_SKIP of 1. The slack over 2 gamma_(n-1) + mD covers
     second-order terms, underflow (n^2 2^-1075 in all) and rounding m.
     """
-    n = len(matrix)
+    n = matrices.shape[-1]
     unit = np.finfo(float).eps / 2
-    drift = float(np.abs(np.add.reduce(matrix, 1) - 1.0).max()) + (2 * n + 2) * unit
+    drift = np.abs(np.add.reduce(matrices, -1) - 1.0).max(-1) + (2 * n + 2) * unit
     budget = _RENORM_SKIP - 4 * n * unit
-    return lambda total: int((budget - abs(total - 1.0)) // drift)
+    if matrices.ndim == 2:  # one chain's, on Python floats, which cost less per step
+        drift = float(drift)
+        return lambda total: int((budget - abs(total - 1.0)) // drift)
+    return lambda totals: ((budget - np.abs(totals - 1.0)) // drift).astype(np.int64)
 
 
 def evolve(
@@ -413,6 +427,120 @@ def _evolve_rows(p0: np.ndarray, matrix: np.ndarray, steps: int, reference: np.n
         prev, last = row, now
     _kl_rows(probs[:end], _log_reference(reference), d_nats[:end])
     return probs, d_nats, end
+
+
+def _largest_rises(p0s: np.ndarray, matrices: np.ndarray, references: np.ndarray,
+                   steps: int, window: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rises, settled) of each chain of a (B, n, n) stack of checked channel
+    matrices over `steps` steps, started from its row of p0s and measured
+    against its row of references: the largest rise of D(p_t‖reference),
+    bit for bit _max_positive_jump of the D values _evolve_rows gives the
+    chain, and the step where _evolve_rows finds its fixed point (steps + 1
+    where it finds none).
+
+    The chains step together, one matmul of the stack's rows by its
+    matrices per step, which gives each row the bits of its one-chain
+    product; a stack of one takes 1-D views and ndarray.dot, as _evolve_rows
+    does. Each chain keeps _evolve_rows's renormalisation schedule, and its
+    fixed point is the first row equal, bit for bit, to the row before. The
+    rows are held a window of steps at a time, at most `window` numbers of
+    them, so what a stack holds depends on neither `steps` nor how long its
+    chains run. The first row of a window is the last of the one before, so
+    each rise between windows is seen. After each window the chains that
+    settled are dropped, and matrices, which the caller gives up, is
+    overwritten with the rest.
+
+    Three chains or fewer whose rows fit a window run through _evolve_rows
+    one at a time instead: a matmul call costs about what two one-chain
+    products do, and each chain then stops at its own fixed point.
+    """
+    rises, settled = np.zeros(len(p0s)), np.full(len(p0s), steps + 1)
+    if len(p0s) < 4 and (steps + 1) * p0s.shape[1] <= window:
+        for j, (p0, matrix, reference) in enumerate(zip(p0s, matrices, references)):
+            _, d_nats, end = _evolve_rows(p0, matrix, steps, reference)
+            rises[j], settled[j] = _max_positive_jump(d_nats[:end]), end
+        return rises, settled
+    # each chain's next row whose sum is taken
+    checks = 1 + _horizon(matrices)(np.add.reduce(p0s, 1))
+    live, rows, log_refs, start = np.arange(len(p0s)), p0s, _log_reference(references), 0
+    while True:
+        width = max(1, min(steps - start, window // (rows.size + 2 * len(rows)) - 1))
+        rows, done = _window_rises(rows, matrices, log_refs, start, width, checks, rises, settled,
+                                   live)
+        start += width
+        if start >= steps or done.all():
+            return rises, settled
+        if done.any():
+            keep = np.flatnonzero(~done)
+            matrices = np.take(matrices, keep, 0, matrices[:len(keep)])
+            live, rows, log_refs, checks = live[keep], rows[keep], log_refs[keep], checks[keep]
+
+
+def _window_rises(first: np.ndarray, matrices: np.ndarray, log_refs: np.ndarray, start: int,
+                  width: int, checks: np.ndarray, rises: np.ndarray, settled: np.ndarray,
+                  live: np.ndarray):
+    """Step each chain of a stack `width` times from its row of `first`,
+    its row at step `start`, raise rises[live[j]] to chain j's largest rise
+    of D over those rows and set settled[live[j]] where it reaches its
+    fixed point; checks is updated in place. Returns each chain's last row,
+    a copy, and whether it settled.
+
+    The loop stops early only when the whole stack's row repeats the row
+    before, which happens once every chain is at its fixed point; each
+    chain's own fixed point is found afterwards, from the rows."""
+    batch, n = first.shape
+    if batch == 1:  # 1-D views: ndarray.dot needs them, and they index faster
+        rows, stack, product = np.empty((width + 1, n)), matrices[0], np.ndarray.dot
+    else:
+        rows, stack, product = np.empty((width + 1, batch, 1, n)), matrices, np.matmul
+    grid = rows.reshape(width + 1, batch, n)
+    grid[0] = first
+    due = int(checks.min()) - start  # the next row of the window whose sums are taken
+    prev = rows[0]
+    last = prev.tobytes()
+    end = width
+    for w, row in enumerate(rows[1:], 1):
+        product(prev, stack, row)
+        if w >= due:
+            due = _renormalise_due(grid[w], start + w, checks, matrices) - start
+        now = row.tobytes()
+        if now == last:
+            end = w
+            break
+        prev, last = row, now
+    bits = grid[:end + 1].view(np.int64)
+    repeats = (bits[1:] == bits[:-1]).all(2)
+    done = repeats.any(0)
+    lengths = np.where(done, repeats.argmax(0) + 1, end + 1)  # rows before each fixed point
+    settled[live[done]] = start + lengths[done]
+    # every chain's D up to the last row any chain needs, with one reference
+    # row for each row, and its rises up to its own fixed point: a row past it
+    # need not repeat it, where the fixed point came from dividing a row by
+    # its sum; equal values, inf to inf among them, are no change
+    m = int(lengths.max())
+    d_nats = np.empty((m, batch))
+    _kl_rows(grid[:m].reshape(-1, n), np.broadcast_to(log_refs, (m, batch, n)).reshape(-1, n),
+             d_nats.reshape(-1))
+    later, earlier = d_nats[1:], d_nats[:-1]
+    counted = (later != earlier) & (np.arange(1, m)[:, None] < lengths)
+    jumps = np.subtract(later, earlier, out=np.zeros((m - 1, batch)), where=counted)
+    rises[live] = np.maximum(rises[live], jumps.max(0, initial=0.0))
+    return grid[end].copy(), done
+
+
+def _renormalise_due(rows: np.ndarray, t: int, checks: np.ndarray, matrices: np.ndarray) -> int:
+    """At step t of a stack's (B, n) rows, do what _evolve_rows does for each
+    chain whose check is due: take its row's sum, divide the row by it if it
+    strays from 1 by more than _RENORM_SKIP and take it again, and set the
+    chain's next check from it. Returns the earliest check."""
+    due = checks <= t
+    totals = np.add.reduce(rows, 1)
+    astray = due & (np.abs(totals - 1.0) > _RENORM_SKIP)
+    if astray.any():
+        np.divide(rows, totals[:, None], rows, where=astray[:, None])
+        totals = np.add.reduce(rows, 1)
+    checks[due] = t + 1 + _horizon(matrices)(totals)[due]
+    return int(checks.min())
 
 
 def _max_positive_jump(d: np.ndarray) -> float:

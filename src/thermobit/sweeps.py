@@ -4,18 +4,17 @@ Each sweep derives one RNG per instance from (seed, instance index), so
 results are reproducible and independent of execution order. These back
 the `sweep` CLI command and the acceptance suite.
 
-Each sweep draws its instances a chunk at a time, in index order, and
-checks the chunk's instances of each size n together, as stacked arrays:
-the identity and data-processing sweeps run the row kernels that
+The identity and data-processing sweeps draw their instances a chunk at a
+time, in index order, and check the chunk's instances of each size n
+together, as stacked arrays: they run the row kernels that
 check_szilard_landauer and data_processing_check run on one row. The
-monotonicity sweep validates a size's chains and starting rows, solves
-their stationary rows in one stacked elimination and decides their
-detailed balance with the row kernel of check_detailed_balance; then each
-chain runs its own steps through evolve's array kernel. The step loop is
-not stacked: each chain stops at its own fixed point, so a stack would
-have to drop chains as they settle. Every instance gets the bits its own
-check gives, and no Channel, Distribution or verdict object is built for
-it.
+monotonicity sweep draws every instance's size first and then the chains
+of each size, in index order, a stack at a time. It validates a stack's
+chains and starting rows, solves their stationary rows in one stacked
+elimination, decides their detailed balance with the row kernel of
+check_detailed_balance and steps them together, one matmul per step, each
+chain to its own fixed point. Every instance gets the bits its own check
+gives, and no Channel, Distribution or verdict object is built for it.
 """
 
 from __future__ import annotations
@@ -29,13 +28,14 @@ import numpy as np
 from .errors import DomainError, _count
 from .info import Distribution, _probability_rows
 from .markov import _ENTROPY_SLACK, Channel, _data_processing_rows, _detailed_balance_rows
-from .markov import _evolve_rows, _max_positive_jump, _stationary_distributions
+from .markov import _largest_rises, _stationary_distributions
 from .thermo import DEFAULT_BOLTZMANN, IDENTITY_TOLERANCE, EnergyLandscape
 from .thermo import _check_landscape_rows, _identity_rows
 
 DEFAULT_SEED = 0xC0FFEE
-# A sweep draws and checks its instances in chunks, so that what it holds at
-# once stays bounded however many instances it runs: at most _CHUNK
+# The identity and DPI sweeps draw and check their instances in chunks, so
+# that what they hold at once stays bounded however many instances they run,
+# and so does a monotonicity sweep of one chunk: at most _CHUNK
 # instances, and no more than hold _CHUNK_ENTRIES numbers at the largest size
 # it can draw, which is 128 chains of 32 states and their starting
 # distributions. The first bound keeps a chunk of the identity and DPI
@@ -43,6 +43,10 @@ DEFAULT_SEED = 0xC0FFEE
 # second keeps large instances from piling up.
 _CHUNK = 512
 _CHUNK_ENTRIES = 128 * 32 * 33
+# A stack of the monotonicity sweep holds at most _CHUNK_ENTRIES // 32 entries
+# of its chains' matrices, and its rows are stepped a window of at most as many
+# numbers at a time, so the sweep holds a few such budgets whatever its
+# instances and steps. Larger stacks step faster; ROADMAP.md says why they wait.
 
 
 def _chunks(instances: int, largest: int):
@@ -253,33 +257,59 @@ def dpi_sweep(
     return DpiSweepResult(instances=instances, failures=failures, worst_excess=worst)
 
 
-def _draw_chain(rng: np.random.Generator, max_states: int,
-                cycle_bias: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(p0, K) of a random monotonicity instance: the size, K and p0, drawn
-    in that order."""
+def _draw_chain(seed: int, index: int, max_states: int) -> tuple[np.ndarray, np.ndarray]:
+    """(K, p0) of monotonicity instance `index`: its RNG draws the size, K
+    and p0 in that order, and every fifth instance is a noisy rotation."""
+    rng = _instance_rng(seed, index)
     n = int(rng.integers(2, max_states + 1))
-    matrix = _draw_channel(rng, n, cycle_bias)
-    return rng.dirichlet(np.ones(n)), matrix
+    return _draw_channel(rng, n, index % 5 == 4), rng.dirichlet(np.ones(n))
 
 
-def _monotonicity_checks(drawn: list[tuple[np.ndarray, np.ndarray]], steps: int):
-    """(max_violation, detailed_balance) of second_law_audit on each drawn
-    (p0, K) for `steps` steps, bit for bit: the chains of one size are
+def _chain_stacks(instances: int, max_states: int, seed: int):
+    """Yield (matrices, p0s) once per stack of monotonicity instances: the
+    instances of one size, in index order, at most _CHUNK of them and no
+    more than hold _CHUNK_ENTRIES // 32 matrix entries (one if a single
+    instance holds more).
+
+    A sweep of one chunk draws each instance once and holds them all, as
+    the other sweeps hold a chunk. A larger one draws every instance's size
+    first, keeping only the size, and draws each stack's instances again
+    when it comes to them, so that what it holds grows by one byte per
+    instance and no more."""
+    def parts(n: int, count: int):
+        size = max(1, min(_CHUNK, _CHUNK_ENTRIES // (32 * n * n)))
+        return (slice(start, start + size) for start in range(0, count, size))
+
+    if len(next(_chunks(instances, max_states * (max_states + 1)))) == instances:
+        for _, (matrices, p0s) in _by_size([_draw_chain(seed, i, max_states)
+                                            for i in range(instances)]):
+            for part in parts(p0s.shape[1], len(p0s)):
+                yield matrices[part], p0s[part]
+        return
+    sizes = np.fromiter((_instance_rng(seed, i).integers(2, max_states + 1)
+                         for i in range(instances)), np.min_scalar_type(max_states), instances)
+    for n in np.unique(sizes).tolist():
+        indices = np.flatnonzero(sizes == n)
+        for part in parts(n, len(indices)):
+            stack = indices[part]
+            matrices, p0s = np.empty((len(stack), n, n)), np.empty((len(stack), n))
+            for j, i in enumerate(stack):
+                matrices[j], p0s[j] = _draw_chain(seed, int(i), max_states)
+            yield matrices, p0s
+
+
+def _monotonicity_checks(matrices: np.ndarray, p0s: np.ndarray, steps: int):
+    """(largest rise, detailed_balance) of second_law_audit on each chain of
+    a stack of one size for `steps` steps, bit for bit: the chains are
     validated as Distribution and Channel validate them, solved for their
-    stationary rows and checked for detailed balance together, then each
-    runs its steps on its own."""
-    violation = np.empty(len(drawn))
-    balanced = np.empty(len(drawn), dtype=bool)
-    for indices, (p0s, matrices) in _by_size(drawn):
-        n = p0s.shape[1]
-        matrices = _probability_rows(matrices.reshape(-1, n), "channel").reshape(-1, n, n)
-        p0s = _probability_rows(p0s, "distribution")
-        pis = _stationary_distributions(matrices)
-        balanced[indices] = _detailed_balance_rows(matrices, pis)
-        for i, p0, matrix, pi in zip(indices, p0s, matrices, pis):
-            _, d_nats, settled = _evolve_rows(p0, matrix, steps, pi)
-            violation[i] = _max_positive_jump(d_nats[:settled])
-    return violation, balanced
+    stationary rows, checked for detailed balance and stepped together."""
+    n = p0s.shape[1]
+    matrices = _probability_rows(matrices.reshape(-1, n), "channel").reshape(-1, n, n)
+    p0s = _probability_rows(p0s, "distribution")
+    pis = _stationary_distributions(matrices)
+    balanced = _detailed_balance_rows(matrices, pis)
+    rises, _ = _largest_rises(p0s, matrices, pis, steps, _CHUNK_ENTRIES // 32)
+    return rises, balanced
 
 
 def monotonicity_sweep(
@@ -290,18 +320,24 @@ def monotonicity_sweep(
 ) -> MonotonicitySweepResult:
     """Audit random chains, one fifth of them noisy rotations (strongly
     non-reversible), for Second-Law monotonicity, the chains of each size
-    in a chunk validated, solved and checked for detailed balance at once."""
+    validated, solved, checked for detailed balance and stepped a stack at
+    a time."""
     instances, max_states, seed = _sweep_counts(instances, max_states, seed)
     steps = _count("steps", steps, 1)
+    # the sweep holds a window of rows at a time, but it refuses a count that
+    # second_law_audit could run nowhere, as evolve does: one whose rows at the
+    # largest size are more bytes than numpy can count
+    if (steps + 1) * max_states * 8 > np.iinfo(np.intp).max:
+        raise MemoryError(f"Unable to allocate {steps + 1} rows of {max_states} probabilities")
     failures = non_db = 0
     worst = 0.0
-    for chunk in _chunks(instances, max_states * (max_states + 1)):
-        violation, balanced = _monotonicity_checks(
-            [_draw_chain(_instance_rng(seed, i), max_states, i % 5 == 4) for i in chunk], steps)
-        # in instance order, so that ties keep the first instance's bits
-        worst = max(worst, *violation.tolist())
-        failures += int(np.count_nonzero(~(violation <= _ENTROPY_SLACK)))
-        non_db += int(np.count_nonzero(~balanced))
+    for matrices, p0s in _chain_stacks(instances, max_states, seed):
+        rises, balanced = _monotonicity_checks(matrices, p0s, steps)
+        rises = rises.tolist()
+        # no rise is NaN or -0.0, so the order of the max leaves its bits
+        worst = max(worst, *rises)
+        failures += sum(not rise <= _ENTROPY_SLACK for rise in rises)
+        non_db += balanced.tolist().count(False)
     return MonotonicitySweepResult(
         instances=instances,
         failures=failures,

@@ -536,15 +536,15 @@ def test_sweep_injected_violation_exits_two(capsys, monkeypatch):
     from thermobit import sweeps
     from thermobit.info import Distribution
 
-    evolve_rows = sweeps._evolve_rows
+    largest_rises = sweeps._largest_rises
 
-    def from_a_skewed_reference(p0, matrix, steps, reference):
-        # a reference that is not stationary, and the chain starts on it
-        skew = np.linspace(1.0, 2.0, len(matrix))
-        skewed = Distribution(skew / skew.sum()).probs
-        return evolve_rows(skewed, matrix, steps, skewed)
+    def from_a_skewed_reference(p0s, matrices, references, steps, window):
+        # a reference that is not stationary, and each chain starts on it
+        skew = np.linspace(1.0, 2.0, matrices.shape[-1])
+        skewed = np.tile(Distribution(skew / skew.sum()).probs, (len(matrices), 1))
+        return largest_rises(skewed, matrices, skewed, steps, window)
 
-    monkeypatch.setattr(sweeps, "_evolve_rows", from_a_skewed_reference)
+    monkeypatch.setattr(sweeps, "_largest_rises", from_a_skewed_reference)
     code, out, _ = run_cli(
         ["sweep", "--instances", "5", "--max-states", "4", "--format", "json"], capsys
     )

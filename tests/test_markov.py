@@ -1137,7 +1137,9 @@ def test_audit_and_sweep_share_one_monotonicity_slack(monkeypatch):
     assert 1e-12 < verdict.max_violation <= 1e-10
     assert not verdict.monotone
     # the sweep judges each chain's largest jump as the audit does
-    monkeypatch.setattr(sweeps, "_max_positive_jump", lambda d_nats: verdict.max_violation)
+    monkeypatch.setattr(sweeps, "_largest_rises",
+                        lambda p0s, matrices, references, steps, window:
+                        (np.full(len(p0s), verdict.max_violation), np.full(len(p0s), steps + 1)))
     assert sweeps.monotonicity_sweep(3, steps=1).failures == 3
 
 

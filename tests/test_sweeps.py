@@ -2,7 +2,9 @@
 the numpy facts they rely on for that; no sweep passes without checking an
 instance."""
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,10 +20,12 @@ from thermobit import (
     check_szilard_landauer,
     data_processing_check,
     second_law_audit,
+    stationary_distribution,
 )
-from thermobit import engine, sweeps, thermo
+from thermobit import engine, markov, sweeps, thermo
 
 from test_info import _entropy_1d, _kl_nats
+from test_markov import _EDGE_OFFSET, _rotation_biased, _summing_to
 
 
 def _rows_with_subnormals(rng, shape):
@@ -179,9 +183,12 @@ def _monotonicity_reference(instances, max_states, steps, seed):
 
 
 # the goldens in tests/data pin the default parameters only; these reach one
-# instance, one step, chains of two states only, and chunks of 32 chains
+# instance, one step, chains of two states only, stacks of 512 chains and of
+# one, stacks drawn again from their sizes, long runs, and sizes past numpy's
+# 128-entry pairwise block
 @pytest.mark.parametrize("instances, max_states, steps, seed",
-                         [(1, 2, 1, 0), (7, 3, 7, 5), (257, 2, 200, 3), (130, 64, 20, 11)])
+                         [(1, 2, 1, 0), (7, 3, 7, 5), (257, 2, 200, 3), (130, 64, 20, 11),
+                          (40, 32, 100, 9), (200, 8, 5000, 4), (60, 130, 10, 6)])
 def test_the_stacked_monotonicity_sweep_matches_an_audit_per_chain(instances, max_states,
                                                                     steps, seed):
     result = sweeps.monotonicity_sweep(instances, max_states, steps, seed)
@@ -189,6 +196,76 @@ def test_the_stacked_monotonicity_sweep_matches_an_audit_per_chain(instances, ma
     assert result.instances == instances
     assert (result.failures, result.non_detailed_balance) == (failures, non_db)
     assert result.worst_violation.hex() == worst.hex()
+
+
+def _kernel_chain(rng, n, kind, reference, offsets):
+    """(p0, K, reference) of one chain, held to the rules Distribution and
+    Channel hold them to. K is a dense chain, which settles; a noisy or pure
+    rotation, which may not; or a rotation whose rows sum to anywhere
+    within 1e-12 of 1, so that its rows' sums stray and are renormalised
+    mid-run. The reference is its stationary pi, a random row, or a random
+    row with a zero, which p0, then sparse, may keep hitting."""
+    if kind == "dense":
+        matrix = rng.dirichlet(np.ones(n), size=n)
+    elif kind == "rotation":
+        matrix = _rotation_biased(rng, n, rng.choice([0.0, rng.uniform(0.0, 0.2)]))
+    else:
+        matrix = _summing_to(_rotation_biased(rng, n, rng.uniform(0.0, 0.2)), offsets[:n])
+    channel = Channel(matrix)
+    p0 = _summing_to(rng.dirichlet(np.ones(n))[None], offsets[n:n + 1])[0]
+    if reference == "stationary":
+        return Distribution(p0).probs, channel.matrix, stationary_distribution(channel).probs
+    row = rng.dirichlet(np.ones(n))
+    if reference == "zero":
+        row[rng.integers(n)] = 0.0
+        p0[rng.random(n) < 0.5] = 0.0
+        p0[rng.integers(n)] += 1.0
+    return Distribution(p0 / p0.sum()).probs, channel.matrix, Distribution(row / row.sum()).probs
+
+
+@settings(max_examples=60, deadline=None)
+@given(chains=st.lists(st.tuples(st.sampled_from([2, 3, 33, 130]),
+                                 st.sampled_from(["dense", "rotation", "edge"]),
+                                 st.sampled_from(["stationary", "random", "zero"])),
+                       min_size=1, max_size=12),
+       seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 300),
+       window=st.sampled_from([1, 40, 400, 4000, 10**6]),
+       offsets=st.lists(_EDGE_OFFSET, min_size=131, max_size=131))
+def test_stacked_steps_give_each_chain_its_own_fixed_point_and_largest_rise(chains, seed, steps,
+                                                                            window, offsets):
+    # the chains of one size step in one stack; small windows put their
+    # boundaries anywhere in a run, down to one step each
+    rng = np.random.default_rng(seed)
+    by_size = {}
+    for n, kind, reference in chains:
+        by_size.setdefault(n, []).append(_kernel_chain(rng, n, kind, reference, offsets))
+    for stack in by_size.values():
+        p0s, matrices, references = (np.array(column) for column in zip(*stack))
+        rises, settled = markov._largest_rises(p0s, matrices, references, steps, window)
+        for i, (p0, matrix, reference) in enumerate(stack):
+            _, d_nats, end = markov._evolve_rows(p0, matrix, steps, reference)
+            assert settled[i] == end
+            assert rises[i].hex() == markov._max_positive_jump(d_nats[:end]).hex()
+
+
+def _traced_peak(instances, steps):
+    gc.collect()  # empties the interpreter's free lists, which tracemalloc counts
+    tracemalloc.start()
+    try:
+        sweeps.monotonicity_sweep(instances, 32, steps)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_monotonicity_sweep_holds_as_much_whatever_its_instances_and_steps():
+    # a stack holds its chains and a window of their rows, and the sweep one
+    # byte per instance, its size, so the peak grows by a few bytes per
+    # instance at most, and not with the steps
+    sweeps.monotonicity_sweep(1000, 32, 100)
+    base = _traced_peak(1000, 100)
+    assert _traced_peak(4000, 100) <= base + 16 * 3000
+    assert abs(_traced_peak(1000, 5000) - base) <= 0.05 * base
 
 
 def test_each_sweep_draws_its_chunks_in_order():
