@@ -514,16 +514,17 @@ def _window_rises(first: np.ndarray, matrices: np.ndarray, log_refs: np.ndarray,
     lengths = np.where(done, repeats.argmax(0) + 1, end + 1)  # rows before each fixed point
     settled[live[done]] = start + lengths[done]
     # every chain's D up to the last row any chain needs, with one reference
-    # row for each row, and its rises up to its own fixed point: a row past it
-    # need not repeat it, where the fixed point came from dividing a row by
-    # its sum; equal values, inf to inf among them, are no change
+    # row for each row. A chain's rows past its fixed point repeat it, so they
+    # add no rise: its sum is within _RENORM_SKIP of 1 and stays so, or, if
+    # the fixed point came from dividing a row by its sum, _horizon is 0 there
+    # and each later row is divided back to the same bits. Equal values, inf
+    # to inf among them, are no change.
     m = int(lengths.max())
     d_nats = np.empty((m, batch))
     _kl_rows(grid[:m].reshape(-1, n), np.broadcast_to(log_refs, (m, batch, n)).reshape(-1, n),
              d_nats.reshape(-1))
     later, earlier = d_nats[1:], d_nats[:-1]
-    counted = (later != earlier) & (np.arange(1, m)[:, None] < lengths)
-    jumps = np.subtract(later, earlier, out=np.zeros((m - 1, batch)), where=counted)
+    jumps = np.subtract(later, earlier, out=np.zeros((m - 1, batch)), where=later != earlier)
     rises[live] = np.maximum(rises[live], jumps.max(0, initial=0.0))
     return grid[end].copy(), done
 
