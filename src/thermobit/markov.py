@@ -311,22 +311,22 @@ def _detailed_balance_rows(matrices: np.ndarray, pis: np.ndarray) -> np.ndarray:
     fails it stops there; they are formed in place, so the check holds
     about three arrays the size of the matrices beside them."""
     flows = (pis > 0.0)[..., :, None] & (matrices > 0.0)
-    balanced = (flows == np.swapaxes(flows, -1, -2)).all(axis=(-2, -1))
+    balanced = np.logical_and.reduce(flows == flows.swapaxes(-1, -2), (-2, -1))
     if not balanced.any():
         return balanced
     m_pi, e_pi = np.frexp(pis)
     flux, exponent = np.frexp(matrices)
     flux *= m_pi[..., :, None]
     exponent += e_pi[..., :, None]
-    exponent -= np.maximum(exponent, np.swapaxes(exponent, -1, -2))
+    exponent -= np.maximum(exponent, exponent.swapaxes(-1, -2))
     np.ldexp(flux, exponent, flux)
     del exponent
-    back = np.swapaxes(flux, -1, -2)
+    back = flux.swapaxes(-1, -2)
     gap = np.subtract(flux, back)
     np.abs(gap, gap)
     bound = np.maximum(flux, back)
     bound *= _BALANCE_SLACK * matrices.shape[-1] ** 2
-    return balanced & (gap <= bound).all(axis=(-2, -1))
+    return balanced & np.logical_and.reduce(gap <= bound, (-2, -1))
 
 
 def _horizon(matrices: np.ndarray):
