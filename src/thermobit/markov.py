@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import TextIO
 
 import numpy as np
@@ -332,9 +332,9 @@ def _detailed_balance_rows(matrices: np.ndarray, pis: np.ndarray) -> np.ndarray:
 def _horizon(matrices: np.ndarray):
     """A function of the computed sum S of a non-negative row p: how many of
     the rows pK, pK^2, ... after it, each stepped from the one before, are
-    sure to sum to within _RENORM_SKIP of 1 as computed (below 0: none). For
-    a (B, n, n) stack of matrices it takes B sums, one per K, and gives an
-    int64 array.
+    sure to sum to within _RENORM_SKIP of 1 as computed (below 0: none): a
+    partial of _rows_ahead on the budget and the drift D, which for a stack
+    of matrices is an array of its leading shape, taking sums of that shape.
 
     With u the unit roundoff, n the states and gamma_k = ku/(1 - ku)
     (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1
@@ -349,11 +349,13 @@ def _horizon(matrices: np.ndarray):
     n = matrices.shape[-1]
     unit = np.finfo(float).eps / 2
     drift = np.abs(np.add.reduce(matrices, -1) - 1.0).max(-1) + (2 * n + 2) * unit
-    budget = _RENORM_SKIP - 4 * n * unit
-    if matrices.ndim == 2:  # one chain's, on Python floats, which cost less per step
-        drift = float(drift)
-        return lambda total: int((budget - abs(total - 1.0)) // drift)
-    return lambda totals: ((budget - np.abs(totals - 1.0)) // drift).astype(np.int64)
+    return partial(_rows_ahead, _RENORM_SKIP - 4 * n * unit, drift if drift.ndim else float(drift))
+
+
+def _rows_ahead(budget: float, drift, totals):
+    ahead = (budget - abs(totals - 1.0)) // drift
+    # one chain's on Python numbers, which cost less per check
+    return int(ahead) if isinstance(drift, float) else ahead.astype(np.int64)
 
 
 def evolve(
@@ -367,8 +369,9 @@ def evolve(
     With reference=None the stationary distribution is used. The
     inputs are checked once; the steps run on plain arrays, renormalised by
     Distribution's rule, so row t is bit for bit what apply_channel builds.
-    A step is one product and one byte compare; a row's sum is taken only
-    where _horizon says it may stray, and then sets the next row to test.
+    A step of _step_rows, the loop the monotonicity sweep steps its stacks
+    with too, is one product and one byte compare; a row's sum is taken
+    only where _horizon says it may stray, and then sets the next check.
 
     The loop stops at the chain's floating-point fixed point: once a step
     returns its input bit for bit, the remaining rows are that row and the
@@ -407,26 +410,43 @@ def _evolve_rows(p0: np.ndarray, matrix: np.ndarray, steps: int, reference: np.n
                           f"probabilities") from None
     d_nats = np.empty(steps + 1)
     probs[0] = p0
-    prev = probs[0]
-    last = prev.tobytes()
     horizon = _horizon(matrix)
-    check = 1 + horizon(np.add.reduce(prev))  # the next row whose sum is taken
-    end = steps + 1  # rows from end on repeat row end - 1
-    for t, row in enumerate(probs[1:], 1):
-        prev.dot(matrix, row)
-        if t >= check:
-            total = np.add.reduce(row)
-            if abs(total - 1.0) > _RENORM_SKIP:
-                row /= total
-                total = np.add.reduce(row)
-            check = t + 1 + horizon(total)
-        now = row.tobytes()
-        if now == last:
-            end = t
-            break
-        prev, last = row, now
+    end, _ = _step_rows(probs, matrix, 0, 1 + horizon(np.add.reduce(probs[0])), horizon)
     _kl_rows(probs[:end], _log_reference(reference), d_nats[:end])
     return probs, d_nats, end
+
+
+def _step_rows(rows: np.ndarray, matrices: np.ndarray, start: int, checks, horizon):
+    """Fill each row from the one before, row 0 being step `start`, with one
+    product: one chain's (T, n) rows by its (n, n) matrix, its check an int,
+    or a (B, n, n) stack's (T, B, 1, n) rows by one matmul, which gives each
+    row the bits of its own product, its checks a (B, 1) array. At the
+    earliest check every row is summed, divided by its sum if that is off 1
+    by more than _RENORM_SKIP and summed again, and horizon sets each next
+    check; by _horizon's bound a chain not yet due is not divided, so each
+    gets the bits it gets on its own. Returns (the first row where every
+    chain repeats the row before, or len(rows), checks)."""
+    if matrices.ndim == 3:
+        product, any_of, earliest = np.matmul, np.ndarray.any, np.ndarray.min
+    else:  # 1-D rows, which ndarray.dot needs, and scalar sums and checks
+        product, any_of, earliest = np.ndarray.dot, bool, int
+    due = int(earliest(checks)) - start  # the next row whose sums are taken
+    prev, last = rows[0], rows[0].tobytes()
+    for w, row in enumerate(rows[1:], 1):
+        product(prev, matrices, row)
+        if w >= due:
+            totals = np.add.reduce(row, -1)
+            astray = abs(totals - 1.0) > _RENORM_SKIP
+            if any_of(astray):
+                np.divide(row, totals[..., None], row, where=astray[..., None])
+                totals = np.add.reduce(row, -1)
+            checks = start + w + 1 + horizon(totals)
+            due = int(earliest(checks)) - start
+        now = row.tobytes()
+        if now == last:
+            return w, checks
+        prev, last = row, now
+    return len(rows), checks
 
 
 def _largest_rises(p0s: np.ndarray, matrices: np.ndarray, references: np.ndarray,
@@ -434,120 +454,74 @@ def _largest_rises(p0s: np.ndarray, matrices: np.ndarray, references: np.ndarray
     """(rises, settled) of each chain of a (B, n, n) stack of checked channel
     matrices over `steps` steps, started from its row of p0s and measured
     against its row of references: the largest rise of D(p_t‖reference),
-    bit for bit _max_positive_jump of the D values _evolve_rows gives the
-    chain, and the step where _evolve_rows finds its fixed point (steps + 1
-    where it finds none).
+    bit for bit _max_positive_jump of the D values evolve gives the chain,
+    and the step where evolve finds its fixed point (steps + 1 where it
+    finds none).
 
-    The chains step together, one matmul of the stack's rows by its
-    matrices per step, which gives each row the bits of its one-chain
-    product; a stack of one takes 1-D views and ndarray.dot, as _evolve_rows
-    does. Each chain keeps _evolve_rows's renormalisation schedule, and its
-    fixed point is the first row equal, bit for bit, to the row before. The
-    rows are held a window of steps at a time, at most `window` numbers of
-    them, so what a stack holds depends on neither `steps` nor how long its
-    chains run. The first row of a window is the last of the one before, so
-    each rise between windows is seen. After each window the chains that
-    settled are dropped, and matrices, which the caller gives up, is
-    overwritten with the rest.
+    The chains step through _step_rows, evolve's loop, one call per window
+    of at most `window` numbers of rows, so what a stack holds depends on
+    neither `steps` nor how long its chains run: one matmul per step, or
+    1-D views and ndarray.dot once one chain is left. A window starts from
+    the last row of the one before, so each rise between windows is seen.
+    After it each chain's fixed point, the first row equal to the row
+    before, is found from the rows, and the chains that settled are
+    dropped, matrices, which the caller gives up, overwritten with the
+    rest; the others keep their checks and drifts of the stack's _horizon.
 
     Three chains or fewer whose rows fit a window run through _evolve_rows
     one at a time instead: a matmul call costs about what two one-chain
     products do, and each chain then stops at its own fixed point.
     """
-    rises, settled = np.zeros(len(p0s)), np.full(len(p0s), steps + 1)
-    if len(p0s) < 4 and (steps + 1) * p0s.shape[1] <= window:
+    batch, n = p0s.shape
+    rises, settled = np.zeros(batch), np.full(batch, steps + 1)
+    if batch < 4 and (steps + 1) * n <= window:
         for j, (p0, matrix, reference) in enumerate(zip(p0s, matrices, references)):
             _, d_nats, end = _evolve_rows(p0, matrix, steps, reference)
             rises[j], settled[j] = _max_positive_jump(d_nats[:end]), end
         return rises, settled
-    # each chain's next row whose sum is taken
-    checks = 1 + _horizon(matrices)(np.add.reduce(p0s, 1))
-    live, rows, log_refs, start = np.arange(len(p0s)), p0s, _log_reference(references), 0
+    budget, drifts = _horizon(matrices).args  # built once, each drift kept with its chain
+    checks = 1 + _rows_ahead(budget, drifts, np.add.reduce(p0s, 1))  # each chain's next check
+    live, last, log_refs, start = np.arange(batch), p0s, _log_reference(references), 0
     while True:
-        width = max(1, min(steps - start, window // (rows.size + 2 * len(rows)) - 1))
-        rows, done = _window_rises(rows, matrices, log_refs, start, width, checks, rises, settled,
-                                   live)
+        batch = len(live)
+        width = max(1, min(steps - start, window // (batch * (n + 2)) - 1))
+        grid = np.empty((width + 1, batch, n))
+        grid[0] = last
+        if batch > 1:  # (B, 1, n) rows, whose sums, drifts and checks are (B, 1) columns
+            end, checks[:, None] = _step_rows(grid[:, :, None], matrices, start, checks[:, None],
+                                              partial(_rows_ahead, budget, drifts[:, None]))
+        else:  # 1-D rows and Python numbers, as evolve steps its chain
+            end, checks[0] = _step_rows(grid[:, 0], matrices[0], start, int(checks[0]),
+                                        partial(_rows_ahead, budget, drifts[0]))
+        bits = grid[:end + 1].view(np.int64)  # the rows written
+        repeats = (bits[1:] == bits[:-1]).all(2)
+        done = repeats.any(0)
+        lengths = np.where(done, repeats.argmax(0) + 1, len(bits))  # rows before each fixed point
+        settled[live[done]] = start + lengths[done]
+        # every chain's D up to the last row any chain needs; the rows past a
+        # chain's fixed point repeat it, so they add no rise (if a division
+        # made that row, _horizon is 0 there and divides each later one back)
+        m = int(lengths.max())
+        d_nats = np.empty((m, batch))
+        _kl_rows(grid[:m].reshape(-1, n), np.broadcast_to(log_refs, (m, batch, n)).reshape(-1, n),
+                 d_nats.reshape(-1))
+        rises[live] = np.maximum(rises[live], _max_positive_jump(d_nats))
         start += width
         if start >= steps or done.all():
             return rises, settled
+        last = grid[-1].copy()  # the loop ran the whole window, or all chains settled
         if done.any():
             keep = np.flatnonzero(~done)
             matrices = np.take(matrices, keep, 0, matrices[:len(keep)])
-            live, rows, log_refs, checks = live[keep], rows[keep], log_refs[keep], checks[keep]
+            live, last, log_refs = live[keep], last[keep], log_refs[keep]
+            checks, drifts = checks[keep], drifts[keep]
 
 
-def _window_rises(first: np.ndarray, matrices: np.ndarray, log_refs: np.ndarray, start: int,
-                  width: int, checks: np.ndarray, rises: np.ndarray, settled: np.ndarray,
-                  live: np.ndarray):
-    """Step each chain of a stack `width` times from its row of `first`,
-    its row at step `start`, raise rises[live[j]] to chain j's largest rise
-    of D over those rows and set settled[live[j]] where it reaches its
-    fixed point; checks is updated in place. Returns each chain's last row,
-    a copy, and whether it settled.
-
-    The loop stops early only when the whole stack's row repeats the row
-    before, which happens once every chain is at its fixed point; each
-    chain's own fixed point is found afterwards, from the rows."""
-    batch, n = first.shape
-    if batch == 1:  # 1-D views: ndarray.dot needs them, and they index faster
-        rows, stack, product = np.empty((width + 1, n)), matrices[0], np.ndarray.dot
-    else:
-        rows, stack, product = np.empty((width + 1, batch, 1, n)), matrices, np.matmul
-    grid = rows.reshape(width + 1, batch, n)
-    grid[0] = first
-    due = int(checks.min()) - start  # the next row of the window whose sums are taken
-    prev = rows[0]
-    last = prev.tobytes()
-    end = width
-    for w, row in enumerate(rows[1:], 1):
-        product(prev, stack, row)
-        if w >= due:
-            due = _renormalise_due(grid[w], start + w, checks, matrices) - start
-        now = row.tobytes()
-        if now == last:
-            end = w
-            break
-        prev, last = row, now
-    bits = grid[:end + 1].view(np.int64)
-    repeats = (bits[1:] == bits[:-1]).all(2)
-    done = repeats.any(0)
-    lengths = np.where(done, repeats.argmax(0) + 1, end + 1)  # rows before each fixed point
-    settled[live[done]] = start + lengths[done]
-    # every chain's D up to the last row any chain needs, with one reference
-    # row for each row. A chain's rows past its fixed point repeat it, so they
-    # add no rise: its sum is within _RENORM_SKIP of 1 and stays so, or, if
-    # the fixed point came from dividing a row by its sum, _horizon is 0 there
-    # and each later row is divided back to the same bits. Equal values, inf
-    # to inf among them, are no change.
-    m = int(lengths.max())
-    d_nats = np.empty((m, batch))
-    _kl_rows(grid[:m].reshape(-1, n), np.broadcast_to(log_refs, (m, batch, n)).reshape(-1, n),
-             d_nats.reshape(-1))
-    later, earlier = d_nats[1:], d_nats[:-1]
-    jumps = np.subtract(later, earlier, out=np.zeros((m - 1, batch)), where=later != earlier)
-    rises[live] = np.maximum(rises[live], jumps.max(0, initial=0.0))
-    return grid[end].copy(), done
-
-
-def _renormalise_due(rows: np.ndarray, t: int, checks: np.ndarray, matrices: np.ndarray) -> int:
-    """At step t of a stack's (B, n) rows, do what _evolve_rows does for each
-    chain whose check is due: take its row's sum, divide the row by it if it
-    strays from 1 by more than _RENORM_SKIP and take it again, and set the
-    chain's next check from it. Returns the earliest check."""
-    due = checks <= t
-    totals = np.add.reduce(rows, 1)
-    astray = due & (np.abs(totals - 1.0) > _RENORM_SKIP)
-    if astray.any():
-        np.divide(rows, totals[:, None], rows, where=astray[:, None])
-        totals = np.add.reduce(rows, 1)
-    checks[due] = t + 1 + _horizon(matrices)(totals)[due]
-    return int(checks.min())
-
-
-def _max_positive_jump(d: np.ndarray) -> float:
-    # equal values, inf to inf among them, are no change
-    jumps = np.subtract(d[1:], d[:-1], out=np.zeros(len(d) - 1), where=d[1:] != d[:-1])
-    return float(np.max(jumps, initial=0.0))
+def _max_positive_jump(d: np.ndarray):
+    # over axis 0; equal values, inf to inf among them, are no change
+    later, earlier = d[1:], d[:-1]
+    jumps = np.subtract(later, earlier, out=np.zeros(later.shape), where=later != earlier)
+    return jumps.max(0, initial=0.0)
 
 
 def second_law_audit(
@@ -567,7 +541,7 @@ def second_law_audit(
     detailed_balance = check_detailed_balance(channel, pi)
     trajectory = evolve(p0, channel, steps, pi if reference is None else reference)
     # every jump in the repeated tail is 0, so the computed rows decide
-    max_violation = _max_positive_jump(trajectory._d_nats[:trajectory.settled])
+    max_violation = float(_max_positive_jump(trajectory._d_nats[:trajectory.settled]))
     return AuditVerdict(
         stationary=pi,
         detailed_balance=detailed_balance,

@@ -12,9 +12,9 @@ monotonicity sweep draws every instance's size first and then the chains
 of each size, in index order, a stack at a time. It validates a stack's
 chains and starting rows, solves their stationary rows in one stacked
 elimination, decides their detailed balance with the row kernel of
-check_detailed_balance and steps them together, one matmul per step, each
-chain to its own fixed point. Every instance gets the bits its own check
-gives, and no Channel, Distribution or verdict object is built for it.
+check_detailed_balance and steps them together through markov._step_rows,
+the audits' loop, each to its own fixed point. Every instance gets the bits
+its own check gives, and no Channel, Distribution or verdict is built for it.
 """
 
 from __future__ import annotations
@@ -43,10 +43,11 @@ DEFAULT_SEED = 0xC0FFEE
 # second keeps large instances from piling up.
 _CHUNK = 512
 _CHUNK_ENTRIES = 128 * 32 * 33
-# A stack of the monotonicity sweep holds at most _CHUNK_ENTRIES // 32 entries
-# of its chains' matrices, and its rows are stepped a window of at most as many
-# numbers at a time, so the sweep holds a few such budgets whatever its
-# instances and steps. Larger stacks step faster; ROADMAP.md says why they wait.
+# A stack of the monotonicity sweep holds at most _STACK_ENTRIES entries of its
+# chains' matrices and steps its rows a window of at most as many numbers at a
+# time, so the sweep holds a few such budgets whatever its instances and steps.
+# Larger stacks step faster; ROADMAP.md says why they wait.
+_STACK_ENTRIES = _CHUNK_ENTRIES // 32
 
 
 def _chunks(instances: int, largest: int):
@@ -268,8 +269,8 @@ def _draw_chain(seed: int, index: int, max_states: int) -> tuple[np.ndarray, np.
 def _chain_stacks(instances: int, max_states: int, seed: int):
     """Yield (matrices, p0s) once per stack of monotonicity instances: the
     instances of one size, in index order, at most _CHUNK of them and no
-    more than hold _CHUNK_ENTRIES // 32 matrix entries (one if a single
-    instance holds more).
+    more than hold _STACK_ENTRIES matrix entries (one if a single instance
+    holds more).
 
     A sweep of one chunk draws each instance once and holds them all, as
     the other sweeps hold a chunk. A larger one draws every instance's size
@@ -277,7 +278,7 @@ def _chain_stacks(instances: int, max_states: int, seed: int):
     when it comes to them, so that what it holds grows by one byte per
     instance and no more."""
     def parts(n: int, count: int):
-        size = max(1, min(_CHUNK, _CHUNK_ENTRIES // (32 * n * n)))
+        size = max(1, min(_CHUNK, _STACK_ENTRIES // (n * n)))
         return (slice(start, start + size) for start in range(0, count, size))
 
     if len(next(_chunks(instances, max_states * (max_states + 1)))) == instances:
@@ -308,7 +309,7 @@ def _monotonicity_checks(matrices: np.ndarray, p0s: np.ndarray, steps: int):
     p0s = _probability_rows(p0s, "distribution")
     pis = _stationary_distributions(matrices)
     balanced = _detailed_balance_rows(matrices, pis)
-    rises, _ = _largest_rises(p0s, matrices, pis, steps, _CHUNK_ENTRIES // 32)
+    rises, _ = _largest_rises(p0s, matrices, pis, steps, _STACK_ENTRIES)
     return rises, balanced
 
 

@@ -32,6 +32,7 @@ from thermobit import (
 from thermobit import dsl, info, markov
 
 import exact
+from stepwise import first_repeat, step_by_step
 
 DATA = Path(__file__).parent / "data" / "demo.tbit"
 LOG2 = math.log(2.0)
@@ -538,15 +539,6 @@ def test_evolve_takes_an_integral_step_count_and_rejects_any_other():
             evolve(p0, channel, steps)
 
 
-def _step_by_step(p0, channel, steps, reference):
-    """evolve as a chain of validated Distributions, one relative_entropy each."""
-    dists = [p0]
-    for _ in range(steps):
-        dists.append(apply_channel(dists[-1], channel))
-    d_nats = [relative_entropy(p, reference).nats for p in dists]
-    return np.array([p.probs for p in dists]), np.array(d_nats)
-
-
 def _reducible_chain_with_transients(rng):
     # states 0-1 are transient; {2, 3} and {4} are closed classes
     matrix = np.zeros((5, 5))
@@ -609,14 +601,6 @@ def _evolve_case(case, rng):
     return Distribution([1.0, 0.0]), _TWO_STATE, 5_000, Distribution([0.5, 0.5])
 
 
-def _first_repeat(probs):
-    """The first step t with p_t == p_(t-1) bit for bit, or None."""
-    for t in range(1, len(probs)):
-        if probs[t].tobytes() == probs[t - 1].tobytes():
-            return t
-    return None
-
-
 def _renormalised_steps(probs, channel):
     """The steps t at which p_(t-1) K sums to more than 1e-12 away from 1,
     so that p_t is that product renormalised."""
@@ -639,12 +623,12 @@ def test_evolve_matches_step_by_step_reference_bitwise(case):
         assert np.array_equal(reference.probs, stationary_distribution(channel).probs)
     else:
         assert reference is given
-    probs, d_nats = _step_by_step(p0, channel, steps, reference)
+    probs, d_nats = step_by_step(p0, channel, steps, reference)
     assert np.array_equal(trajectory.probs, probs)
     assert np.array_equal(trajectory.d_nats, d_nats)
     assert len(trajectory) == steps + 1
     # each case covers what its name says about the fixed point
-    settled = _first_repeat(probs)
+    settled = first_repeat(probs)
     if case in ("rotation", "zero-reference", "no-steps", "one-step"):
         assert settled is None
     elif case.startswith("drift"):
@@ -733,7 +717,7 @@ def test_evolve_matches_step_by_step_at_the_renormalisation_edge(n, steps, seed,
     p0 = Distribution(_summing_to(rng.dirichlet(np.ones(n))[None], offsets[n:n + 1])[0])
     reference = _random_dist(rng, n)
     trajectory = evolve(p0, channel, steps, reference)
-    probs, d_nats = _step_by_step(p0, channel, steps, reference)
+    probs, d_nats = step_by_step(p0, channel, steps, reference)
     assert trajectory.probs.tobytes() == probs.tobytes()
     assert trajectory.d_nats.tobytes() == d_nats.tobytes()
 
@@ -829,7 +813,7 @@ def test_audit_of_positive_rows_computes_d_in_one_pass(monkeypatch):
     noisy = Channel(0.9 * np.roll(np.eye(3), 1, axis=1) + 0.1 / 3)
     verdict = second_law_audit(Distribution([0.5, 0.3, 0.2]), noisy, 10_000)
     probs = verdict.trajectory.probs
-    assert _first_repeat(probs) is None
+    assert first_repeat(probs) is None
     assert calls == [10_001]
     assert through_info == []
     # rows with a zero go in the same pass, grouped by the states they occupy
@@ -867,7 +851,7 @@ def test_audit_of_reducible_chains_computes_d_in_one_pass(case, monkeypatch):
     assert len(calls) == 1
     assert through_info == []
     trajectory = verdict.trajectory
-    probs, d_nats = _step_by_step(p0, channel, 600, verdict.stationary)
+    probs, d_nats = step_by_step(p0, channel, 600, verdict.stationary)
     assert np.array_equal(trajectory.probs, probs)
     assert trajectory.d_nats.tobytes() == d_nats.tobytes()
     assert np.isfinite(d_nats[-1])
@@ -909,7 +893,7 @@ def test_evolve_matches_step_by_step_on_rows_that_drift(n, steps, seed, drifts):
     p0[p0.argmax()] += drifts[n]
     p0, channel, reference = Distribution(p0), Channel(rows), _random_dist(rng, n)
     trajectory = evolve(p0, channel, steps, reference)
-    probs, d_nats = _step_by_step(p0, channel, steps, reference)
+    probs, d_nats = step_by_step(p0, channel, steps, reference)
     assert trajectory.probs.tobytes() == probs.tobytes()
     assert trajectory.d_nats.tobytes() == d_nats.tobytes()
 
@@ -1015,7 +999,7 @@ def test_a_trajectory_reads_the_same_in_any_order(case, steps, seed, reads):
     verdict = second_law_audit(p0, channel, steps, reference)
     trajectory = verdict.trajectory
     expected = dict(zip(("probs", "d_nats"),
-                        _step_by_step(p0, channel, steps, trajectory.reference)))
+                        step_by_step(p0, channel, steps, trajectory.reference)))
     for name in reads:
         array = getattr(trajectory, name)
         assert array.shape == expected[name].shape
@@ -1026,7 +1010,7 @@ def test_a_trajectory_reads_the_same_in_any_order(case, steps, seed, reads):
     assert trajectory.probs is trajectory.probs
     assert trajectory.d_nats is trajectory.d_nats
     assert len(trajectory) == steps + 1
-    assert trajectory.settled == (_first_repeat(expected["probs"]) or steps + 1)
+    assert trajectory.settled == (first_repeat(expected["probs"]) or steps + 1)
     assert verdict.max_violation == markov._max_positive_jump(trajectory.d_nats)
 
 
