@@ -8,13 +8,14 @@ The identity and data-processing sweeps draw their instances a chunk at a
 time, in index order, and check the chunk's instances of each size n
 together, as stacked arrays: they run the row kernels that
 check_szilard_landauer and data_processing_check run on one row. The
-monotonicity sweep draws every instance's size first and then the chains
-of each size, in index order, a stack at a time. It validates a stack's
-chains and starting rows, solves their stationary rows in one stacked
-elimination, decides their detailed balance with the row kernel of
-check_detailed_balance and steps them together through markov._step_rows,
-the audits' loop, each to its own fixed point. Every instance gets the bits
-its own check gives, and no Channel, Distribution or verdict is built for it.
+monotonicity sweep draws each instance once, in index order, into a stack
+of its size, and checks each stack when it is full and those left part
+full at the end. It validates a stack's chains and starting rows, solves
+their stationary rows in one stacked elimination, decides their detailed
+balance with the row kernel of check_detailed_balance and steps them
+together through markov._step_rows, the audits' loop, each to its own
+fixed point. Every instance gets the bits its own check gives, and no
+Channel, Distribution or verdict is built for it.
 """
 
 from __future__ import annotations
@@ -26,26 +27,27 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DomainError, _count
-from .info import Distribution, _probability_rows
-from .markov import _ENTROPY_SLACK, Channel, _data_processing_rows, _detailed_balance_rows
+from .info import _probability_rows
+from .markov import _ENTROPY_SLACK, _data_processing_rows, _detailed_balance_rows
 from .markov import _largest_rises, _stationary_distributions
-from .thermo import DEFAULT_BOLTZMANN, IDENTITY_TOLERANCE, EnergyLandscape
+from .thermo import DEFAULT_BOLTZMANN, IDENTITY_TOLERANCE
 from .thermo import _check_landscape_rows, _identity_rows
 
 DEFAULT_SEED = 0xC0FFEE
 # The identity and DPI sweeps draw and check their instances in chunks, so
-# that what they hold at once stays bounded however many instances they run,
-# and so does a monotonicity sweep of one chunk: at most _CHUNK
-# instances, and no more than hold _CHUNK_ENTRIES numbers at the largest size
-# it can draw, which is 128 chains of 32 states and their starting
-# distributions. The first bound keeps a chunk of the identity and DPI
-# sweeps' small instances to about the memory of a chunk of chains; the
-# second keeps large instances from piling up.
+# that what they hold at once stays bounded however many instances they run:
+# at most _CHUNK instances, and no more than hold _CHUNK_ENTRIES numbers at
+# the largest size they can draw, which is the numbers of 128 chains of 32
+# states and their starting distributions. The first bound keeps a chunk of
+# small instances to about the memory of a chunk of chains; the second keeps
+# large instances from piling up. A stack of the monotonicity sweep holds at
+# most _CHUNK chains too.
 _CHUNK = 512
 _CHUNK_ENTRIES = 128 * 32 * 33
 # A stack of the monotonicity sweep holds at most _STACK_ENTRIES entries of its
 # chains' matrices and steps its rows a window of at most as many numbers at a
-# time, so the sweep holds a few such budgets whatever its instances and steps.
+# time. The sweep keeps one stack for each size of which a stack holds two
+# chains or more, so what it holds is bounded whatever its instances and steps.
 # Larger stacks step faster; ROADMAP.md says why they wait.
 _STACK_ENTRIES = _CHUNK_ENTRIES // 32
 
@@ -149,25 +151,15 @@ def _draw_landscape(rng: np.random.Generator,
     return energies, temperature, rng.dirichlet(np.ones(n))
 
 
-def random_landscape_instance(
-    rng: np.random.Generator, max_states: int
-) -> tuple[EnergyLandscape, Distribution]:
-    energies, temperature, probs = _draw_landscape(rng, max_states)
-    return EnergyLandscape(energies, temperature=temperature), Distribution(probs)
-
-
 def _draw_channel(rng: np.random.Generator, n: int, cycle_bias: bool = False) -> np.ndarray:
+    """A strictly positive random channel matrix; with cycle_bias, a noisy
+    rotation that strongly violates detailed balance while keeping entries
+    positive."""
     dense = rng.dirichlet(np.ones(n), size=n)
     if cycle_bias:
         rotation = np.roll(np.eye(n), 1, axis=1)
         return 0.9 * rotation + 0.1 * dense
     return dense
-
-
-def random_channel(rng: np.random.Generator, n: int, *, cycle_bias: bool = False) -> Channel:
-    """A strictly positive random channel; with cycle_bias, a noisy rotation
-    that strongly violates detailed balance while keeping entries positive."""
-    return Channel(_draw_channel(rng, n, cycle_bias))
 
 
 def _identity_checks(drawn: list[tuple[np.ndarray, float, np.ndarray]]):
@@ -272,31 +264,32 @@ def _chain_stacks(instances: int, max_states: int, seed: int):
     more than hold _STACK_ENTRIES matrix entries (one if a single instance
     holds more).
 
-    A sweep of one chunk draws each instance once and holds them all, as
-    the other sweeps hold a chunk. A larger one draws every instance's size
-    first, keeping only the size, and draws each stack's instances again
-    when it comes to them, so that what it holds grows by one byte per
-    instance and no more."""
-    def parts(n: int, count: int):
-        size = max(1, min(_CHUNK, _STACK_ENTRIES // (n * n)))
-        return (slice(start, start + size) for start in range(0, count, size))
-
-    if len(next(_chunks(instances, max_states * (max_states + 1)))) == instances:
-        for _, (matrices, p0s) in _by_size([_draw_chain(seed, i, max_states)
-                                            for i in range(instances)]):
-            for part in parts(p0s.shape[1], len(p0s)):
-                yield matrices[part], p0s[part]
-        return
-    sizes = np.fromiter((_instance_rng(seed, i).integers(2, max_states + 1)
-                         for i in range(instances)), np.min_scalar_type(max_states), instances)
-    for n in np.unique(sizes).tolist():
-        indices = np.flatnonzero(sizes == n)
-        for part in parts(n, len(indices)):
-            stack = indices[part]
-            matrices, p0s = np.empty((len(stack), n, n)), np.empty((len(stack), n))
-            for j, i in enumerate(stack):
-                matrices[j], p0s[j] = _draw_chain(seed, int(i), max_states)
+    Each instance is drawn once, in index order. One that fills a stack on
+    its own is yielded at once; the others are copied into one buffer per
+    size, which is yielded when full and then filled again, and the buffers
+    that are part full are yielded at the end. So what the sweep holds does
+    not grow with its instances, but a stack is only good until the next is
+    asked for: the caller must be done with it by then."""
+    buffers: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    filled: dict[int, int] = {}  # how many rows of its size's buffers hold chains
+    for i in range(instances):
+        matrix, p0 = _draw_chain(seed, i, max_states)
+        n = len(p0)
+        if n not in buffers:
+            capacity = min(_CHUNK, _STACK_ENTRIES // (n * n))
+            if capacity <= 1:
+                yield matrix[None], p0[None]
+                continue
+            buffers[n], filled[n] = (np.empty((capacity, n, n)), np.empty((capacity, n))), 0
+        matrices, p0s = buffers[n]
+        matrices[filled[n]], p0s[filled[n]] = matrix, p0
+        filled[n] += 1
+        if filled[n] == len(p0s):
+            filled[n] = 0
             yield matrices, p0s
+    for n, (matrices, p0s) in buffers.items():
+        if filled[n]:
+            yield matrices[:filled[n]], p0s[:filled[n]]
 
 
 def _monotonicity_checks(matrices: np.ndarray, p0s: np.ndarray, steps: int):
@@ -334,11 +327,11 @@ def monotonicity_sweep(
     worst = 0.0
     for matrices, p0s in _chain_stacks(instances, max_states, seed):
         rises, balanced = _monotonicity_checks(matrices, p0s, steps)
-        rises = rises.tolist()
         # no rise is NaN or -0.0, so the order of the max leaves its bits
-        worst = max(worst, *rises)
-        failures += sum(not rise <= _ENTROPY_SLACK for rise in rises)
-        non_db += balanced.tolist().count(False)
+        worst = max(worst, rises.max())
+        # a chain fails unless its rise is within the slack, as in the audit
+        failures += len(rises) - int(np.count_nonzero(rises <= _ENTROPY_SLACK))
+        non_db += len(balanced) - int(np.count_nonzero(balanced))
     return MonotonicitySweepResult(
         instances=instances,
         failures=failures,

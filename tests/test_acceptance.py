@@ -19,6 +19,7 @@ from thermobit import (
     BitPairState,
     BitState,
     Distribution,
+    EnergyLandscape,
     EngineConfig,
     MeasurementKind,
     copy_landauer,
@@ -38,7 +39,7 @@ from thermobit.sweeps import (
     dpi_sweep,
     identity_sweep,
     monotonicity_sweep,
-    random_landscape_instance,
+    _draw_landscape,
     _instance_rng,
 )
 from thermobit.thermo import check_szilard_landauer
@@ -63,7 +64,8 @@ def _subsample():
     with F(p) and log Z from the exact oracle."""
     cases = []
     for i in range(0, 10_000, 40):
-        landscape, p = random_landscape_instance(_instance_rng(DEFAULT_SEED, i), 64)
+        energies, temperature, probs = _draw_landscape(_instance_rng(DEFAULT_SEED, i), 64)
+        landscape, p = EnergyLandscape(energies, temperature=temperature), Distribution(probs)
         args = landscape.energies.tolist(), landscape.temperature, landscape.boltzmann
         cases.append((landscape, p, exact.free_energy(*args, p.probs.tolist()),
                       exact.log_partition(*args)))
@@ -124,7 +126,8 @@ def test_criterion_3_gibbs_optimality():
     worst_equality = 0.0
     for i in range(200):
         rng = _instance_rng(DEFAULT_SEED + 1, i)
-        landscape, _ = random_landscape_instance(rng, 64)
+        energies, temperature, _ = _draw_landscape(rng, 64)
+        landscape = EnergyLandscape(energies, temperature=temperature)
         from thermobit.thermo import gibbs_distribution
 
         report = check_szilard_landauer(landscape, gibbs_distribution(landscape))

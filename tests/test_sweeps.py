@@ -175,7 +175,7 @@ def _monotonicity_reference(instances, max_states, steps, seed):
     for i in range(instances):
         rng = np.random.default_rng([seed, i])
         n = int(rng.integers(2, max_states + 1))
-        channel = sweeps.random_channel(rng, n, cycle_bias=(i % 5 == 4))
+        channel = Channel(sweeps._draw_channel(rng, n, i % 5 == 4))
         verdict = second_law_audit(Distribution(rng.dirichlet(np.ones(n))), channel, steps)
         failures += not verdict.monotone
         non_db += not verdict.detailed_balance
@@ -184,8 +184,8 @@ def _monotonicity_reference(instances, max_states, steps, seed):
 
 
 # the goldens in tests/data pin the default parameters only; these reach one
-# instance, one step, chains of two states only, stacks of 512 chains and of
-# one, stacks drawn again from their sizes, long runs, and sizes past numpy's
+# instance, one step, chains of two states only, stacks of 257 chains and of
+# one, stacks yielded full and part full, long runs, and sizes past numpy's
 # 128-entry pairwise block
 @pytest.mark.parametrize("instances, max_states, steps, seed",
                          [(1, 2, 1, 0), (7, 3, 7, 5), (257, 2, 200, 3), (130, 64, 20, 11),
@@ -261,8 +261,8 @@ def _traced_peak(instances, steps):
 
 
 def test_the_monotonicity_sweep_holds_as_much_whatever_its_instances_and_steps():
-    # a stack holds its chains and a window of their rows, and the sweep one
-    # byte per instance, its size, so the peak grows by a few bytes per
+    # a stack holds its chains and a window of their rows, and the sweep
+    # reuses one stack per size, so the peak grows by a few bytes per
     # instance at most, and not with the steps
     sweeps.monotonicity_sweep(1000, 32, 100)
     base = _traced_peak(1000, 100)
@@ -278,6 +278,37 @@ def test_each_sweep_draws_its_chunks_in_order():
         for chunk in chunks:
             assert len(chunk) == 1 or len(chunk) * largest <= sweeps._CHUNK_ENTRIES
             assert len(chunk) <= sweeps._CHUNK
+
+
+@pytest.mark.parametrize("instances, max_states", [(1000, 32), (257, 2), (60, 130), (1, 2)])
+def test_the_monotonicity_sweep_draws_each_instance_once_into_stacks_of_one_size(
+        instances, max_states, monkeypatch):
+    # each size's instances, in index order, cut into stacks as full as the
+    # budget allows, the last one part full; the stacks of one size come in
+    # that order, and each row has its instance's own bits
+    seed = 7
+    expected: dict[int, list] = {}
+    for i in range(instances):
+        matrix, p0 = sweeps._draw_chain(seed, i, max_states)
+        expected.setdefault(len(p0), []).append((matrix, p0))
+    built = []
+    instance_rng = sweeps._instance_rng
+    monkeypatch.setattr(sweeps, "_instance_rng",
+                        lambda seed, index: built.append(index) or instance_rng(seed, index))
+    stacks: dict[int, list] = {}
+    for matrices, p0s in sweeps._chain_stacks(instances, max_states, seed):
+        # copies, as a stack's arrays are filled again once the next is asked for
+        stacks.setdefault(p0s.shape[1], []).append((matrices.copy(), p0s.copy()))
+    assert sorted(built) == list(range(instances))
+    assert stacks.keys() == expected.keys()
+    for n, chains in expected.items():
+        size = max(1, min(sweeps._CHUNK, sweeps._STACK_ENTRIES // (n * n)))
+        parts = [chains[start:start + size] for start in range(0, len(chains), size)]
+        assert len(stacks[n]) == len(parts)
+        for (matrices, p0s), part in zip(stacks[n], parts):
+            assert matrices.shape == (len(part), n, n) and p0s.shape == (len(part), n)
+            assert matrices.tobytes() == b"".join(matrix.tobytes() for matrix, _ in part)
+            assert p0s.tobytes() == b"".join(p0.tobytes() for _, p0 in part)
 
 
 @pytest.mark.parametrize("run, message", [
