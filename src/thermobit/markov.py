@@ -245,6 +245,8 @@ def stationary_distribution(channel: Channel) -> Distribution:
     audit proceeds with this one.
     """
     matrix = channel.matrix
+    if matrix.all():  # no zero entry, so one closed class over every state
+        return Distribution(_gth_solve(matrix[None])[0])
     n = len(matrix)
     classes = _closed_classes(matrix)
     if len(classes[0]) == n:  # one class covers every state

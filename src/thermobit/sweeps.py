@@ -7,15 +7,17 @@ the `sweep` CLI command and the acceptance suite.
 The identity and data-processing sweeps draw their instances a chunk at a
 time, in index order, and check the chunk's instances of each size n
 together, as stacked arrays: they run the row kernels that
-check_szilard_landauer and data_processing_check run on one row. The
-monotonicity sweep draws each instance once, in index order, into a stack
-of its size, and checks each stack when it is full and those left part
-full at the end. It validates a stack's chains and starting rows, solves
-their stationary rows in one stacked elimination, decides their detailed
-balance with the row kernel of check_detailed_balance and steps them
-together through markov._step_rows, the audits' loop, each to its own
-fixed point. Every instance gets the bits its own check gives, and no
-Channel, Distribution or verdict is built for it.
+check_szilard_landauer and data_processing_check run on one row. A chunk
+holds at most 1024 instances, fewer when they are large, so each of their
+default runs of 1000 instances is one chunk. The monotonicity sweep
+draws each instance once, in index order, into a stack of its size, and
+checks each stack when it is full and those left part full at the end.
+It validates a stack's chains and starting rows, solves their stationary
+rows in one stacked elimination, decides their detailed balance with the
+row kernel of check_detailed_balance and steps them together through
+markov._step_rows, the audits' loop, each to its own fixed point. Every
+instance gets the bits its own check gives, and no Channel, Distribution
+or verdict is built for it.
 """
 
 from __future__ import annotations
@@ -38,11 +40,14 @@ DEFAULT_SEED = 0xC0FFEE
 # that what they hold at once stays bounded however many instances they run:
 # at most _CHUNK instances, and no more than hold _CHUNK_ENTRIES numbers at
 # the largest size they can draw, which is the numbers of 128 chains of 32
-# states and their starting distributions. The first bound keeps a chunk of
-# small instances to about the memory of a chunk of chains; the second keeps
-# large instances from piling up. A stack of the monotonicity sweep holds at
+# states and their starting distributions, 1.08 MB. The second bound keeps
+# large instances from piling up. The first keeps a chunk of the smallest
+# instances within those 1.08 MB too: a drawn and checked instance of two
+# states holds about 600 bytes (identity) or 850 (DPI), mostly in Python
+# objects rather than numbers, so 1024 of them trace at 0.62 and 0.87 MB,
+# and 2048 would pass the budget. A stack of the monotonicity sweep holds at
 # most _CHUNK chains too.
-_CHUNK = 512
+_CHUNK = 1024
 _CHUNK_ENTRIES = 128 * 32 * 33
 # A stack of the monotonicity sweep holds at most _STACK_ENTRIES entries of its
 # chains' matrices and steps its rows a window of at most as many numbers at a
@@ -157,8 +162,13 @@ def _draw_channel(rng: np.random.Generator, n: int, cycle_bias: bool = False) ->
     positive."""
     dense = rng.dirichlet(np.ones(n), size=n)
     if cycle_bias:
-        rotation = np.roll(np.eye(n), 1, axis=1)
-        return 0.9 * rotation + 0.1 * dense
+        # 0.9 times the rotation i -> i + 1 (mod n), added in place: the bits
+        # of 0.9 * rotation + 0.1 * dense, as 0.0 + x is x and a sum of two
+        # floats does not depend on their order
+        noisy = 0.1 * dense
+        noisy.flat[1::n + 1] += 0.9
+        noisy[-1, 0] += 0.9
+        return noisy
     return dense
 
 
@@ -211,10 +221,11 @@ def identity_sweep(
 
 
 def _draw_dpi(rng: np.random.Generator, max_states: int) -> tuple[np.ndarray, ...]:
-    """(p, q, K) of a random data-processing instance, drawn in that order."""
+    """(p, q, K) of a random data-processing instance, drawn in that order.
+    numpy draws the rows of one Dirichlet call one after another from the
+    generator, so p and q, drawn in one call, have the bits of two calls."""
     n = int(rng.integers(2, max_states + 1))
-    p = rng.dirichlet(np.ones(n))
-    q = rng.dirichlet(np.ones(n))
+    p, q = rng.dirichlet(np.ones(n), size=2)
     return p, q, _draw_channel(rng, n)
 
 

@@ -70,6 +70,32 @@ def test_a_stacked_row_times_matrix_gives_each_row_its_product():
             assert row.tobytes() == (p @ matrix).tobytes()
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), max_states=st.integers(2, 64))
+def test_a_dpi_instance_has_the_bits_of_two_dirichlet_draws_and_then_a_channel(seed, max_states):
+    # numpy draws the rows of one Dirichlet call one after another from the
+    # generator, so p and q drawn in one call, and K after them, are what two
+    # calls and then K give; the DPI goldens rest on that
+    rng = np.random.default_rng(seed)
+    p, q, matrix = sweeps._draw_dpi(rng, max_states)
+    reference = np.random.default_rng(seed)
+    n = int(reference.integers(2, max_states + 1))
+    expected = (reference.dirichlet(np.ones(n)), reference.dirichlet(np.ones(n)),
+                sweeps._draw_channel(reference, n))
+    assert [a.tobytes() for a in (p, q, matrix)] == [a.tobytes() for a in expected]
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40))
+def test_a_noisy_rotation_has_the_bits_of_the_rolled_identity_form(seed, n):
+    # 0.9 added in place to the rotation's entries of 0.1 * dense, as against
+    # 0.9 times a rolled identity plus 0.1 * dense
+    noisy = sweeps._draw_channel(np.random.default_rng(seed), n, cycle_bias=True)
+    dense = np.random.default_rng(seed).dirichlet(np.ones(n), size=n)
+    assert noisy.tobytes() == (0.9 * np.roll(np.eye(n), 1, axis=1) + 0.1 * dense).tobytes()
+
+
 # -- oracles: each check as it was computed one instance at a time ----------------------
 
 def _identity_oracle(energies, kT, probs):
@@ -250,11 +276,11 @@ def test_stacked_steps_give_each_chain_its_own_fixed_point_and_largest_rise(chai
             assert rises[i].hex() == rise.hex()
 
 
-def _traced_peak(instances, steps):
+def _traced_peak(sweep, *args):
     gc.collect()  # empties the interpreter's free lists, which tracemalloc counts
     tracemalloc.start()
     try:
-        sweeps.monotonicity_sweep(instances, 32, steps)
+        sweep(*args)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -264,10 +290,36 @@ def test_the_monotonicity_sweep_holds_as_much_whatever_its_instances_and_steps()
     # a stack holds its chains and a window of their rows, and the sweep
     # reuses one stack per size, so the peak grows by a few bytes per
     # instance at most, and not with the steps
-    sweeps.monotonicity_sweep(1000, 32, 100)
-    base = _traced_peak(1000, 100)
-    assert _traced_peak(4000, 100) <= base + 16 * 3000
-    assert abs(_traced_peak(1000, 5000) - base) <= 0.05 * base
+    sweep = sweeps.monotonicity_sweep
+    sweep(1000, 32, 100)
+    base = _traced_peak(sweep, 1000, 32, 100)
+    assert _traced_peak(sweep, 4000, 32, 100) <= base + 16 * 3000
+    assert abs(_traced_peak(sweep, 1000, 32, 5000) - base) <= 0.05 * base
+
+
+@pytest.mark.parametrize("sweep", [sweeps.identity_sweep, sweeps.dpi_sweep])
+def test_a_chunk_of_two_state_instances_holds_as_much_as_a_chunk_of_chains(sweep):
+    # two-state instances are mostly Python objects, not numbers, so it is the
+    # cap on a chunk's instances that keeps them within the budget's bytes
+    sweep(3 * sweeps._CHUNK, 2)
+    assert _traced_peak(sweep, 3 * sweeps._CHUNK, 2) <= sweeps._CHUNK_ENTRIES * 8
+
+
+@pytest.mark.parametrize("sweep, draw, kernel, max_states", [
+    (sweeps.identity_sweep, sweeps._draw_landscape, "_identity_rows", 64),
+    (sweeps.dpi_sweep, sweeps._draw_dpi, "_data_processing_rows", 8),
+])
+def test_a_default_identity_or_dpi_sweep_checks_each_size_once(sweep, draw, kernel, max_states,
+                                                                monkeypatch):
+    # 1000 instances are one chunk, so the row kernel runs once per size drawn
+    sizes = {len(draw(sweeps._instance_rng(sweeps.DEFAULT_SEED, i), max_states)[-1])
+             for i in range(1000)}
+    checked = []
+    rows = getattr(sweeps, kernel)
+    monkeypatch.setattr(sweeps, kernel,
+                        lambda first, *rest: checked.append(first.shape[1]) or rows(first, *rest))
+    sweep(1000, max_states)
+    assert sorted(checked) == sorted(sizes)
 
 
 def test_each_sweep_draws_its_chunks_in_order():
