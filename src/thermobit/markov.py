@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from typing import TextIO
 
 import numpy as np
@@ -332,11 +332,12 @@ def _detailed_balance_rows(matrices: np.ndarray, pis: np.ndarray) -> np.ndarray:
 
 
 def _horizon(matrices: np.ndarray):
-    """A function of the computed sum S of a non-negative row p: how many of
-    the rows pK, pK^2, ... after it, each stepped from the one before, are
-    sure to sum to within _RENORM_SKIP of 1 as computed (below 0: none): a
-    partial of _rows_ahead on the budget and the drift D, which for a stack
-    of matrices is an array of its leading shape, taking sums of that shape.
+    """(budget, drift): what _rows_ahead takes, with the computed sum S of a
+    non-negative row p, to tell how many of the rows pK, pK^2, ... after p,
+    each stepped from the one before, are sure to sum to within _RENORM_SKIP
+    of 1 as computed (below 0: none). The budget is a float; the drift D is
+    a float for one matrix and, for a stack of matrices, an array of its
+    leading shape, one per matrix.
 
     With u the unit roundoff, n the states and gamma_k = ku/(1 - ku)
     (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1
@@ -351,13 +352,13 @@ def _horizon(matrices: np.ndarray):
     n = matrices.shape[-1]
     unit = np.finfo(float).eps / 2
     drift = np.abs(np.add.reduce(matrices, -1) - 1.0).max(-1) + (2 * n + 2) * unit
-    return partial(_rows_ahead, _RENORM_SKIP - 4 * n * unit, drift if drift.ndim else float(drift))
+    return _RENORM_SKIP - 4 * n * unit, drift
 
 
 def _rows_ahead(budget: float, drift, totals):
-    ahead = (budget - abs(totals - 1.0)) // drift
-    # one chain's on Python numbers, which cost less per check
-    return int(ahead) if isinstance(drift, float) else ahead.astype(np.int64)
+    """_horizon's m for each computed sum S in totals, against the drift of
+    the same shape (or one scalar drift), as int64s."""
+    return ((budget - abs(totals - 1.0)) // drift).astype(np.int64)
 
 
 def evolve(
@@ -394,40 +395,34 @@ def evolve(
     if not len(p0) == len(reference) == len(channel):
         raise ShapeError(f"p0 and reference of lengths {len(p0)}, {len(reference)} "
                          f"against a {len(channel)}-state channel")
-    probs, d_nats, settled = _evolve_rows(p0.probs, channel.matrix, steps, reference.probs)
-    probs.setflags(write=False)
-    d_nats.setflags(write=False)
-    return Trajectory(probs, d_nats, reference, settled)
-
-
-def _evolve_rows(p0: np.ndarray, matrix: np.ndarray, steps: int, reference: np.ndarray):
-    """(probs, d_nats, settled) of evolve on checked arrays: the (steps + 1)
-    rows reserved for p_t and for D(p_t‖reference), of which those before
-    settled are written, and settled, where the chain reached its fixed
-    point (steps + 1 if it did not)."""
+    matrix = channel.matrix
     try:
         probs = np.empty((steps + 1, len(matrix)))
     except ValueError:  # more bytes than numpy can count: no memory holds it either
         raise MemoryError(f"Unable to allocate {steps + 1} rows of {len(matrix)} "
                           f"probabilities") from None
     d_nats = np.empty(steps + 1)
-    probs[0] = p0
-    horizon = _horizon(matrix)
-    end, _ = _step_rows(probs, matrix, 0, 1 + horizon(np.add.reduce(probs[0])), horizon)
-    _kl_rows(probs[:end], _log_reference(reference), d_nats[:end])
-    return probs, d_nats, end
+    probs[0] = p0.probs
+    budget, drift = _horizon(matrix)
+    checks = 1 + _rows_ahead(budget, drift, np.add.reduce(probs[0]))
+    settled, _ = _step_rows(probs, matrix, 0, checks, budget, drift)
+    _kl_rows(probs[:settled], _log_reference(reference.probs), d_nats[:settled])
+    probs.setflags(write=False)
+    d_nats.setflags(write=False)
+    return Trajectory(probs, d_nats, reference, settled)
 
 
-def _step_rows(rows: np.ndarray, matrices: np.ndarray, start: int, checks, horizon):
+def _step_rows(rows: np.ndarray, matrices: np.ndarray, start: int, checks, budget: float, drift):
     """Fill each row from the one before, row 0 being step `start`, with one
-    product: one chain's (T, n) rows by its (n, n) matrix, its check an int,
-    or a (B, n, n) stack's (T, B, 1, n) rows by one matmul, which gives each
-    row the bits of its own product, its checks a (B, 1) array. At the
-    earliest check every row is summed, divided by its sum if that is off 1
-    by more than _RENORM_SKIP and summed again, and horizon sets each next
-    check; by _horizon's bound a chain not yet due is not divided, so each
-    gets the bits it gets on its own. Returns (the first row where every
-    chain repeats the row before, or len(rows), checks)."""
+    product: one chain's (T, n) rows by its (n, n) matrix, its check and
+    drift scalars, or a (B, n, n) stack's (T, B, 1, n) rows by one matmul,
+    which gives each row the bits of its own product, its checks and drifts
+    (B, 1) arrays. At the earliest check every row is summed, divided by its
+    sum if that is off 1 by more than _RENORM_SKIP and summed again, and
+    _rows_ahead on the budget and drifts of _horizon sets each next check;
+    by _horizon's bound a chain not yet due is not divided, so each gets the
+    bits it gets on its own. Returns (the first row where every chain
+    repeats the row before, or len(rows), checks)."""
     if matrices.ndim == 3:
         product, any_of, earliest = np.matmul, np.ndarray.any, np.ndarray.min
     else:  # 1-D rows, which ndarray.dot needs, and scalar sums and checks
@@ -442,7 +437,7 @@ def _step_rows(rows: np.ndarray, matrices: np.ndarray, start: int, checks, horiz
             if any_of(astray):
                 np.divide(row, totals[..., None], row, where=astray[..., None])
                 totals = np.add.reduce(row, -1)
-            checks = start + w + 1 + horizon(totals)
+            checks = start + w + 1 + _rows_ahead(budget, drift, totals)
             due = int(earliest(checks)) - start
         now = row.tobytes()
         if now == last:
@@ -460,41 +455,28 @@ def _largest_rises(p0s: np.ndarray, matrices: np.ndarray, references: np.ndarray
     and the step where evolve finds its fixed point (steps + 1 where it
     finds none).
 
-    The chains step through _step_rows, evolve's loop, one call per window
+    The chains step through _step_rows, evolve's loop, as (B, 1, n) rows by
+    one matmul per step, a stack of one chain included, one call per window
     of at most `window` numbers of rows, so what a stack holds depends on
-    neither `steps` nor how long its chains run: one matmul per step, or
-    1-D views and ndarray.dot once one chain is left. A window starts from
-    the last row of the one before, so each rise between windows is seen.
-    After it each chain's fixed point, the first row equal to the row
-    before, is found from the rows, and the chains that settled are
-    dropped, matrices, which the caller gives up, overwritten with the
-    rest; the others keep their checks and drifts of the stack's _horizon.
-
-    Three chains or fewer whose rows fit a window run through _evolve_rows
-    one at a time instead: a matmul call costs about what two one-chain
-    products do, and each chain then stops at its own fixed point.
+    neither `steps` nor how long its chains run. A window starts from the
+    last row of the one before, so each rise between windows is seen. After
+    it each chain's fixed point, the first row equal to the row before, is
+    found from the rows, and the chains that settled are dropped, matrices,
+    which the caller gives up, overwritten with the rest; the others keep
+    their checks and drifts of the stack's _horizon.
     """
     batch, n = p0s.shape
     rises, settled = np.zeros(batch), np.full(batch, steps + 1)
-    if batch < 4 and (steps + 1) * n <= window:
-        for j, (p0, matrix, reference) in enumerate(zip(p0s, matrices, references)):
-            _, d_nats, end = _evolve_rows(p0, matrix, steps, reference)
-            rises[j], settled[j] = _max_positive_jump(d_nats[:end]), end
-        return rises, settled
-    budget, drifts = _horizon(matrices).args  # built once, each drift kept with its chain
-    checks = 1 + _rows_ahead(budget, drifts, np.add.reduce(p0s, 1))  # each chain's next check
+    budget, drifts = _horizon(matrices)
+    drifts = drifts[:, None]  # (B, 1), as the sums of (B, 1, n) rows are; each kept with its chain
+    checks = 1 + _rows_ahead(budget, drifts, np.add.reduce(p0s, 1, keepdims=True))
     live, last, log_refs, start = np.arange(batch), p0s, _log_reference(references), 0
     while True:
         batch = len(live)
         width = max(1, min(steps - start, window // (batch * (n + 2)) - 1))
         grid = np.empty((width + 1, batch, n))
         grid[0] = last
-        if batch > 1:  # (B, 1, n) rows, whose sums, drifts and checks are (B, 1) columns
-            end, checks[:, None] = _step_rows(grid[:, :, None], matrices, start, checks[:, None],
-                                              partial(_rows_ahead, budget, drifts[:, None]))
-        else:  # 1-D rows and Python numbers, as evolve steps its chain
-            end, checks[0] = _step_rows(grid[:, 0], matrices[0], start, int(checks[0]),
-                                        partial(_rows_ahead, budget, drifts[0]))
+        end, checks = _step_rows(grid[:, :, None], matrices, start, checks, budget, drifts)
         bits = grid[:end + 1].view(np.int64)  # the rows written
         repeats = (bits[1:] == bits[:-1]).all(2)
         done = repeats.any(0)

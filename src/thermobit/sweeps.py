@@ -68,12 +68,12 @@ def _chunks(instances: int, largest: int):
 
 def _by_size(drawn: list[tuple]):
     """Yield (indices, arrays) once per size among drawn instances, each a
-    tuple whose first entry is a vector of that size: the indices of the
+    tuple whose last entry has that size as its length: the indices of the
     instances of that size, ascending, and each of their entries stacked
     along a new first axis."""
     by_size: dict[int, list[int]] = {}
     for i, instance in enumerate(drawn):
-        by_size.setdefault(len(instance[0]), []).append(i)
+        by_size.setdefault(len(instance[-1]), []).append(i)
     for indices in by_size.values():
         yield indices, [np.array(column) for column in zip(*(drawn[i] for i in indices))]
 
@@ -220,26 +220,27 @@ def identity_sweep(
     )
 
 
-def _draw_dpi(rng: np.random.Generator, max_states: int) -> tuple[np.ndarray, ...]:
-    """(p, q, K) of a random data-processing instance, drawn in that order.
-    numpy draws the rows of one Dirichlet call one after another from the
-    generator, so p and q, drawn in one call, have the bits of two calls."""
+def _draw_dpi(rng: np.random.Generator, max_states: int) -> tuple[np.ndarray, np.ndarray]:
+    """(pq, K) of a random data-processing instance: p and q as the rows of
+    one (2, n) array, then K, drawn in that order. numpy draws the rows of
+    one Dirichlet call one after another from the generator, so p and q,
+    drawn in one call, have the bits of two calls."""
     n = int(rng.integers(2, max_states + 1))
-    p, q = rng.dirichlet(np.ones(n), size=2)
-    return p, q, _draw_channel(rng, n)
+    return rng.dirichlet(np.ones(n), size=2), _draw_channel(rng, n)
 
 
-def _dpi_checks(drawn: list[tuple[np.ndarray, ...]]):
-    """(before, after, ok) of data_processing_check on each drawn (p, q, K),
+def _dpi_checks(drawn: list[tuple[np.ndarray, np.ndarray]]):
+    """(before, after, ok) of data_processing_check on each drawn (pq, K),
     bit for bit: the instances of one size are validated as Distribution and
-    Channel validate them and checked together."""
+    Channel validate them and checked together, their (B, 2, n) stack of p
+    and q split into a contiguous (B, n) array each."""
     before, after = np.empty((2, len(drawn)))
     ok = np.empty(len(drawn), dtype=bool)
-    for indices, (p, q, matrices) in _by_size(drawn):
-        n = p.shape[1]
+    for indices, (pqs, matrices) in _by_size(drawn):
+        n = pqs.shape[2]
         matrices = _probability_rows(matrices.reshape(-1, n), "channel").reshape(-1, n, n)
-        before[indices], after[indices], ok[indices] = _data_processing_rows(
-            _probability_rows(p, "distribution"), _probability_rows(q, "distribution"), matrices)
+        p, q = (_probability_rows(pqs[:, i].copy(), "distribution") for i in (0, 1))
+        before[indices], after[indices], ok[indices] = _data_processing_rows(p, q, matrices)
     return before, after, ok
 
 

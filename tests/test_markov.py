@@ -739,7 +739,7 @@ def _widest_horizon(p0, matrix, steps):
     horizon, sums = markov._horizon(matrix), _unrenormalised_sums(p0, matrix, steps)
     widest = 0
     for t, total in enumerate(sums):
-        ahead = horizon(total)
+        ahead = markov._rows_ahead(*horizon, total)
         assert np.all(np.abs(sums[t + 1:t + 1 + max(ahead, 0)] - 1.0) <= 1e-12)
         widest = max(widest, ahead)
     return widest
@@ -786,7 +786,7 @@ def test_the_horizon_of_an_exact_row_sum_chain_spans_many_steps(n):
     for _ in range(5):
         p0, matrix = _exact_row_sum_chain(rng, n)
         assert np.array_equal(Channel(matrix).matrix, matrix)
-        horizon = markov._horizon(matrix)(np.add.reduce(p0))
+        horizon = markov._rows_ahead(*markov._horizon(matrix), np.add.reduce(p0))
         assert horizon >= 1e-12 / ((6 * n + 2) * unit) - 1
 
 

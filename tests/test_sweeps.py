@@ -77,7 +77,7 @@ def test_a_dpi_instance_has_the_bits_of_two_dirichlet_draws_and_then_a_channel(s
     # generator, so p and q drawn in one call, and K after them, are what two
     # calls and then K give; the DPI goldens rest on that
     rng = np.random.default_rng(seed)
-    p, q, matrix = sweeps._draw_dpi(rng, max_states)
+    (p, q), matrix = sweeps._draw_dpi(rng, max_states)
     reference = np.random.default_rng(seed)
     n = int(reference.integers(2, max_states + 1))
     expected = (reference.dirichlet(np.ones(n)), reference.dirichlet(np.ones(n)),
@@ -181,9 +181,9 @@ def test_stacked_dpi_checks_give_each_instance_its_own_check(sizes, seed, zero_s
             matrix[:, rng.random(n) < 0.3] = 0.0
             matrix[matrix.sum(axis=1) == 0.0, 0] = 1.0
             matrix /= matrix.sum(axis=1, keepdims=True)
-        drawn.append((p, q, matrix))
+        drawn.append((np.array([p, q]), matrix))
     before, after, ok = sweeps._dpi_checks(drawn)
-    for i, (p, q, matrix) in enumerate(drawn):
+    for i, ((p, q), matrix) in enumerate(drawn):
         p, q, channel = Distribution(p), Distribution(q), Channel(matrix)
         result = data_processing_check(p, q, channel)
         assert _bits(before[i], after[i]) == _bits(result.before, result.after)
@@ -303,6 +303,14 @@ def test_a_chunk_of_two_state_instances_holds_as_much_as_a_chunk_of_chains(sweep
     # cap on a chunk's instances that keeps them within the budget's bytes
     sweep(3 * sweeps._CHUNK, 2)
     assert _traced_peak(sweep, 3 * sweeps._CHUNK, 2) <= sweeps._CHUNK_ENTRIES * 8
+
+
+@pytest.mark.parametrize("sweep, max_states", [(sweeps.identity_sweep, 64), (sweeps.dpi_sweep, 8)])
+def test_a_default_identity_or_dpi_sweep_holds_as_much_as_a_chunk(sweep, max_states):
+    # the default 1000 instances are one chunk of every size, numbers and
+    # Python objects both, so they too stay within the budget's bytes
+    sweep(1000, max_states)
+    assert _traced_peak(sweep, 1000, max_states) <= sweeps._CHUNK_ENTRIES * 8
 
 
 @pytest.mark.parametrize("sweep, draw, kernel, max_states", [
