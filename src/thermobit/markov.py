@@ -242,45 +242,44 @@ def stationary_distribution(channel: Channel) -> Distribution:
     pi); transient states get exactly 0. With more than one closed class the
     stationary set is their convex hull and a StationaryMultiplicityWarning
     fires -- monotonicity holds against any stationary distribution, so the
-    audit proceeds with this one.
+    audit proceeds with this one. The solve is _stationary_distributions on
+    a stack of one, and its row is held to the probability rule here.
     """
-    matrix = channel.matrix
-    if matrix.all():  # no zero entry, so one closed class over every state
-        return Distribution(_gth_solve(matrix[None])[0])
-    n = len(matrix)
-    classes = _closed_classes(matrix)
-    if len(classes[0]) == n:  # one class covers every state
-        return Distribution(_gth_solve(matrix[None])[0])
-    recurrent = sum(len(members) for members in classes)
-    pi = np.zeros(n)
-    for members in classes:
-        block = _gth_solve(matrix[np.ix_(members, members)][None])[0]
-        pi[members] = block * (len(members) / recurrent)
-    if len(classes) > 1:
-        warnings.warn(
-            f"chain has {len(classes)} closed classes, so multiple stationary "
-            f"distributions; auditing against their recurrent-share mixture",
-            StationaryMultiplicityWarning,
-            stacklevel=2,
-        )
-    return Distribution(pi)
+    return Distribution(_stationary_distributions(channel.matrix[None])[0])
 
 
 def _stationary_distributions(stack: np.ndarray) -> np.ndarray:
-    """The probabilities of stationary_distribution of each chain of a
-    (B, n, n) stack of channel matrices, as (B, n) rows, bit for bit. The
-    chains with no zero entry, so one closed class over every state, are
-    solved in one stacked elimination and their rows held to the rule a
-    Distribution holds them to; any other chain goes through
-    stationary_distribution, with its warning."""
-    positive = (stack > 0.0).all(axis=(1, 2))
-    if positive.all():
-        return _probability_rows(_gth_solve(stack), "distribution")
-    pis = np.empty(stack.shape[:2])
-    if positive.any():
-        pis[positive] = _probability_rows(_gth_solve(stack[positive]), "distribution")
-    for b in np.flatnonzero(~positive):
-        pis[b] = stationary_distribution(Channel(stack[b])).probs
+    """The stationary rows of a (B, n, n) stack of channel matrices, as a
+    new (B, n) array, each row bit for bit its chain's own solve and not yet
+    held to the probability rule. A stack with no zero entry is one stacked
+    elimination. Otherwise each chain's closed classes are found: the chains
+    whose first class covers every state share one stacked elimination, and
+    every other chain is solved one class at a time into its row, with a
+    StationaryMultiplicityWarning if it has more than one class (pointed at
+    the caller of stationary_distribution)."""
+    if stack.all():  # no zero entry, so one closed class over every state
+        return _gth_solve(stack)
+    pis = np.zeros(stack.shape[:2])
+    irreducible = []
+    for b, matrix in enumerate(stack):
+        classes = _closed_classes(matrix)
+        if len(classes[0]) == len(matrix):
+            irreducible.append(b)
+            continue
+        recurrent = sum(len(members) for members in classes)
+        for members in classes:
+            block = _gth_solve(matrix[np.ix_(members, members)][None])[0]
+            pis[b, members] = block * (len(members) / recurrent)
+        if len(classes) > 1:
+            warnings.warn(
+                f"chain has {len(classes)} closed classes, so multiple stationary "
+                f"distributions; auditing against their recurrent-share mixture",
+                StationaryMultiplicityWarning,
+                stacklevel=3,
+            )
+    if irreducible:  # every chain, as an audit's one chain is: solve the stack, not a copy
+        chains = slice(None) if len(irreducible) == len(stack) else irreducible
+        pis[chains] = _gth_solve(stack[chains])
     return pis
 
 
@@ -373,8 +372,9 @@ def evolve(
     inputs are checked once; the steps run on plain arrays, renormalised by
     Distribution's rule, so row t is bit for bit what apply_channel builds.
     A step of _step_rows, the loop the monotonicity sweep steps its stacks
-    with too, is one product and one byte compare; a row's sum is taken
-    only where _horizon says it may stray, and then sets the next check.
+    with too, is one product and one byte compare. Each call takes its first
+    check from the sum of p0; after it a row's sum is taken only where
+    _horizon says it may stray, and then sets the next check.
 
     The loop stops at the chain's floating-point fixed point: once a step
     returns its input bit for bit, the remaining rows are that row and the
@@ -403,32 +403,31 @@ def evolve(
                           f"probabilities") from None
     d_nats = np.empty(steps + 1)
     probs[0] = p0.probs
-    budget, drift = _horizon(matrix)
-    checks = 1 + _rows_ahead(budget, drift, np.add.reduce(probs[0]))
-    settled, _ = _step_rows(probs, matrix, 0, checks, budget, drift)
+    settled = _step_rows(probs, matrix, *_horizon(matrix))
     _kl_rows(probs[:settled], _log_reference(reference.probs), d_nats[:settled])
     probs.setflags(write=False)
     d_nats.setflags(write=False)
     return Trajectory(probs, d_nats, reference, settled)
 
 
-def _step_rows(rows: np.ndarray, matrices: np.ndarray, start: int, checks, budget: float, drift):
-    """Fill each row from the one before, row 0 being step `start`, with one
-    product: one chain's (T, n) rows by its (n, n) matrix, its check and
-    drift scalars, or a (B, n, n) stack's (T, B, 1, n) rows by one matmul,
-    which gives each row the bits of its own product, its checks and drifts
-    (B, 1) arrays. At the earliest check every row is summed, divided by its
-    sum if that is off 1 by more than _RENORM_SKIP and summed again, and
-    _rows_ahead on the budget and drifts of _horizon sets each next check;
-    by _horizon's bound a chain not yet due is not divided, so each gets the
-    bits it gets on its own. Returns (the first row where every chain
-    repeats the row before, or len(rows), checks)."""
+def _step_rows(rows: np.ndarray, matrices: np.ndarray, budget: float, drift) -> int:
+    """Fill each row from the one before with one product: one chain's
+    (T, n) rows by its (n, n) matrix, its drift a scalar, or a (B, n, n)
+    stack's (T, B, 1, n) rows by one matmul, which gives each row the bits
+    of its own product, its drifts a (B, 1) array. The first check comes
+    from the sums of row 0. At each check every row is summed, divided by
+    its sum if that is off 1 by more than _RENORM_SKIP and summed again,
+    and _rows_ahead on the budget and drifts of _horizon sets the next one,
+    the earliest of the chains'. By _horizon's bound a row that is not
+    summed does not stray, so each chain gets the bits it gets on its own,
+    whichever rows are summed. Returns the first row where every chain
+    repeats the row before, or len(rows)."""
     if matrices.ndim == 3:
         product, any_of, earliest = np.matmul, np.ndarray.any, np.ndarray.min
-    else:  # 1-D rows, which ndarray.dot needs, and scalar sums and checks
+    else:  # 1-D rows, which ndarray.dot needs, and scalar sums
         product, any_of, earliest = np.ndarray.dot, bool, int
-    due = int(earliest(checks)) - start  # the next row whose sums are taken
     prev, last = rows[0], rows[0].tobytes()
+    due = 1 + int(earliest(_rows_ahead(budget, drift, np.add.reduce(prev, -1))))
     for w, row in enumerate(rows[1:], 1):
         product(prev, matrices, row)
         if w >= due:
@@ -437,13 +436,12 @@ def _step_rows(rows: np.ndarray, matrices: np.ndarray, start: int, checks, budge
             if any_of(astray):
                 np.divide(row, totals[..., None], row, where=astray[..., None])
                 totals = np.add.reduce(row, -1)
-            checks = start + w + 1 + _rows_ahead(budget, drift, totals)
-            due = int(earliest(checks)) - start
+            due = w + 1 + int(earliest(_rows_ahead(budget, drift, totals)))
         now = row.tobytes()
         if now == last:
-            return w, checks
+            return w
         prev, last = row, now
-    return len(rows), checks
+    return len(rows)
 
 
 def _largest_rises(p0s: np.ndarray, matrices: np.ndarray, references: np.ndarray,
@@ -459,24 +457,24 @@ def _largest_rises(p0s: np.ndarray, matrices: np.ndarray, references: np.ndarray
     one matmul per step, a stack of one chain included, one call per window
     of at most `window` numbers of rows, so what a stack holds depends on
     neither `steps` nor how long its chains run. A window starts from the
-    last row of the one before, so each rise between windows is seen. After
-    it each chain's fixed point, the first row equal to the row before, is
-    found from the rows, and the chains that settled are dropped, matrices,
-    which the caller gives up, overwritten with the rest; the others keep
-    their checks and drifts of the stack's _horizon.
+    last row of the one before, so each rise between windows is seen, and
+    takes its first check from that row's sums. After it each chain's fixed
+    point, the first row equal to the row before, is found from the rows,
+    and the chains that settled are dropped: the others' matrices and drifts
+    of the stack's _horizon are taken into new arrays, so no argument is
+    written to.
     """
     batch, n = p0s.shape
     rises, settled = np.zeros(batch), np.full(batch, steps + 1)
     budget, drifts = _horizon(matrices)
     drifts = drifts[:, None]  # (B, 1), as the sums of (B, 1, n) rows are; each kept with its chain
-    checks = 1 + _rows_ahead(budget, drifts, np.add.reduce(p0s, 1, keepdims=True))
     live, last, log_refs, start = np.arange(batch), p0s, _log_reference(references), 0
     while True:
         batch = len(live)
         width = max(1, min(steps - start, window // (batch * (n + 2)) - 1))
         grid = np.empty((width + 1, batch, n))
         grid[0] = last
-        end, checks = _step_rows(grid[:, :, None], matrices, start, checks, budget, drifts)
+        end = _step_rows(grid[:, :, None], matrices, budget, drifts)
         bits = grid[:end + 1].view(np.int64)  # the rows written
         repeats = (bits[1:] == bits[:-1]).all(2)
         done = repeats.any(0)
@@ -496,9 +494,8 @@ def _largest_rises(p0s: np.ndarray, matrices: np.ndarray, references: np.ndarray
         last = grid[-1].copy()  # the loop ran the whole window, or all chains settled
         if done.any():
             keep = np.flatnonzero(~done)
-            matrices = np.take(matrices, keep, 0, matrices[:len(keep)])
+            matrices, drifts = matrices[keep], drifts[keep]
             live, last, log_refs = live[keep], last[keep], log_refs[keep]
-            checks, drifts = checks[keep], drifts[keep]
 
 
 def _max_positive_jump(d: np.ndarray):

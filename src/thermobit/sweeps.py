@@ -312,7 +312,7 @@ def _monotonicity_checks(matrices: np.ndarray, p0s: np.ndarray, steps: int):
     n = p0s.shape[1]
     matrices = _probability_rows(matrices.reshape(-1, n), "channel").reshape(-1, n, n)
     p0s = _probability_rows(p0s, "distribution")
-    pis = _stationary_distributions(matrices)
+    pis = _probability_rows(_stationary_distributions(matrices), "distribution")
     balanced = _detailed_balance_rows(matrices, pis)
     rises, _ = _largest_rises(p0s, matrices, pis, steps, _STACK_ENTRIES)
     return rises, balanced

@@ -1,5 +1,6 @@
 """Tests for the Markov-chain engine and the Second-Law auditor."""
 
+import inspect
 import io
 import math
 import re
@@ -283,7 +284,7 @@ def test_solving_chains_together_gives_each_its_stationary_distribution():
     rng = np.random.default_rng(7)
     channels = [Channel(_oracle_chain(rng, kind, n))
                 for n in (2, 3, 5, 5, 8, 13) for kind in sorted(_ORACLE_SIZES)]
-    # stacked by size: the two-class chains go through stationary_distribution
+    # stacked by size, so each stack mixes all five kinds and every solver path runs
     with pytest.warns(StationaryMultiplicityWarning) as together_warned:
         together = [row for n in (2, 3, 5, 8, 13) for row in markov._stationary_distributions(
             np.stack([channel.matrix for channel in channels if len(channel) == n]))]
@@ -292,6 +293,19 @@ def test_solving_chains_together_gives_each_its_stationary_distribution():
     assert len(together_warned) == len(alone_warned) == 6  # one per two-class chain
     for row, expected in zip(together, alone):
         assert row.tobytes() == expected.probs.tobytes()
+
+
+def test_the_stationary_multiplicity_warning_points_at_the_caller_of_stationary_distribution():
+    channel = Channel([[0.5, 0.5, 0.0, 0.0], [0.25, 0.75, 0.0, 0.0],
+                       [0.0, 0.0, 0.6, 0.4], [0.0, 0.0, 0.3, 0.7]])
+    with pytest.warns(StationaryMultiplicityWarning) as called_here:
+        stationary_distribution(channel)
+    assert called_here[0].filename == __file__
+    with pytest.warns(StationaryMultiplicityWarning) as audited:
+        second_law_audit(Distribution.uniform(4), channel, 3)
+    lines, first = inspect.getsourcelines(markov.second_law_audit)
+    assert audited[0].filename == markov.__file__
+    assert "stationary_distribution(channel)" in lines[audited[0].lineno - first]
 
 
 def test_closed_classes_match_a_breadth_first_search():

@@ -276,6 +276,19 @@ def test_stacked_steps_give_each_chain_its_own_fixed_point_and_largest_rise(chai
             assert rises[i].hex() == rise.hex()
 
 
+def test_stepping_a_stack_writes_into_none_of_its_arguments():
+    # dense chains settle within about a hundred steps and noisy rotations later,
+    # so the stack drops chains between its one-step windows while others run
+    rng = np.random.default_rng(11)
+    matrices = np.array([sweeps._draw_channel(rng, 4, i % 2 == 1) for i in range(12)])
+    p0s = rng.dirichlet(np.ones(4), size=12)
+    references = markov._stationary_distributions(matrices)
+    given = [array.tobytes() for array in (p0s, matrices, references)]
+    _, settled = markov._largest_rises(p0s, matrices, references, 400, 200)
+    assert len(set(settled.tolist())) > 2
+    assert [array.tobytes() for array in (p0s, matrices, references)] == given
+
+
 def _traced_peak(sweep, *args):
     gc.collect()  # empties the interpreter's free lists, which tracemalloc counts
     tracemalloc.start()
