@@ -223,7 +223,10 @@ def _support_groups(support: np.ndarray):
     """Yield (members, columns) once per distinct row of a 2-D boolean array:
     the indices of the rows equal to it, ascending, and the row itself."""
     packed = np.packbits(support, axis=1)
-    words = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64)
+    # whole 64-bit words, zero past the packed bytes
+    words = np.zeros((len(support), -(-packed.shape[1] // 8) * 8), np.uint8)
+    words[:, :packed.shape[1]] = packed
+    words = words.view(np.uint64)
     order = np.lexsort(words.T)
     ordered = words[order]
     starts = np.flatnonzero(np.any(ordered[1:] != ordered[:-1], axis=1)) + 1

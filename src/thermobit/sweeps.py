@@ -18,11 +18,21 @@ row kernel of check_detailed_balance and steps them together through
 markov._step_rows, the audits' loop, each to its own fixed point. Every
 instance gets the bits its own check gives, and no Channel, Distribution
 or verdict is built for it.
+
+The identity and DPI sweeps seed a chunk's instances together: numpy's
+SeedSequence hash of every [seed, index] is computed at once, with uint32
+array arithmetic, and one Generator is set to each index's PCG64 state in
+turn, so each instance draws the bits default_rng([seed, index]) draws.
+The monotonicity sweep still builds one default_rng per instance: seeded
+the same way it would check more chains a second, and the benchmark keeps
+one record per verdict, so its peak memory would pass its bound
+(ROADMAP.md items 1a and 13).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
 from typing import ClassVar
 
@@ -43,10 +53,10 @@ DEFAULT_SEED = 0xC0FFEE
 # states and their starting distributions, 1.08 MB. The second bound keeps
 # large instances from piling up. The first keeps a chunk of the smallest
 # instances within those 1.08 MB too: a drawn and checked instance of two
-# states holds about 600 bytes (identity) or 850 (DPI), mostly in Python
-# objects rather than numbers, so 1024 of them trace at 0.62 and 0.87 MB,
-# and 2048 would pass the budget. A stack of the monotonicity sweep holds at
-# most _CHUNK chains too.
+# states holds about 600 bytes (identity) or 650 (DPI), mostly in Python
+# objects rather than numbers, so sweeps of three chunks of 1024 of them
+# trace at 0.62 and 0.67 MB, and 2048 would pass the budget. A stack of the
+# monotonicity sweep holds at most _CHUNK chains too.
 _CHUNK = 1024
 _CHUNK_ENTRIES = 128 * 32 * 33
 # A stack of the monotonicity sweep holds at most _STACK_ENTRIES entries of its
@@ -55,6 +65,13 @@ _CHUNK_ENTRIES = 128 * 32 * 33
 # chains or more, so what it holds is bounded whatever its instances and steps.
 # Larger stacks step faster; ROADMAP.md says why they wait.
 _STACK_ENTRIES = _CHUNK_ENTRIES // 32
+# numpy's SeedSequence hash (O'Neill's seed_seq design) and the multiplier of
+# PCG64's 128-bit LCG, both stable across numpy versions by NEP 19
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _chunks(instances: int, largest: int):
@@ -91,6 +108,95 @@ def _sweep_counts(instances, max_states, seed) -> tuple[int, int, int]:
 
 def _instance_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([seed, index])
+
+
+def _generate_states(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence(row).generate_state(4, np.uint64) of each row of a 2-D
+    uint32 array of entropy words, of at least four columns (fewer words are
+    padded with zeros, as SeedSequence pads them), computed a column at a
+    time by numpy's mix_entropy and generate_state. Their hash constants do
+    not depend on the words, so they stay Python ints, masked to 32 bits,
+    and every product is of a uint32 array, which wraps as numpy's uint32_t
+    does."""
+    const = _HASH_INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _HASH_MULT_A & _MASK32
+        value *= const
+        value ^= value >> 16
+        return value
+
+    def mix(x, y):
+        x = x * _MIX_MULT_L
+        x -= y * _MIX_MULT_R
+        x ^= x >> 16
+        return x
+
+    # a pool of four words; entropy past them is mixed into each
+    pool = [hashmix(entropy[:, i]) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(4, entropy.shape[1]):
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+    words = np.empty((len(entropy), 8), np.uint32)
+    const = _HASH_INIT_B
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * _HASH_MULT_B & _MASK32
+        value *= const
+        value ^= value >> 16
+        words[:, i] = value
+    # each pair of words is one uint64, the first word its low half
+    return words.astype("<u4", copy=False).view("<u8")
+
+
+def _seed_sequence_states(seed: int, indices: Iterable[int]) -> np.ndarray:
+    """SeedSequence([seed, index]).generate_state(4, np.uint64) of each
+    index, as the rows of a (len(indices), 4) array: the indices of each
+    word count are hashed together."""
+    # each value's 32-bit words as SeedSequence splits it, least significant
+    # first, one word for 0: words[i, :counts[i]] are values[i]'s
+    values = np.array([seed, *indices], dtype=object)
+    words, counts = [values & _MASK32], np.ones(len(values), dtype=int)
+    while (values := values >> 32).any():
+        counts += values != 0
+        words.append(values & _MASK32)
+    words = np.array(words, dtype=np.uint32).T
+    seed_words, words, counts = words[0, :counts[0]], words[1:], counts[1:]
+    states = np.empty((len(counts), 4), np.uint64)
+    for count in np.unique(counts).tolist():
+        rows = counts == count
+        width = len(seed_words) + count
+        entropy = np.zeros((np.count_nonzero(rows), max(4, width)), np.uint32)
+        entropy[:, :len(seed_words)] = seed_words
+        entropy[:, len(seed_words):width] = words[rows, :count]
+        states[rows] = _generate_states(entropy)
+    return states
+
+
+def _instance_rngs(seed: int, indices: Iterable[int]):
+    """Yield one Generator per index, in order, each time the same one, set
+    to the state default_rng([seed, index]) starts in, so that it draws the
+    same bits. Each must be done with before the next is asked for.
+
+    Each index's PCG64 is seeded from its SeedSequence state as
+    pcg64_set_seed seeds it, by two steps of its 128-bit LCG from 0, and set
+    with has_uint32 and uinteger reset. Its state becomes Python ints only
+    when it is set, so the chunk's states are held as 32 bytes each."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    for row in _seed_sequence_states(seed, indices):
+        seed_high, seed_low, inc_high, inc_low = row.tolist()
+        inc = (inc_high << 65 | inc_low << 1 | 1) & _MASK128
+        state = ((inc + (seed_high << 64 | seed_low)) * _PCG64_MULT + inc) & _MASK128
+        rng.bit_generator.state = {"bit_generator": "PCG64",
+                                   "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+        yield rng
 
 
 class _SweepResult:
@@ -201,7 +307,7 @@ def identity_sweep(
     min_available = math.inf
     for chunk in _chunks(instances, 2 * max_states + 1):
         identity, proof, available = _identity_checks(
-            [_draw_landscape(_instance_rng(seed, i), max_states) for i in chunk])
+            [_draw_landscape(rng, max_states) for rng in _instance_rngs(seed, chunk)])
         # in instance order, so that ties keep the first instance's bits
         identity_worst = max(identity_worst, *identity.tolist())
         proof_worst = max(proof_worst, *proof.tolist())
@@ -255,8 +361,8 @@ def dpi_sweep(
     failures = 0
     worst = -math.inf
     for chunk in _chunks(instances, max_states * (max_states + 2)):
-        before, after, ok = _dpi_checks([_draw_dpi(_instance_rng(seed, i), max_states)
-                                         for i in chunk])
+        before, after, ok = _dpi_checks([_draw_dpi(rng, max_states)
+                                         for rng in _instance_rngs(seed, chunk)])
         worst = max(worst, *(after - before).tolist())
         failures += int(np.count_nonzero(~ok))
     return DpiSweepResult(instances=instances, failures=failures, worst_excess=worst)

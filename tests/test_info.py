@@ -228,6 +228,23 @@ def test_kl_rows_against_one_reference_per_row_matches_kl_nats_bitwise(
         _kl_rows_bitwise(block, references)
 
 
+@pytest.mark.parametrize("columns", [1, 63, 64, 65, 130])
+def test_support_groups_hold_exactly_the_rows_of_each_support(columns):
+    # the rows take four supports: a random one, the same with its last
+    # column flipped, so that the last packed byte tells them apart, none
+    # and all; so a support that is not a whole number of words is padded
+    rng = np.random.default_rng(columns)
+    supports = np.array([rng.random(columns) < 0.5] * 2 + [[False] * columns, [True] * columns])
+    supports[1, -1] = ~supports[0, -1]
+    support = supports[rng.integers(0, 4, 40)]
+    expected = {row.tobytes(): np.flatnonzero((support == row).all(axis=1)).tolist()
+                for row in support}
+    groups = list(info._support_groups(support))
+    assert len(groups) == len(expected)
+    for members, row in groups:
+        assert members.tolist() == expected[row.tobytes()]
+
+
 def _entropy_1d(p):
     """H(p) of a probability array as shannon_entropy computed it before it
     ran _kl_rows on one row: the oracle of _entropy_rows."""

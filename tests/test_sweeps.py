@@ -96,6 +96,23 @@ def test_a_noisy_rotation_has_the_bits_of_the_rolled_identity_form(seed, n):
     assert noisy.tobytes() == (0.9 * np.roll(np.eye(n), 1, axis=1) + 0.1 * dense).tobytes()
 
 
+def _draw_bytes(rng):
+    return [np.asarray(rng.integers(2, 65)).tobytes(), rng.uniform(-10.0, 10.0, 5).tobytes(),
+            rng.dirichlet(np.ones(3), size=4).tobytes()]
+
+
+# seeds of one, two, three and four 32-bit words; indices of one and two, the
+# last past any sweep's reach, and entropy of six words past SeedSequence's
+# pool of four
+@pytest.mark.parametrize("seed", [0, 0xC0FFEE, 2**32 - 1, 2**32, 2**64 + 5, 2**100])
+def test_instance_generators_have_the_state_and_bits_of_default_rng(seed):
+    indices = [0, 1023, 1024, 2**32 - 1, 2**32]
+    for index, rng in zip(indices, sweeps._instance_rngs(seed, indices), strict=True):
+        reference = np.random.default_rng([seed, index])
+        assert rng.bit_generator.state == reference.bit_generator.state
+        assert _draw_bytes(rng) == _draw_bytes(reference)
+
+
 # -- oracles: each check as it was computed one instance at a time ----------------------
 
 def _identity_oracle(energies, kT, probs):
@@ -190,6 +207,64 @@ def test_stacked_dpi_checks_give_each_instance_its_own_check(sizes, seed, zero_s
         assert ok[i] == result.ok
         assert _bits(result.before, result.after) == _bits(
             *_dpi_oracle(p.probs, q.probs, channel.matrix))
+
+
+def _identity_reference(instances, max_states, seed):
+    """The identity sweep's fields from one public check_szilard_landauer
+    per instance, drawn from default_rng([seed, i]) in the sweep's order:
+    the size, the energies, the temperature, then p."""
+    identity_failures = proof_failures = optimality_failures = 0
+    identity_worst = proof_worst = 0.0
+    min_available = math.inf
+    for i in range(instances):
+        rng = np.random.default_rng([seed, i])
+        n = int(rng.integers(2, max_states + 1))
+        energies = rng.uniform(-10.0, 10.0, n)
+        landscape = EnergyLandscape(energies, temperature=float(rng.uniform(0.1, 10.0)))
+        report = check_szilard_landauer(landscape, Distribution(rng.dirichlet(np.ones(n))))
+        identity = report.residual / report.scale
+        proof = abs(report.free_energy_gibbs + landscape.kT * report.log_partition) / report.scale
+        identity_failures += identity > thermo.IDENTITY_TOLERANCE
+        proof_failures += proof > thermo.IDENTITY_TOLERANCE
+        optimality_failures += report.available < 0.0
+        identity_worst, proof_worst = max(identity_worst, identity), max(proof_worst, proof)
+        min_available = min(min_available, report.available)
+    return sweeps.IdentitySweepResult(instances, identity_failures, identity_worst,
+                                      proof_failures, proof_worst, optimality_failures,
+                                      min_available)
+
+
+def _dpi_reference(instances, max_states, seed):
+    """The DPI sweep's fields from one public data_processing_check per
+    instance, drawn from default_rng([seed, i]) in the sweep's order: the
+    size, p, q, then K."""
+    failures = 0
+    worst = -math.inf
+    for i in range(instances):
+        rng = np.random.default_rng([seed, i])
+        n = int(rng.integers(2, max_states + 1))
+        p, q = Distribution(rng.dirichlet(np.ones(n))), Distribution(rng.dirichlet(np.ones(n)))
+        result = data_processing_check(p, q, Channel(rng.dirichlet(np.ones(n), size=n)))
+        failures += not result.ok
+        worst = max(worst, result.after - result.before)
+    return sweeps.DpiSweepResult(instances, failures, worst)
+
+
+def _field_bits(result):
+    return [value.hex() if isinstance(value, float) else value
+            for value in result.to_json_dict().values()]
+
+
+# the goldens in tests/data pin one-word seeds and one chunk; these run three
+# chunks each, the last part full, from a seed of three 32-bit words
+@pytest.mark.parametrize("sweep, reference", [(sweeps.identity_sweep, _identity_reference),
+                                              (sweeps.dpi_sweep, _dpi_reference)])
+def test_the_identity_and_dpi_sweeps_match_a_check_per_instance_over_chunks(sweep, reference):
+    instances, max_states, seed = 2100, 2, 2**64 + 5
+    assert len(list(sweeps._chunks(instances, 2 * max_states + 1))) == 3
+    assert len(list(sweeps._chunks(instances, max_states * (max_states + 2)))) == 3
+    result = sweep(instances, max_states, seed)
+    assert _field_bits(result) == _field_bits(reference(instances, max_states, seed))
 
 
 def _monotonicity_reference(instances, max_states, steps, seed):
