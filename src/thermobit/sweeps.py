@@ -1,6 +1,6 @@
 """Seeded randomized sweeps over the package's headline properties.
 
-Each sweep derives one RNG per instance from (seed, instance index), so
+Each instance draws the bits of default_rng([seed, instance index]), so
 results are reproducible and independent of execution order. These back
 the `sweep` CLI command and the acceptance suite.
 
@@ -19,20 +19,17 @@ markov._step_rows, the audits' loop, each to its own fixed point. Every
 instance gets the bits its own check gives, and no Channel, Distribution
 or verdict is built for it.
 
-The identity and DPI sweeps seed a chunk's instances together: numpy's
-SeedSequence hash of every [seed, index] is computed at once, with uint32
-array arithmetic, and one Generator is set to each index's PCG64 state in
-turn, so each instance draws the bits default_rng([seed, index]) draws.
-The monotonicity sweep still builds one default_rng per instance: seeded
-the same way it would check more chains a second, and the benchmark keeps
-one record per verdict, so its peak memory would pass its bound
-(ROADMAP.md items 1a and 13).
+Every sweep seeds its instances the same way, up to 1024 at a time:
+numpy's SeedSequence hash of each [seed, index] is computed at once, with
+uint32 array arithmetic, and one Generator is set to each index's PCG64
+state in turn, so each instance draws the bits default_rng([seed, index])
+draws.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from typing import ClassVar
 
@@ -106,10 +103,6 @@ def _sweep_counts(instances, max_states, seed) -> tuple[int, int, int]:
     return instances, max_states, _count("seed", seed, 0)
 
 
-def _instance_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng([seed, index])
-
-
 def _generate_states(entropy: np.ndarray) -> np.ndarray:
     """SeedSequence(row).generate_state(4, np.uint64) of each row of a 2-D
     uint32 array of entropy words, of at least four columns (fewer words are
@@ -155,22 +148,21 @@ def _generate_states(entropy: np.ndarray) -> np.ndarray:
     return words.astype("<u4", copy=False).view("<u8")
 
 
-def _seed_sequence_states(seed: int, indices: Iterable[int]) -> np.ndarray:
+def _seed_sequence_states(seed: int, indices: Sequence[int]) -> np.ndarray:
     """SeedSequence([seed, index]).generate_state(4, np.uint64) of each
-    index, as the rows of a (len(indices), 4) array: the indices of each
-    word count are hashed together."""
+    index below 2**64, as the rows of a (len(indices), 4) array: the
+    indices of each word count are hashed together."""
     # each value's 32-bit words as SeedSequence splits it, least significant
-    # first, one word for 0: words[i, :counts[i]] are values[i]'s
-    values = np.array([seed, *indices], dtype=object)
-    words, counts = [values & _MASK32], np.ones(len(values), dtype=int)
-    while (values := values >> 32).any():
-        counts += values != 0
-        words.append(values & _MASK32)
-    words = np.array(words, dtype=np.uint32).T
-    seed_words, words, counts = words[0, :counts[0]], words[1:], counts[1:]
-    states = np.empty((len(counts), 4), np.uint64)
-    for count in np.unique(counts).tolist():
-        rows = counts == count
+    # first, one word for 0: an index has one, or two if its high word is set
+    seed_words = [seed >> shift & _MASK32 for shift in range(0, seed.bit_length() or 1, 32)]
+    words = np.asarray(indices, dtype="<u8").view("<u4").reshape(-1, 2)
+    two = words[:, 1] != 0
+    states = np.empty((len(words), 4), np.uint64)
+    # the indices of one word, then of two, each hashed together if any; not
+    # by np.unique, whose first call keeps about 1 MB resident (numpy 2.4)
+    for count, rows in (1, ~two), (2, two):
+        if not rows.any():
+            continue
         width = len(seed_words) + count
         entropy = np.zeros((np.count_nonzero(rows), max(4, width)), np.uint32)
         entropy[:, :len(seed_words)] = seed_words
@@ -179,24 +171,26 @@ def _seed_sequence_states(seed: int, indices: Iterable[int]) -> np.ndarray:
     return states
 
 
-def _instance_rngs(seed: int, indices: Iterable[int]):
+def _instance_rngs(seed: int, indices: Sequence[int]):
     """Yield one Generator per index, in order, each time the same one, set
     to the state default_rng([seed, index]) starts in, so that it draws the
     same bits. Each must be done with before the next is asked for.
 
-    Each index's PCG64 is seeded from its SeedSequence state as
-    pcg64_set_seed seeds it, by two steps of its 128-bit LCG from 0, and set
-    with has_uint32 and uinteger reset. Its state becomes Python ints only
-    when it is set, so the chunk's states are held as 32 bytes each."""
+    The indices are hashed a block of _CHUNK at a time. Each index's PCG64
+    is seeded from its SeedSequence state as pcg64_set_seed seeds it, by two
+    steps of its 128-bit LCG from 0, and set with has_uint32 and uinteger
+    reset. Its state becomes Python ints only when it is set, so a block's
+    states are held as 32 bytes each."""
     rng = np.random.Generator(np.random.PCG64(0))
-    for row in _seed_sequence_states(seed, indices):
-        seed_high, seed_low, inc_high, inc_low = row.tolist()
-        inc = (inc_high << 65 | inc_low << 1 | 1) & _MASK128
-        state = ((inc + (seed_high << 64 | seed_low)) * _PCG64_MULT + inc) & _MASK128
-        rng.bit_generator.state = {"bit_generator": "PCG64",
-                                   "state": {"state": state, "inc": inc},
-                                   "has_uint32": 0, "uinteger": 0}
-        yield rng
+    for start in range(0, len(indices), _CHUNK):
+        for row in _seed_sequence_states(seed, indices[start:start + _CHUNK]):
+            seed_high, seed_low, inc_high, inc_low = row.tolist()
+            inc = (inc_high << 65 | inc_low << 1 | 1) & _MASK128
+            state = ((inc + (seed_high << 64 | seed_low)) * _PCG64_MULT + inc) & _MASK128
+            rng.bit_generator.state = {"bit_generator": "PCG64",
+                                       "state": {"state": state, "inc": inc},
+                                       "has_uint32": 0, "uinteger": 0}
+            yield rng
 
 
 class _SweepResult:
@@ -332,7 +326,11 @@ def _draw_dpi(rng: np.random.Generator, max_states: int) -> tuple[np.ndarray, np
     one Dirichlet call one after another from the generator, so p and q,
     drawn in one call, have the bits of two calls."""
     n = int(rng.integers(2, max_states + 1))
-    return rng.dirichlet(np.ones(n), size=2), _draw_channel(rng, n)
+    try:
+        ones = np.ones(n)
+    except ValueError:  # more bytes than numpy can count: no memory holds it either
+        raise MemoryError(f"Unable to allocate {n} probabilities") from None
+    return rng.dirichlet(ones, size=2), _draw_channel(rng, n)
 
 
 def _dpi_checks(drawn: list[tuple[np.ndarray, np.ndarray]]):
@@ -368,12 +366,12 @@ def dpi_sweep(
     return DpiSweepResult(instances=instances, failures=failures, worst_excess=worst)
 
 
-def _draw_chain(seed: int, index: int, max_states: int) -> tuple[np.ndarray, np.ndarray]:
-    """(K, p0) of monotonicity instance `index`: its RNG draws the size, K
-    and p0 in that order, and every fifth instance is a noisy rotation."""
-    rng = _instance_rng(seed, index)
+def _draw_chain(rng: np.random.Generator, max_states: int,
+                rotation: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(K, p0) of a random monotonicity instance, drawn with its size in the
+    order size, K, p0; with rotation, K is a noisy rotation."""
     n = int(rng.integers(2, max_states + 1))
-    return _draw_channel(rng, n, index % 5 == 4), rng.dirichlet(np.ones(n))
+    return _draw_channel(rng, n, rotation), rng.dirichlet(np.ones(n))
 
 
 def _chain_stacks(instances: int, max_states: int, seed: int):
@@ -390,8 +388,8 @@ def _chain_stacks(instances: int, max_states: int, seed: int):
     asked for: the caller must be done with it by then."""
     buffers: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     filled: dict[int, int] = {}  # how many rows of its size's buffers hold chains
-    for i in range(instances):
-        matrix, p0 = _draw_chain(seed, i, max_states)
+    for i, rng in enumerate(_instance_rngs(seed, range(instances))):
+        matrix, p0 = _draw_chain(rng, max_states, i % 5 == 4)
         n = len(p0)
         if n not in buffers:
             capacity = min(_CHUNK, _STACK_ENTRIES // (n * n))

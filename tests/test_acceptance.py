@@ -40,7 +40,6 @@ from thermobit.sweeps import (
     identity_sweep,
     monotonicity_sweep,
     _draw_landscape,
-    _instance_rng,
 )
 from thermobit.thermo import check_szilard_landauer
 
@@ -64,7 +63,8 @@ def _subsample():
     with F(p) and log Z from the exact oracle."""
     cases = []
     for i in range(0, 10_000, 40):
-        energies, temperature, probs = _draw_landscape(_instance_rng(DEFAULT_SEED, i), 64)
+        rng = np.random.default_rng([DEFAULT_SEED, i])
+        energies, temperature, probs = _draw_landscape(rng, 64)
         landscape, p = EnergyLandscape(energies, temperature=temperature), Distribution(probs)
         args = landscape.energies.tolist(), landscape.temperature, landscape.boltzmann
         cases.append((landscape, p, exact.free_energy(*args, p.probs.tolist()),
@@ -125,7 +125,7 @@ def test_criterion_3_gibbs_optimality():
     equality_ok = True
     worst_equality = 0.0
     for i in range(200):
-        rng = _instance_rng(DEFAULT_SEED + 1, i)
+        rng = np.random.default_rng([DEFAULT_SEED + 1, i])
         energies, temperature, _ = _draw_landscape(rng, 64)
         landscape = EnergyLandscape(energies, temperature=temperature)
         from thermobit.thermo import gibbs_distribution
@@ -167,7 +167,7 @@ def test_criterion_5_decomposition_identity():
 
     worst = 0.0
     for i in range(10_000):
-        rng = _instance_rng(DEFAULT_SEED + 2, i)
+        rng = np.random.default_rng([DEFAULT_SEED + 2, i])
         n1 = int(rng.integers(2, 9))
         n2 = int(rng.integers(2, 9))
         joint = JointDistribution(rng.dirichlet(np.ones(n1 * n2)).reshape(n1, n2))

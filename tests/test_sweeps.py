@@ -103,14 +103,16 @@ def _draw_bytes(rng):
 
 # seeds of one, two, three and four 32-bit words; indices of one and two, the
 # last past any sweep's reach, and entropy of six words past SeedSequence's
-# pool of four
+# pool of four; runs of indices across a hash block and across the 2**32 word
+# boundary, each in one call
 @pytest.mark.parametrize("seed", [0, 0xC0FFEE, 2**32 - 1, 2**32, 2**64 + 5, 2**100])
 def test_instance_generators_have_the_state_and_bits_of_default_rng(seed):
-    indices = [0, 1023, 1024, 2**32 - 1, 2**32]
-    for index, rng in zip(indices, sweeps._instance_rngs(seed, indices), strict=True):
-        reference = np.random.default_rng([seed, index])
-        assert rng.bit_generator.state == reference.bit_generator.state
-        assert _draw_bytes(rng) == _draw_bytes(reference)
+    for indices in ([0, 1023, 1024, 2**32 - 1, 2**32], range(1020, 1030),
+                    range(2**32 - 2, 2**32 + 2)):
+        for index, rng in zip(indices, sweeps._instance_rngs(seed, indices), strict=True):
+            reference = np.random.default_rng([seed, index])
+            assert rng.bit_generator.state == reference.bit_generator.state
+            assert _draw_bytes(rng) == _draw_bytes(reference)
 
 
 # -- oracles: each check as it was computed one instance at a time ----------------------
@@ -286,11 +288,13 @@ def _monotonicity_reference(instances, max_states, steps, seed):
 
 # the goldens in tests/data pin the default parameters only; these reach one
 # instance, one step, chains of two states only, stacks of 257 chains and of
-# one, stacks yielded full and part full, long runs, and sizes past numpy's
-# 128-entry pairwise block
+# one, stacks yielded full and part full, long runs, sizes past numpy's
+# 128-entry pairwise block, and instances past a hash block of the seeding,
+# from a seed of three 32-bit words
 @pytest.mark.parametrize("instances, max_states, steps, seed",
                          [(1, 2, 1, 0), (7, 3, 7, 5), (257, 2, 200, 3), (130, 64, 20, 11),
-                          (40, 32, 100, 9), (200, 8, 5000, 4), (60, 130, 10, 6)])
+                          (40, 32, 100, 9), (200, 8, 5000, 4), (60, 130, 10, 6),
+                          (1100, 2, 3, 2**64 + 5)])
 def test_the_stacked_monotonicity_sweep_matches_an_audit_per_chain(instances, max_states,
                                                                     steps, seed):
     result = sweeps.monotonicity_sweep(instances, max_states, steps, seed)
@@ -408,7 +412,7 @@ def test_a_default_identity_or_dpi_sweep_holds_as_much_as_a_chunk(sweep, max_sta
 def test_a_default_identity_or_dpi_sweep_checks_each_size_once(sweep, draw, kernel, max_states,
                                                                 monkeypatch):
     # 1000 instances are one chunk, so the row kernel runs once per size drawn
-    sizes = {len(draw(sweeps._instance_rng(sweeps.DEFAULT_SEED, i), max_states)[-1])
+    sizes = {len(draw(np.random.default_rng([sweeps.DEFAULT_SEED, i]), max_states)[-1])
              for i in range(1000)}
     checked = []
     rows = getattr(sweeps, kernel)
@@ -437,12 +441,17 @@ def test_the_monotonicity_sweep_draws_each_instance_once_into_stacks_of_one_size
     seed = 7
     expected: dict[int, list] = {}
     for i in range(instances):
-        matrix, p0 = sweeps._draw_chain(seed, i, max_states)
+        matrix, p0 = sweeps._draw_chain(np.random.default_rng([seed, i]), max_states, i % 5 == 4)
         expected.setdefault(len(p0), []).append((matrix, p0))
     built = []
-    instance_rng = sweeps._instance_rng
-    monkeypatch.setattr(sweeps, "_instance_rng",
-                        lambda seed, index: built.append(index) or instance_rng(seed, index))
+    instance_rngs = sweeps._instance_rngs
+
+    def counted_rngs(seed, indices):
+        for index, rng in zip(indices, instance_rngs(seed, indices), strict=True):
+            built.append(index)
+            yield rng
+
+    monkeypatch.setattr(sweeps, "_instance_rngs", counted_rngs)
     stacks: dict[int, list] = {}
     for matrices, p0s in sweeps._chain_stacks(instances, max_states, seed):
         # copies, as a stack's arrays are filled again once the next is asked for
@@ -488,3 +497,15 @@ def test_a_sweep_or_table_that_would_check_nothing_is_refused(run, message):
     with pytest.raises(DomainError) as exc:
         run()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("sweep", [sweeps.identity_sweep, sweeps.dpi_sweep,
+                                   sweeps.monotonicity_sweep])
+def test_a_sweep_of_more_bytes_than_numpy_can_count_is_a_memory_error(sweep):
+    # the identity and DPI sweeps' first size at the default seed, and the
+    # monotonicity sweep's rows at max_states, are more bytes than an intp
+    # counts, so numpy refuses them before it allocates anything
+    size = int(np.random.default_rng([sweeps.DEFAULT_SEED, 0]).integers(2, 2**62 + 1))
+    assert 8 * size > np.iinfo(np.intp).max
+    with pytest.raises(MemoryError, match="^Unable to allocate "):
+        sweep(1, max_states=2**62)
